@@ -42,6 +42,7 @@ from .errors import (
     DegenerateOmega,
     EvaluationDomainError,
     ExpressionSyntaxError,
+    NonFiniteResidual,
     NonFiniteState,
     NslabError,
     NuVanished,

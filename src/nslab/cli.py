@@ -9,15 +9,11 @@ Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 bad
 configuration or arguments, 3 numerical failure (non-finite state,
 singular metric, degenerate Omega).  All floats are printed with 17
 significant digits so reruns with the same seed are byte-identical.
-The NSL_THREADS environment variable caps the worker count used for
-per-point residual evaluation (default 1, fully sequential).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +28,7 @@ from .errors import (
     ConfigError,
     DegenerateOmega,
     ExpressionSyntaxError,
+    NonFiniteResidual,
     NonFiniteState,
     NuVanished,
     SingularMetric,
@@ -44,7 +41,7 @@ from .expressions import (
     phase_variables,
     substitute,
 )
-from .normality import BatchReport, NormalityResidual, residual_at
+from .normality import normality_report, residual_at
 from .sampling import PointSampler
 from .surfaces import load_surface, simulate_shift, solve_nu, verify_orthogonality
 from .systems import (
@@ -71,13 +68,6 @@ def _result(command, passed, max_residual):
     return EXIT_PASS if passed else EXIT_CHECK_FAILED
 
 
-def _worker_count():
-    try:
-        return max(1, int(os.environ.get("NSL_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _default_y0(surf):
     # normalize nu at the patch center; corners sit farthest from it and
     # are the likeliest places for the initial-speed field to degenerate
@@ -101,35 +91,13 @@ def _outdir(args):
     return out
 
 
-def _parallel_rows(points, fn):
-    workers = _worker_count()
-    if workers == 1:
-        return [fn(q) for q in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, points))
-
-
 def cmd_check_normality(args):
     sys, conn = _load_system_conn(args.system)
-    sampler = _sampler(sys, args)
-    points = sampler.points()
-
-    def row(q):
-        try:
-            return residual_at(sys, conn, q)
-        except Exception as err:  # noqa: BLE001
-            empty = np.zeros((0, 0))
-            return NormalityResidual(q=q, weak1=np.zeros(0), weak2=np.zeros(0),
-                                     addA=empty, addB=empty, addC=empty,
-                                     error=f"{type(err).__name__}: {err}")
-
-    rows = _parallel_rows(points, row)
-    report = BatchReport(rows=rows, tolerance=args.tol, n=sys.n,
-                         additional_applicable=sys.n >= 3)
+    report = normality_report(sys, conn, _sampler(sys, args), args.tol)
     out = _outdir(args)
     report.write_csv(out / "residuals.csv")
     extra = "" if report.additional_applicable else " (additional equations n/a for n=2)"
-    print(f"checked {len(rows)} points, median {_fmt(report.median_abs)}, "
+    print(f"checked {len(report.rows)} points, median {_fmt(report.median_abs)}, "
           f"violations {len(report.violations)}{extra}")
     print(f"wrote {out / 'residuals.csv'}")
     return _result("check-normality", report.verdict == "PASS", report.max_abs)
@@ -360,7 +328,8 @@ def main(argv=None):
     except (ConfigError, ExpressionSyntaxError, ValueError) as err:
         print(f"configuration error: {err}")
         return EXIT_CONFIG
-    except (NonFiniteState, SingularMetric, DegenerateOmega, NuVanished, ZeroWv) as err:
+    except (NonFiniteState, NonFiniteResidual, SingularMetric, DegenerateOmega,
+            NuVanished, ZeroWv) as err:
         print(f"numerical failure: {type(err).__name__}: {err}")
         return EXIT_NUMERICAL
 

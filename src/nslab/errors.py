@@ -65,6 +65,10 @@ class NonFiniteState(NslabError):
         self.t = t
 
 
+class NonFiniteResidual(NslabError):
+    """A normality residual came out NaN or infinite."""
+
+
 class NuVanished(NslabError):
     """|nu| fell below threshold while integrating the Pfaff system."""
 

@@ -315,12 +315,13 @@ class _SeriesAlgebra:
     @staticmethod
     def pow(a, b):
         if isinstance(b, taylor.TaylorSeries):
-            nonconst = np.any(b.coef[..., 1:] != 0.0)
-            if not nonconst:
-                b = b.value()
-                scalar = float(b) if np.ndim(b) == 0 else None
-                if scalar is not None or np.all(b == b.flat[0]):
-                    return a.powc(scalar if scalar is not None else float(b.flat[0]))
+            # only the trusted coefficients decide whether b is constant
+            if not np.any(b.coef[..., 1:b.ctx.sizes[b.trust]] != 0.0):
+                b0 = b.value()
+                if np.ndim(b0) == 0 or np.all(b0 == b0.flat[0]):
+                    out = a.powc(float(b0.flat[0]))
+                    out.trust = min(out.trust, b.trust)
+                    return out
             return (b * a.log()).exp()
         return a.powc(float(b))
 

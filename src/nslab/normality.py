@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import PointCalculus
+from .errors import NonFiniteResidual
 from .systems import DEFAULT_TOL
 
 
@@ -89,7 +90,7 @@ class NormalityResidual:
     def max_abs(self):
         parts = [self.weak1, self.weak2, self.addA, self.addB, self.addC]
         vals = [np.max(np.abs(p)) for p in parts if p.size]
-        return float(max(vals)) if vals else float("nan")
+        return float(np.max(vals)) if vals else float("nan")
 
     @property
     def normalized_max(self):
@@ -97,10 +98,16 @@ class NormalityResidual:
 
 
 def residual_at(sys, conn, q, tol=DEFAULT_TOL):
-    """All residuals at one point from a single shared pipeline."""
+    """All residuals at one point from a single shared pipeline.
+
+    Raises NonFiniteResidual when any residual is NaN or infinite, so
+    overflow can never read as agreement.
+    """
     calc = PointCalculus(sys, conn, q, depth=1, tol=tol)
     weak1, weak2 = _weak_from_calc(calc)
     addA, addB, addC = _additional_from_calc(calc)
+    if not all(np.isfinite(r).all() for r in (weak1, weak2, addA, addB, addC)):
+        raise NonFiniteResidual("non-finite normality residual")
     scale = float(1.0
                   + np.linalg.norm(calc.alpha) + np.linalg.norm(calc.eta)
                   + np.linalg.norm(calc.A_tensor) + np.linalg.norm(calc.B_tensor)
@@ -122,8 +129,9 @@ class BatchReport:
 
     @property
     def max_abs(self):
+        # np.max propagates NaN, so a NaN row cannot hide behind the others
         vals = [r.max_abs for r in self.evaluated]
-        return float(max(vals)) if vals else float("nan")
+        return float(np.max(vals)) if vals else float("nan")
 
     @property
     def median_abs(self):
@@ -138,7 +146,7 @@ class BatchReport:
 
     @property
     def violations(self):
-        return [r for r in self.rows if r.error or r.max_abs > self.tolerance]
+        return [r for r in self.rows if r.error or not r.max_abs <= self.tolerance]
 
     def write_csv(self, path):
         cols = ([f"x{i+1}" for i in range(self.n)]
@@ -163,9 +171,10 @@ class BatchReport:
 def normality_report(sys, conn, sampler, tolerance, tol=DEFAULT_TOL):
     """Residual sweep over a point cloud with a PASS/FAIL verdict.
 
-    Point-level evaluation failures (singular metric, degenerate Omega)
-    become report rows, not exceptions.  For n = 2 the additional
-    equations are marked not applicable rather than trivially passed.
+    Point-level evaluation failures (singular metric, degenerate Omega,
+    non-finite residuals) become report rows, not exceptions.  For n = 2
+    the additional equations are marked not applicable rather than
+    trivially passed.
     """
     points = list(sampler.points())
     if not points:

@@ -117,13 +117,6 @@ class SystemDefinition:
         return (np.array([s.value() for s in V]),
                 np.array([s.value() for s in T]))
 
-    def rhs_batch(self, X, P):
-        ctx = taylor.context(2 * self.n, self.ctx_order(0))
-        xs, ps = self._seed(ctx, X, P)
-        V, T = self.v_theta_series(ctx, xs, ps)
-        return (np.stack([s.value() for s in V], axis=-1),
-                np.stack([s.value() for s in T], axis=-1))
-
     def rhs_jacobian_batch(self, X, P):
         """(V, Theta) plus the full phase-space Jacobian, batched.
 

@@ -14,6 +14,12 @@ families of points in single numpy calls.
 Each series tracks a `trust` level: the highest total degree whose
 coefficients are exact given the inputs.  Extracting a derivative above
 the trust level is a bug and raises immediately.
+
+A product is trusted to the lower trust of its factors, and it pays only
+for the monomial pairs up to that degree: its coefficients above its
+trust are exactly zero, so untrusted coefficients are never propagated
+through a product (truncated Taylor propagation; Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., ch. 13).
 """
 
 from __future__ import annotations
@@ -47,7 +53,12 @@ def _monomials(nvars, order):
 
 
 class TaylorContext:
-    """Shared multiplication and differentiation tables for one (nvars, order)."""
+    """Shared multiplication and differentiation tables for one (nvars, order).
+
+    The product's monomial pairs `(_ia, _ib) -> _ik` are sorted by pair
+    degree, so the pairs a product trusted to degree t needs are the first
+    `_pair_count[t]` of them.
+    """
 
     def __init__(self, nvars, order):
         self.nvars = nvars
@@ -55,55 +66,66 @@ class TaylorContext:
         self.monomials = _monomials(nvars, order)
         self.size = len(self.monomials)
         self.index = {m: i for i, m in enumerate(self.monomials)}
-        self.degrees = np.array([sum(m) for m in self.monomials])
-        self.factorials = np.array(
-            [math.prod(math.factorial(k) for k in m) for m in self.monomials],
-            dtype=float,
-        )
-        ia, ib, ik = [], [], []
-        for i, ma in enumerate(self.monomials):
-            da = sum(ma)
-            for j, mb in enumerate(self.monomials):
-                if da + sum(mb) > order:
-                    continue
-                ia.append(i)
-                ib.append(j)
-                ik.append(self.index[tuple(a + b for a, b in zip(ma, mb))])
-        self._ia = np.array(ia)
-        self._ib = np.array(ib)
-        self._ik = np.array(ik)
-        npairs = len(ia)
-        self._gather = sparse.csr_matrix(
-            (np.ones(npairs), (self._ik, np.arange(npairs))),
-            shape=(self.size, npairs),
-        )
-        # d/dx_v maps coeff[m + e_v] -> coeff[m] * (m_v + 1)
-        self._shift_src = []
-        self._shift_dst = []
-        self._shift_scale = []
-        for v in range(nvars):
-            src, dst, scale = [], [], []
-            for i, m in enumerate(self.monomials):
-                up = list(m)
-                up[v] += 1
-                j = self.index.get(tuple(up))
-                if j is not None:
-                    src.append(j)
-                    dst.append(i)
-                    scale.append(m[v] + 1)
-            self._shift_src.append(np.array(src))
-            self._shift_dst.append(np.array(dst))
-            self._shift_scale.append(np.array(scale, dtype=float))
+        mono = np.array(self.monomials, dtype=np.int64).reshape(self.size, nvars)
+        self.degrees = mono.sum(axis=1)
+        fact = np.array([math.factorial(k) for k in range(order + 1)], dtype=float)
+        self.factorials = fact[mono].prod(axis=1)
+        levels = np.arange(order + 1)
+        # sizes[t]: number of monomials of degree <= t (they come first)
+        self.sizes = np.searchsorted(self.degrees, levels, side="right")
 
-    def multiply(self, a, b):
+        # integer key of a multi-index in base order + 1; the sum of two keys
+        # is the key of the summed multi-index while its degree is <= order
+        base = order + 1
+        if base ** nvars > np.iinfo(np.int64).max:
+            raise ValueError(f"no int64 monomial keys for {nvars} variables at order {order}")
+        key = mono @ base ** np.arange(nvars, dtype=np.int64)
+        by_key = np.argsort(key)
+        sorted_key = key[by_key]
+
+        def lookup(keys):
+            return by_key[np.searchsorted(sorted_key, keys)]
+
+        # every pair (i, j) with deg_i + deg_j <= order, sorted by that degree
+        width = self.sizes[order - self.degrees]
+        ia = np.repeat(np.arange(self.size), width)
+        ib = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        pair_deg = self.degrees[ia] + self.degrees[ib]
+        by_deg = np.argsort(pair_deg, kind="stable")
+        self._ia = ia[by_deg]
+        self._ib = ib[by_deg]
+        self._ik = lookup(key[self._ia] + key[self._ib])
+        self._pair_count = np.searchsorted(pair_deg[by_deg], levels, side="right")
+        self._pairs = [(self._ia[:n], self._ib[:n], self._ik[:n]) for n in self._pair_count]
+        # batched products sum pairs into coefficients with one sparse
+        # gather per trust level
+        self._gathers = [
+            sparse.csr_matrix((np.ones(n), (self._ik[:n], np.arange(n))),
+                              shape=(self.size, n))
+            for n in self._pair_count
+        ]
+
+        # d/dx_v maps coeff[m + e_v] -> coeff[m] * (m_v + 1)
+        dst = np.flatnonzero(self.degrees < order)
+        self._shift_src = [lookup(key[dst] + base ** v) for v in range(nvars)]
+        self._shift_dst = [dst] * nvars
+        self._shift_scale = [mono[dst, v] + 1.0 for v in range(nvars)]
+
+    def multiply(self, a, b, trust):
+        """Product of two coefficient arrays, exact through degree `trust`.
+
+        Only the monomial pairs of total degree <= trust are formed, so the
+        coefficients above `trust` come out zero.
+        """
         # zero factors are common (sparse connections, x-independent fields)
         if not a.any() or not b.any():
             return np.zeros(np.broadcast_shapes(a.shape, b.shape))
-        prod = a[..., self._ia] * b[..., self._ib]
-        if prod.ndim == 1:
-            return np.bincount(self._ik, weights=prod, minlength=self.size)
-        flat = prod.reshape(-1, prod.shape[-1])
-        out = (self._gather @ flat.T).T
+        ia, ib, ik = self._pairs[trust]
+        if a.ndim == b.ndim == 1:
+            return np.bincount(ik, weights=a[ia] * b[ib], minlength=self.size)
+        prod = a.take(ia, axis=-1) * b.take(ib, axis=-1)
+        flat = prod.reshape(-1, len(ik))
+        out = (self._gathers[trust] @ flat.T).T
         return np.ascontiguousarray(out).reshape(prod.shape[:-1] + (self.size,))
 
     def constant(self, value):
@@ -167,9 +189,8 @@ class TaylorSeries:
     def __mul__(self, other):
         if not isinstance(other, TaylorSeries):
             return TaylorSeries(self.ctx, self.coef * self._scalar(other), self.trust)
-        return TaylorSeries(
-            self.ctx, self.ctx.multiply(self.coef, other.coef), min(self.trust, other.trust)
-        )
+        trust = min(self.trust, other.trust)
+        return TaylorSeries(self.ctx, self.ctx.multiply(self.coef, other.coef, trust), trust)
 
     def __rmul__(self, other):
         return self.__mul__(other)

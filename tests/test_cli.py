@@ -91,6 +91,23 @@ class TestExitCodes:
         assert code == 3
         assert "NuVanished" in out
 
+    def test_nonfinite_residuals_fail(self, tmp_path, configs, capsys):
+        cfg = tmp_path / "overflow.json"
+        cfg.write_text(json.dumps({
+            "n": 3, "kind": "explicit", "V": ["p1", "p2", "p3"],
+            "Theta": ["exp(exp(p1^2)) - exp(exp(p1^2))", "0", "0"]}))
+        code, out = run(["check-normality", "--system", str(cfg), "--points", "30",
+                         "--seed", "0", "--out-dir", configs["out"]], capsys)
+        assert code == 1
+        assert "violations 7" in out
+        assert out.strip().splitlines()[-1].startswith("RESULT check-normality FAIL")
+
+    def test_zero_points_is_exit_2(self, configs, capsys):
+        code, out = run(["check-normality", "--system", configs["geo"],
+                         "--points", "0", "--out-dir", configs["out"]], capsys)
+        assert code == 2
+        assert "no points" in out
+
     def test_gauge_test(self, configs, capsys):
         code, out = run(["gauge-test", "--system", configs["geo"],
                          "--count", "5", "--out-dir", configs["out"]], capsys)

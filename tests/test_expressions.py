@@ -224,3 +224,19 @@ class TestAstUtilities:
         for pt in ([0.4, 0.9], [-0.7, 1.3]):
             fd = finite_difference_probe(e, pt, (1, 0), 1e-5)
             assert evaluate(de, pt) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
+def test_series_pow_ignores_untrusted_exponent_coefficients():
+    # the exponent is constant through its trust; garbage above it must not
+    # send a negative base down the exp(b log a) path
+    from nslab import taylor
+    from nslab.expressions import _SeriesAlgebra
+
+    c = taylor.context(2, 2)
+    a = c.variable(0, -1.5)
+    b = c.constant(2.0)
+    b.coef[c.index[(1, 0)]] = 0.25
+    b.trust = 0
+    got = _SeriesAlgebra.pow(a, b)
+    assert np.array_equal(got.coef, (a * a).coef)
+    assert got.trust == 0

@@ -172,3 +172,47 @@ class TestGaugeInvariance:
                 for attr in ("weak1", "weak2", "addA", "addB", "addC"):
                     delta = np.max(np.abs(getattr(r, attr) - getattr(b, attr)))
                     assert delta <= 1e-7
+
+
+class TestNonFiniteResiduals:
+    # exp(exp(p1^2)) overflows for |p1| >~ 2.6, so Theta1 = inf - inf = NaN
+    # at some points although it is identically zero where it is finite
+    @pytest.fixture()
+    def overflow3(self):
+        from nslab import ExplicitSystem, canonical_connection
+        sys = ExplicitSystem(3, ["p1", "p2", "p3"],
+                             ["exp(exp(p1^2)) - exp(exp(p1^2))", "0", "0"])
+        return sys, canonical_connection(sys)
+
+    def test_nan_rows_fail_the_report(self, overflow3):
+        sys, conn = overflow3
+        with np.errstate(all="ignore"):
+            report = normality_report(sys, conn, PointSampler(n=3, count=30, seed=0), 1e-7)
+        errors = [r for r in report.rows if r.error]
+        assert len(errors) == 7
+        assert all("NonFiniteResidual" in r.error for r in errors)
+        assert report.verdict == "FAIL"
+        assert len(report.violations) == 7
+        assert report.max_abs == 0.0
+
+    def test_residual_at_raises(self, overflow3):
+        from nslab import NonFiniteResidual
+        sys, conn = overflow3
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteResidual):
+            residual_at(sys, conn, q([0.0, 0.0, 0.0], [5.0, 1.0, 1.0]))
+
+    def test_nan_row_is_not_dropped_by_reductions(self):
+        from nslab.normality import BatchReport, NormalityResidual
+        empty = np.zeros((0, 0))
+
+        def row(v):
+            return NormalityResidual(q=q([0.0, 0.0], [1.0, 0.0]),
+                                     weak1=np.array([v]), weak2=np.zeros(1),
+                                     addA=empty, addB=empty, addC=empty)
+
+        for rows in ([row(np.nan), row(0.0)], [row(0.0), row(np.nan)]):
+            report = BatchReport(rows=rows, tolerance=1e-7, n=2,
+                                 additional_applicable=False)
+            assert np.isnan(report.max_abs)
+            assert report.verdict == "FAIL"
+            assert len(report.violations) == 1

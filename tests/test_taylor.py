@@ -120,3 +120,81 @@ class TestMatrixInverse:
                 assert acc.value() == pytest.approx(expect, abs=1e-14)
                 assert abs(acc.partial((1, 0))) < 1e-13
                 assert abs(acc.partial((1, 1))) < 1e-13
+
+
+def dense_product(c, a, b, t):
+    """Brute-force truncated product over all monomial pairs, through degree t."""
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    for i, mi in enumerate(c.monomials):
+        for j, mj in enumerate(c.monomials):
+            m = tuple(u + v for u, v in zip(mi, mj))
+            if sum(m) <= t:
+                out[..., c.index[m]] += a[..., i] * b[..., j]
+    return out
+
+
+PRODUCT_CONTEXTS = [(2, 4), (4, 3), (6, 2), (6, 5)]
+
+
+class TestTruncatedProduct:
+    @pytest.mark.parametrize("nvars,order", PRODUCT_CONTEXTS)
+    def test_matches_dense_reference_at_every_trust(self, nvars, order):
+        c = taylor.TaylorContext(nvars, order)
+        rng = np.random.default_rng(nvars * 10 + order)
+        above = c.degrees > np.arange(order + 1)[:, None]
+        for t in range(order + 1):
+            a, b = rng.normal(size=(2, c.size))
+            got = c.multiply(a, b, t)
+            ref = dense_product(c, a, b, t)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.all(got[above[t]] == 0.0)
+            # a leading batch axis on one or both factors
+            batch = rng.normal(size=(3, c.size))
+            for x, y in ((batch, b), (a, batch), (batch, batch[::-1])):
+                got = c.multiply(x, y, t)
+                ref = dense_product(c, x, y, t)
+                assert got.shape == (3, c.size)
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+                assert np.all(got[:, above[t]] == 0.0)
+
+    def test_series_product_is_zero_above_trust(self):
+        c = ctx(nvars=2, order=4)
+        x = c.variable(0, 0.5)
+        y = c.variable(1, -1.5)
+        y.trust = 2
+        f = (x + y).ipow(3) * x.exp()
+        assert f.trust == 2
+        assert np.all(f.coef[c.degrees > 2] == 0.0)
+        assert f.partial((1, 1)) == pytest.approx(
+            dense_product(c, (x + y).ipow(3).coef, x.exp().coef, 2)[c.index[(1, 1)]],
+            rel=1e-12)
+
+    @pytest.mark.parametrize("nvars,order", PRODUCT_CONTEXTS + [(3, 0), (1, 3)])
+    def test_tables_match_brute_force(self, nvars, order):
+        c = taylor.TaylorContext(nvars, order)
+        mons = []
+        for deg in range(order + 1):
+            mons += sorted(m for m in np.ndindex(*(order + 1,) * nvars) if sum(m) == deg)
+        assert c.monomials == mons
+        assert c.index == {m: i for i, m in enumerate(mons)}
+        assert c.degrees.tolist() == [sum(m) for m in mons]
+        assert c.factorials.tolist() == [
+            math.prod(math.factorial(k) for k in m) for m in mons]
+        pairs = list(zip(c._ia.tolist(), c._ib.tolist(), c._ik.tolist()))
+        expect = {(i, j) for i, mi in enumerate(mons) for j, mj in enumerate(mons)
+                  if sum(mi) + sum(mj) <= order}
+        assert {(i, j) for i, j, _ in pairs} == expect and len(pairs) == len(expect)
+        for i, j, k in pairs:
+            assert c.index[tuple(u + v for u, v in zip(mons[i], mons[j]))] == k
+        pair_deg = c.degrees[c._ia] + c.degrees[c._ib]
+        assert np.all(np.diff(pair_deg) >= 0)
+        for t in range(order + 1):
+            assert c._pair_count[t] == np.count_nonzero(pair_deg <= t)
+            assert c.sizes[t] == np.count_nonzero(c.degrees <= t)
+        for v in range(nvars):
+            for src, dst, scale in zip(c._shift_src[v], c._shift_dst[v],
+                                       c._shift_scale[v]):
+                up = list(mons[dst])
+                up[v] += 1
+                assert mons[src] == tuple(up) and scale == up[v]
+            assert len(c._shift_dst[v]) == np.count_nonzero(c.degrees < order)
