@@ -13,15 +13,17 @@ import numpy as np
 from nslab import (
     ExplicitSystem,
     PhasePoint,
+    PointCalculus,
     PointSampler,
+    ZeroConnection,
     build_modified_hamiltonian,
     check_regularity,
-    frame_at,
 )
 
 geo = build_modified_hamiltonian("(p1^2 + p2^2)/2 + x1", 2)
 q = PhasePoint([0.4, -0.1], [1.2, 0.5])
-fr = frame_at(geo, q)
+# the frame needs no connection; depth 0 asks for values only
+fr = PointCalculus(geo, ZeroConnection(2), q, depth=0)
 
 print("rescaled Hamiltonian system, H = (p1^2 + p2^2)/2 + x1")
 print(f"  V     = {fr.V}")

@@ -36,6 +36,7 @@ from .dynamics import (
     variational_rhs,
     weak_fields,
 )
+from .engine import PointCalculus
 from .errors import (
     AsymmetricGauge,
     ConfigError,
@@ -93,7 +94,6 @@ from .systems import (
     DEFAULT_TOL,
     EuclideanNewtonianSystem,
     ExplicitSystem,
-    KinematicFrame,
     ModifiedHamiltonianSystem,
     PhasePoint,
     RegularityReport,
@@ -102,9 +102,7 @@ from .systems import (
     build_modified_hamiltonian,
     build_riemannian_euclidean,
     check_regularity,
-    frame_at,
     load_system,
-    phi_pullback,
     system_from_config,
 )
 

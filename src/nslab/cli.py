@@ -41,7 +41,8 @@ from .expressions import (
     phase_variables,
     substitute,
 )
-from .normality import normality_report, residual_at
+from .engine import PointCalculus
+from .normality import _residual_from_calc, normality_report
 from .sampling import PointSampler
 from .surfaces import load_surface, simulate_shift, solve_nu, verify_orthogonality
 from .systems import (
@@ -148,12 +149,9 @@ def cmd_gauge_test(args):
     sampler = PointSampler(n=sys.n, count=3, seed=args.seed + 1,
                            pmin=args.pmin, pmax=args.pmax, xbox=args.xbox)
     points = sampler.points()
-    base = [residual_at(sys, conn, q) for q in points]
-    base_alpha = []
-    from .engine import PointCalculus
-
-    for q in points:
-        base_alpha.append(PointCalculus(sys, conn, q).alpha)
+    base_calcs = [PointCalculus(sys, conn, q) for q in points]
+    base = [_residual_from_calc(calc) for calc in base_calcs]
+    base_alpha = [calc.alpha for calc in base_calcs]
     worst_alpha = 0.0
     worst_resid = 0.0
     rows = []
@@ -163,7 +161,7 @@ def cmd_gauge_test(args):
         for q, b, a0 in zip(points, base, base_alpha):
             calc = PointCalculus(sys, gauged, q)
             d_alpha = float(np.max(np.abs(calc.alpha - a0)))
-            r = residual_at(sys, gauged, q)
+            r = _residual_from_calc(calc)
             d_resid = abs(r.max_abs - b.max_abs)
             for attr in ("weak1", "weak2", "addA", "addB", "addC"):
                 lhs, rhs = getattr(r, attr), getattr(b, attr)

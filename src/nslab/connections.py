@@ -12,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import taylor
-from .engine import PointCalculus, curvature_tensors
+from .engine import PointCalculus, curvature_tensors, phase_jet1
 from .errors import AsymmetricGauge, ConfigError
 from .expressions import Expression, evaluate, evaluate_series, parse, phase_variables
-from .systems import DEFAULT_TOL
+from .systems import DEFAULT_TOL, seed_phase
 
 __all__ = [
     "ConnectionField",
@@ -36,6 +36,18 @@ __all__ = [
 ]
 
 
+class _PhaseSeeds:
+    """Phase variables seeded at a point, to Taylor order `order`.
+
+    This is all that `gamma_series` of a connection without a system reads
+    of its `calc` argument.
+    """
+
+    def __init__(self, q, order):
+        self.ctx = taylor.context(2 * q.n, order)
+        self.xs, self.ps = seed_phase(self.ctx, q.x, q.p)
+
+
 class ConnectionField:
     source = "abstract"
 
@@ -47,15 +59,20 @@ class ConnectionField:
         return 0
 
     def gamma_series(self, calc):
+        """gamma[k][i][j] as series at the point `calc` was built for.
+
+        `calc` is a PointCalculus, or for a connection without a system the
+        phase variables seeded at the point (see `_series_point`).
+        """
         raise NotImplementedError
 
     def gamma(self, q):
         """Connection coefficients gamma[k, i, j] at a point."""
         raise NotImplementedError
 
-    def gamma_jet(self, q):
-        """(gamma, d gamma/dx^m, d gamma/dp_m) with leading m axes on the jets."""
-        raise NotImplementedError
+    def _series_point(self, q, depth):
+        """What `gamma_series` reads at q for `depth` derivative levels of gamma."""
+        return _PhaseSeeds(q, depth)
 
 
 class ZeroConnection(ConnectionField):
@@ -68,10 +85,6 @@ class ZeroConnection(ConnectionField):
 
     def gamma(self, q):
         return np.zeros((self.n,) * 3)
-
-    def gamma_jet(self, q):
-        z4 = np.zeros((self.n,) * 4)
-        return np.zeros((self.n,) * 3), z4, z4
 
 
 class _ExpressionTable:
@@ -107,24 +120,6 @@ class _ExpressionTable:
             vals[k, i, j] = evaluate(expr, env)
         return vals
 
-    def jet(self, q, n):
-        from .expressions import evaluate_jet
-
-        g = np.zeros((n,) * 3)
-        dgdx = np.zeros((n,) * 4)
-        dgdp = np.zeros((n,) * 4)
-        for (k, i, j), expr in self.table.items():
-            jet = evaluate_jet(expr, q, 1)
-            g[k, i, j] = jet.value
-            for m in range(n):
-                mi = [0] * (2 * n)
-                mi[m] = 1
-                dgdx[m, k, i, j] = jet.partial(tuple(mi))
-                mi = [0] * (2 * n)
-                mi[n + m] = 1
-                dgdp[m, k, i, j] = jet.partial(tuple(mi))
-        return g, dgdx, dgdp
-
     def series(self, calc):
         n = self.n
         env = calc.xs + calc.ps
@@ -154,9 +149,6 @@ class ExplicitConnection(ConnectionField):
     def gamma(self, q):
         return self._table.values(q)
 
-    def gamma_jet(self, q):
-        return self._table.jet(q, self.n)
-
 
 class CanonicalConnection(ConnectionField):
     """The symmetric connection generated by the dynamical system itself.
@@ -183,15 +175,7 @@ class CanonicalConnection(ConnectionField):
         n = self.n
         calc.g_up  # raises SingularMetric early if dV/dp degenerates
         g_down = taylor.series_matrix_inverse(calc.Vp_s)
-        # acceleration field pulled back to momentum variables
-        phi = []
-        for k in range(n):
-            acc = calc.V_s[k].partial_series(0) * calc.V_s[0]
-            acc = acc + calc.Vp_s[k][0] * calc.T_s[0]
-            for m in range(1, n):
-                acc = acc + calc.V_s[k].partial_series(m) * calc.V_s[m]
-                acc = acc + calc.Vp_s[k][m] * calc.T_s[m]
-            phi.append(acc)
+        phi = calc.phi_s
         dphi = [[phi[k].partial_series(n + r) for r in range(n)] for k in range(n)]
         d2phi = [[[None] * n for _ in range(n)] for _ in range(n)]
         vpp = [[[None] * n for _ in range(n)] for _ in range(n)]
@@ -240,14 +224,11 @@ class CanonicalConnection(ConnectionField):
                     gamma[k][j][i] = acc
         return gamma
 
-    def _calc(self, q, depth):
+    def _series_point(self, q, depth):
         return PointCalculus(self.sys, self, q, depth=depth, tol=self.tol)
 
     def gamma(self, q):
-        return self._calc(q, 0).gamma
-
-    def gamma_jet(self, q):
-        return self._calc(q, 1).gamma_jet
+        return self._series_point(q, 0).gamma
 
 
 class GaugeTensor:
@@ -265,9 +246,6 @@ class GaugeTensor:
 
     def series(self, calc):
         return self._table.series(calc)
-
-    def jet(self, q):
-        return self._table.jet(q, self.n)
 
 
 class GaugedConnection(ConnectionField):
@@ -291,10 +269,8 @@ class GaugedConnection(ConnectionField):
     def gamma(self, q):
         return self.base.gamma(q) + self.T.values(q)
 
-    def gamma_jet(self, q):
-        g, dgdx, dgdp = self.base.gamma_jet(q)
-        tg, tdx, tdp = self.T.jet(q)
-        return g + tg, dgdx + tdx, dgdp + tdp
+    def _series_point(self, q, depth):
+        return self.base._series_point(q, depth)
 
 
 def canonical_connection(sys, q=None, tol=DEFAULT_TOL):
@@ -340,7 +316,7 @@ class CurvaturePair(tuple):
 
 
 def curvatures(conn, q):
-    gamma, dgdx, dgdp = conn.gamma_jet(q)
+    gamma, dgdx, dgdp = phase_jet1(conn.gamma_series(conn._series_point(q, 1)))
     return CurvaturePair(*curvature_tensors(q.p, gamma, dgdx, dgdp))
 
 
@@ -362,24 +338,13 @@ class TensorField:
         self.components = comps
 
     def jet(self, q):
-        from .expressions import evaluate_jet
-
-        n = self.n
-        shape = self.components.shape
-        vals = np.zeros(shape)
-        ddx = np.zeros((n,) + shape)
-        ddp = np.zeros((n,) + shape)
-        for idx in np.ndindex(shape):
-            jet = evaluate_jet(self.components[idx], q, 1)
-            vals[idx] = jet.value
-            for m in range(n):
-                mi = [0] * (2 * n)
-                mi[m] = 1
-                ddx[(m,) + idx] = jet.partial(tuple(mi))
-                mi = [0] * (2 * n)
-                mi[n + m] = 1
-                ddp[(m,) + idx] = jet.partial(tuple(mi))
-        return vals, ddx, ddp
+        """(values, d/dx^m, d/dp_m) at q with leading m axes on the partials."""
+        seeds = _PhaseSeeds(q, 1)
+        env = seeds.xs + seeds.ps
+        series = np.empty(self.components.shape, dtype=object)
+        for idx in np.ndindex(series.shape):
+            series[idx] = evaluate_series(self.components[idx], env)
+        return phase_jet1(series.tolist())
 
 
 def covariant_derivative(conn, field, q):
@@ -416,9 +381,7 @@ def momentum_gradient(field, q):
 
 def force_covector(sys, conn, q):
     """Q_i = Theta_i - sum_{j,k} gamma[k,i,j] p_k V^j."""
-    V, Theta = sys.rhs(q.x, q.p)
-    gamma = conn.gamma(q)
-    return Theta - np.einsum("kij,k,j->i", gamma, q.p, V)
+    return PointCalculus(sys, conn, q, depth=0).Q
 
 
 # ----------------------------------------------------------------------

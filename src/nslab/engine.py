@@ -1,11 +1,12 @@
 """Series-backed evaluation of the derived field stack at one phase point.
 
 Everything the residual and variational layers need (metric pair, W,
-Omega, projector, force covector, U, curvatures, the deviation-equation
-fields alpha/beta/eta and the compatibility tensors A/B/C) is computed
-here from a single truncated-Taylor pipeline, so all derivatives are
-exact to machine precision and no quantity is ever finite-differenced
-internally.
+Omega, projector, acceleration field phi, force covector, U, curvatures,
+the deviation-equation fields alpha/beta/eta and the compatibility
+tensors A/B/C) is computed here from a single truncated-Taylor pipeline,
+so all derivatives are exact to machine precision and no quantity is ever
+finite-differenced internally.  Series become numbers only through
+`taylor.read_values` and `taylor.read_jet1`.
 
 Index conventions used throughout (all arrays are plain numpy at the
 point, series only while building):
@@ -24,8 +25,20 @@ from functools import cached_property
 
 import numpy as np
 
+from . import taylor
 from .errors import DegenerateOmega, SingularMetric
 from .systems import DEFAULT_TOL
+
+
+def phase_jet1(tree):
+    """Values, x-partials and p-partials of nested phase-space series.
+
+    The partials lead with the derivative index: ddx[m] = d/dx^m and
+    ddp[m] = d/dp_m, each shaped like the values.
+    """
+    vals, grad = taylor.read_jet1(tree)
+    n = len(grad) // 2
+    return vals, grad[:n], grad[n:]
 
 
 def curvature_tensors(p, gamma, dgdx, dgdp):
@@ -63,41 +76,15 @@ class PointCalculus:
         v_trust = max(depth + 1, conn.v_trust_needed(depth))
         self.ctx, self.xs, self.ps, self.V_s, self.T_s = sys.series_at(q, v_trust)
 
-    # -- helpers -------------------------------------------------------
-
-    def val(self, s):
-        return float(s.value())
-
-    def dx(self, s, m):
-        mi = [0] * (2 * self.n)
-        mi[m] = 1
-        return float(s.partial(tuple(mi)))
-
-    def dp(self, s, m):
-        mi = [0] * (2 * self.n)
-        mi[self.n + m] = 1
-        return float(s.partial(tuple(mi)))
-
-    def _vec(self, series_list):
-        return np.array([self.val(s) for s in series_list])
-
-    def _jet1(self, series_list):
-        """Values, x-derivatives and p-derivatives of a list of series."""
-        n = self.n
-        vals = self._vec(series_list)
-        ddx = np.array([[self.dx(s, m) for s in series_list] for m in range(n)])
-        ddp = np.array([[self.dp(s, m) for s in series_list] for m in range(n)])
-        return vals, ddx, ddp
-
     # -- base fields ----------------------------------------------------
 
     @cached_property
     def V(self):
-        return self._vec(self.V_s)
+        return taylor.read_values(self.V_s)
 
     @cached_property
     def Theta(self):
-        return self._vec(self.T_s)
+        return taylor.read_values(self.T_s)
 
     @cached_property
     def Vp_s(self):
@@ -106,11 +93,39 @@ class PointCalculus:
                 for i in range(self.n)]
 
     @cached_property
+    def phi_s(self):
+        """Acceleration field pulled back to momentum variables.
+
+        phi^k = sum_m dV^k/dx^m V^m + dV^k/dp_m Theta_m, the total time
+        derivative of the velocity field along the flow.
+        """
+        n = self.n
+        out = []
+        for k in range(n):
+            acc = self.V_s[k].partial_series(0) * self.V_s[0]
+            acc = acc + self.Vp_s[k][0] * self.T_s[0]
+            for m in range(1, n):
+                acc = acc + self.V_s[k].partial_series(m) * self.V_s[m]
+                acc = acc + self.Vp_s[k][m] * self.T_s[m]
+            out.append(acc)
+        return out
+
+    @cached_property
+    def phi(self):
+        return taylor.read_values(self.phi_s)
+
+    @cached_property
     def g_up(self):
-        g = np.array([[self.val(self.Vp_s[i][r]) for r in range(self.n)]
-                      for i in range(self.n)])
+        """g_up[i, r] = dV^i/dp_r, checked for singularity relative to its size.
+
+        The metric is singular when |det g| <= tol.singular * ||g||_F^n with
+        ||g||_F the Frobenius norm.  By Hadamard's inequality the ratio
+        |det g| / ||g||_F^n is at most 1, and it does not change when V is
+        rescaled.
+        """
+        g = taylor.read_values(self.Vp_s)
         det = np.linalg.det(g)
-        if abs(det) < self.tol.singular:
+        if abs(det) <= self.tol.singular * np.linalg.norm(g) ** self.n:
             raise SingularMetric(f"det dV/dp = {det:.3e} at {self.q!r}")
         return g
 
@@ -130,7 +145,7 @@ class PointCalculus:
 
     @cached_property
     def W(self):
-        return self._vec(self.W_s)
+        return taylor.read_values(self.W_s)
 
     @cached_property
     def Omega(self):
@@ -151,10 +166,7 @@ class PointCalculus:
 
     @cached_property
     def gamma(self):
-        return np.array([[[self.val(self.gamma_s[k][i][j])
-                           for j in range(self.n)]
-                          for i in range(self.n)]
-                         for k in range(self.n)])
+        return taylor.read_values(self.gamma_s)
 
     @cached_property
     def glow(self):
@@ -162,17 +174,8 @@ class PointCalculus:
 
     @cached_property
     def gamma_jet(self):
-        n = self.n
-        dgdx = np.empty((n, n, n, n))
-        dgdp = np.empty((n, n, n, n))
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    s = self.gamma_s[k][i][j]
-                    for m in range(n):
-                        dgdx[m, k, i, j] = self.dx(s, m)
-                        dgdp[m, k, i, j] = self.dp(s, m)
-        return self.gamma, dgdx, dgdp
+        """(gamma, d gamma/dx^m, d gamma/dp_m) with leading m axes on the jets."""
+        return phase_jet1(self.gamma_s)
 
     @cached_property
     def curvatures(self):
@@ -214,7 +217,7 @@ class PointCalculus:
 
     @cached_property
     def Q(self):
-        return self._vec(self.Q_s)
+        return taylor.read_values(self.Q_s)
 
     @cached_property
     def U_s(self):
@@ -235,52 +238,49 @@ class PointCalculus:
 
     @cached_property
     def U(self):
-        return self._vec(self.U_s)
+        return taylor.read_values(self.U_s)
 
     # -- first covariant / momentum derivatives --------------------------
 
     @cached_property
     def nabla_V(self):
         """nabla_V[m, i] = nabla_m V^i."""
-        vals, ddx, ddp = self._jet1(self.V_s)
+        vals, ddx, ddp = phase_jet1(self.V_s)
         return (ddx + np.einsum("mb,ib->mi", self.glow, self.g_up)
                 + np.einsum("ima,a->mi", self.gamma, vals))
 
     @cached_property
     def nabla_W(self):
         """nabla_W[m, s] = nabla_m W^s."""
-        vals, ddx, ddp = self._jet1(self.W_s)
-        return (ddx + np.einsum("mb,bs->ms", self.glow, self.mgrad_W)
+        vals, ddx, ddp = phase_jet1(self.W_s)
+        return (ddx + np.einsum("mb,bs->ms", self.glow, ddp)
                 + np.einsum("sma,a->ms", self.gamma, vals))
 
     @cached_property
     def mgrad_W(self):
         """mgrad_W[r, s] = dW^s/dp_r; this is the compatibility tensor A."""
-        return np.array([[self.dp(self.W_s[s], r) for s in range(self.n)]
-                         for r in range(self.n)])
+        return phase_jet1(self.W_s)[2]
 
     @cached_property
     def nabla_Q(self):
         """nabla_Q[m, i] = nabla_m Q_i."""
-        vals, ddx, ddp = self._jet1(self.Q_s)
+        vals, ddx, ddp = phase_jet1(self.Q_s)
         return (ddx + np.einsum("mb,bi->mi", self.glow, ddp)
                 - np.einsum("bmi,b->mi", self.gamma, vals))
 
     @cached_property
     def mgrad_Q(self):
-        return np.array([[self.dp(self.Q_s[i], m) for i in range(self.n)]
-                         for m in range(self.n)])
+        return phase_jet1(self.Q_s)[2]
 
     @cached_property
     def nabla_U(self):
-        vals, ddx, ddp = self._jet1(self.U_s)
+        vals, ddx, ddp = phase_jet1(self.U_s)
         return (ddx + np.einsum("mb,bi->mi", self.glow, ddp)
                 - np.einsum("bmi,b->mi", self.gamma, vals))
 
     @cached_property
     def mgrad_U(self):
-        return np.array([[self.dp(self.U_s[i], m) for i in range(self.n)]
-                         for m in range(self.n)])
+        return phase_jet1(self.U_s)[2]
 
     # -- deviation-equation fields ---------------------------------------
 

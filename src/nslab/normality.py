@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import PointCalculus
-from .errors import NonFiniteResidual
+from .errors import NonFiniteResidual, NslabError
 from .systems import DEFAULT_TOL
 
 
@@ -103,7 +103,10 @@ def residual_at(sys, conn, q, tol=DEFAULT_TOL):
     Raises NonFiniteResidual when any residual is NaN or infinite, so
     overflow can never read as agreement.
     """
-    calc = PointCalculus(sys, conn, q, depth=1, tol=tol)
+    return _residual_from_calc(PointCalculus(sys, conn, q, depth=1, tol=tol))
+
+
+def _residual_from_calc(calc):
     weak1, weak2 = _weak_from_calc(calc)
     addA, addB, addC = _additional_from_calc(calc)
     if not all(np.isfinite(r).all() for r in (weak1, weak2, addA, addB, addC)):
@@ -112,7 +115,7 @@ def residual_at(sys, conn, q, tol=DEFAULT_TOL):
                   + np.linalg.norm(calc.alpha) + np.linalg.norm(calc.eta)
                   + np.linalg.norm(calc.A_tensor) + np.linalg.norm(calc.B_tensor)
                   + np.linalg.norm(calc.C_tensor))
-    return NormalityResidual(q=q, weak1=weak1, weak2=weak2,
+    return NormalityResidual(q=calc.q, weak1=weak1, weak2=weak2,
                              addA=addA, addB=addB, addC=addC, scale=scale)
 
 
@@ -172,7 +175,8 @@ def normality_report(sys, conn, sampler, tolerance, tol=DEFAULT_TOL):
     """Residual sweep over a point cloud with a PASS/FAIL verdict.
 
     Point-level evaluation failures (singular metric, degenerate Omega,
-    non-finite residuals) become report rows, not exceptions.  For n = 2
+    non-finite residuals: any NslabError) become report rows; other
+    exceptions are programming errors and propagate.  For n = 2
     the additional equations are marked not applicable rather than
     trivially passed.
     """
@@ -183,7 +187,7 @@ def normality_report(sys, conn, sampler, tolerance, tol=DEFAULT_TOL):
     for q in points:
         try:
             rows.append(residual_at(sys, conn, q, tol))
-        except Exception as err:  # noqa: BLE001 - report rows carry the reason
+        except NslabError as err:
             empty = np.zeros((0, 0))
             rows.append(NormalityResidual(q=q, weak1=np.zeros(0), weak2=np.zeros(0),
                                           addA=empty, addB=empty, addC=empty,

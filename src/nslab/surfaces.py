@@ -24,7 +24,7 @@ from .dynamics import ExtendedState, integrate_family
 from .engine import PointCalculus
 from .errors import ConfigError, NuVanished, RankDeficientTangents
 from .expressions import Expression, evaluate_series, parse
-from .systems import DEFAULT_TOL, PhasePoint, frame_at
+from .systems import DEFAULT_TOL, PhasePoint
 
 
 class Hypersurface:
@@ -70,11 +70,9 @@ class Hypersurface:
         ctx = taylor.context(m, 2)
         ys = [ctx.variable(i, y[i]) for i in range(m)]
         xser = [evaluate_series(e, ys) for e in self.embedding]
-        x = np.array([s.value() for s in xser])
-        unit = np.eye(m, dtype=int)
+        x = taylor.read_values(xser)
         tau_s = [[xser[s].partial_series(i) for s in range(n)] for i in range(m)]
-        taus = np.array([[float(tau_s[i][s].value()) for s in range(n)]
-                         for i in range(m)])
+        taus = taylor.read_values(tau_s)
         # annihilator of the tangent span via signed minors
         raw = []
         for s in range(n):
@@ -83,9 +81,11 @@ class Hypersurface:
             if s % 2:
                 term = -term
             raw.append(term)
-        raw_pt = np.array([float(s.value()) for s in raw])
+        raw_pt = taylor.read_values(raw)
         norm = float(np.linalg.norm(raw_pt))
-        if norm < 1e-12:
+        # |raw| is the volume spanned by the tangents, at most the product of
+        # their lengths (Hadamard), so the ratio is free of the surface's scale
+        if norm <= 1e-12 * np.prod(np.linalg.norm(taus, axis=1)):
             raise RankDeficientTangents(f"tangent vectors are dependent at y={y.tolist()}")
         nsq = raw[0] * raw[0]
         for s in range(1, n):
@@ -94,9 +94,7 @@ class Hypersurface:
         first = np.flatnonzero(np.abs(raw_pt) > 1e-12 * norm)[0]
         sign = self.normal_scale * (1.0 if raw_pt[first] > 0 else -1.0)
         nser = [r * sign / length for r in raw]
-        normal = np.array([float(s.value()) for s in nser])
-        dn_dy = np.array([[float(nser[s].partial(tuple(unit[i]))) for s in range(n)]
-                          for i in range(m)])
+        normal, dn_dy = taylor.read_jet1(nser)
         return x, taus, normal, dn_dy
 
     def grid_axes(self, counts):
@@ -118,8 +116,8 @@ class SurfaceFrame:
     b: np.ndarray           # (m, m): second fundamental form components
 
 
-def _dn_covariant(conn, q, normal, taus, dn_dy):
-    gamma = conn.gamma(q)
+def _dn_covariant(gamma, normal, taus, dn_dy):
+    """dn[i, s]: covariant derivative of the normal covector along tau_i."""
     return dn_dy - np.einsum("ksr,k,ir->is", gamma, normal, taus)
 
 
@@ -134,9 +132,9 @@ def surface_frame(sys, conn, surf, y, nu, tol=DEFAULT_TOL):
         raise ValueError("nu must be nonzero")
     x, taus, normal, dn_dy = surf.geometry(y, tol)
     q = PhasePoint(x, nu * normal)
-    frame = frame_at(sys, q, tol)
-    dn = _dn_covariant(conn, q, normal, taus, dn_dy)
-    b = -np.einsum("ir,qr,jq->ij", taus, frame.P, dn)
+    calc = PointCalculus(sys, conn, q, depth=0, tol=tol)
+    dn = _dn_covariant(calc.gamma, normal, taus, dn_dy)
+    b = -np.einsum("ir,qr,jq->ij", taus, calc.P, dn)
     return SurfaceFrame(y=np.asarray(y, float), x=x, taus=taus, normal=normal,
                         dn=dn, b=b)
 
@@ -152,7 +150,7 @@ def pfaff_rhs(sys, conn, surf, y, nu, tol=DEFAULT_TOL):
     x, taus, normal, dn_dy = surf.geometry(y, tol)
     q = PhasePoint(x, nu * normal)
     calc = PointCalculus(sys, conn, q, depth=0, tol=tol)
-    dn = dn_dy - np.einsum("ksr,k,ir->is", calc.gamma, normal, taus)
+    dn = _dn_covariant(calc.gamma, normal, taus, dn_dy)
     omega = calc.Omega
     return (-(nu * nu / omega) * dn @ calc.W
             - (nu / omega) * taus @ calc.U)
@@ -289,7 +287,7 @@ def compatibility_residual(sys, conn, surf, y, nu, tol=DEFAULT_TOL):
     x, taus, normal, dn_dy = surf.geometry(y, tol)
     q = PhasePoint(x, nu * normal)
     calc = PointCalculus(sys, conn, q, depth=1, tol=tol)
-    dn = dn_dy - np.einsum("ksr,k,ir->is", calc.gamma, normal, taus)
+    dn = _dn_covariant(calc.gamma, normal, taus, dn_dy)
     pdn = np.einsum("qr,iq->ir", calc.P, dn)
     omega = calc.Omega
     xa = np.einsum("rs,ir,js->ij", calc.A_tensor, pdn, pdn)
@@ -369,7 +367,7 @@ def simulate_shift(sys, conn, surf, nu_source, cfg, grid=None, tol=DEFAULT_TOL):
         q = PhasePoint(x, nu * normal)
         dnu = (pfaff_rhs(sys, conn, surf, y, nu, tol) if solved
                else np.zeros(surf.m))
-        dn = _dn_covariant(conn, q, normal, taus, dn_dy)
+        dn = _dn_covariant(conn.gamma(q), normal, taus, dn_dy)
         xis = dnu[:, None] * normal[None, :] + nu * dn
         states.append(ExtendedState(0.0, q, taus, xis))
         ys.append(y)

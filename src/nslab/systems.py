@@ -1,4 +1,4 @@
-"""Newtonian systems in momentum representation and their per-point kinematics.
+"""Newtonian systems in momentum representation.
 
 A system is the pair of fields (V, Theta) driving
 
@@ -81,6 +81,18 @@ def _as_expression(obj, variables):
     return parse(str(obj), variables)
 
 
+def seed_phase(ctx, x, p):
+    """Phase variables (xs, ps) at x and p: variable i is x^i, variable n + i is p_i.
+
+    x and p may carry leading batch axes; the last axis is the component.
+    """
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    n = x.shape[-1]
+    return ([ctx.variable(i, x[..., i]) for i in range(n)],
+            [ctx.variable(n + i, p[..., i]) for i in range(n)])
+
+
 class SystemDefinition:
     """Base class; concrete systems implement the series builders."""
 
@@ -102,20 +114,11 @@ class SystemDefinition:
     # convenience evaluation paths
     # ------------------------------------------------------------------
 
-    def _seed(self, ctx, x, p):
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(p, dtype=float)
-        xs = [ctx.variable(i, x[..., i]) for i in range(self.n)]
-        ps = [ctx.variable(self.n + i, p[..., i]) for i in range(self.n)]
-        return xs, ps
-
     def rhs(self, x, p):
         """Plain (V, Theta) values at one point."""
         ctx = taylor.context(2 * self.n, self.ctx_order(0))
-        xs, ps = self._seed(ctx, x, p)
-        V, T = self.v_theta_series(ctx, xs, ps)
-        return (np.array([s.value() for s in V]),
-                np.array([s.value() for s in T]))
+        V, T = self.v_theta_series(ctx, *seed_phase(ctx, x, p))
+        return taylor.read_values(V), taylor.read_values(T)
 
     def rhs_jacobian_batch(self, X, P):
         """(V, Theta) plus the full phase-space Jacobian, batched.
@@ -125,23 +128,14 @@ class SystemDefinition:
         """
         n = self.n
         ctx = taylor.context(2 * n, self.ctx_order(1))
-        xs, ps = self._seed(ctx, X, P)
-        V, T = self.v_theta_series(ctx, xs, ps)
-        comps = V + T
-        Vv = np.stack([s.value() for s in V], axis=-1)
-        Tv = np.stack([s.value() for s in T], axis=-1)
-        units = np.eye(2 * n, dtype=int)
-        J = np.stack(
-            [np.stack([comps[i].partial(tuple(units[j])) for j in range(2 * n)], axis=-1)
-             for i in range(2 * n)],
-            axis=-2,
-        )
-        return Vv, Tv, J
+        V, T = self.v_theta_series(ctx, *seed_phase(ctx, X, P))
+        vals, grad = taylor.read_jet1(V + T)
+        return vals[..., :n], vals[..., n:], np.ascontiguousarray(np.moveaxis(grad, 0, -1))
 
     def series_at(self, q, v_trust):
         """V and Theta series at a point with V exact to order `v_trust`."""
         ctx = taylor.context(2 * self.n, self.ctx_order(v_trust))
-        xs, ps = self._seed(ctx, q.x, q.p)
+        xs, ps = seed_phase(ctx, q.x, q.p)
         V, T = self.v_theta_series(ctx, xs, ps)
         return ctx, xs, ps, V, T
 
@@ -262,72 +256,6 @@ def build_riemannian_euclidean(W, h, n):
 
 
 # ----------------------------------------------------------------------
-# per-point kinematics
-# ----------------------------------------------------------------------
-
-@dataclass
-class KinematicFrame:
-    """Pointwise bundle: velocity, metric pair, W, Omega and the projector P."""
-
-    V: np.ndarray
-    g_up: np.ndarray
-    g_down: np.ndarray
-    W: np.ndarray
-    Omega: float
-    P: np.ndarray
-
-
-def frame_at(sys, q, tol=DEFAULT_TOL):
-    """Kinematic frame at one phase point.
-
-    g_up[i][r] = dV^i/dp_r, g_down its inverse, W^s = sum_r dV^r/dp_s p_r,
-    Omega = <p|W>, and P = I - W p / Omega projects onto the null space of
-    the momentum covector along W.
-    """
-    n = sys.n
-    ctx, xs, ps, V, _ = sys.series_at(q, 1)
-    Vv = np.array([s.value() for s in V])
-    g_up = np.empty((n, n))
-    for i in range(n):
-        for r in range(n):
-            mi = [0] * (2 * n)
-            mi[n + r] = 1
-            g_up[i, r] = V[i].partial(tuple(mi))
-    det = np.linalg.det(g_up)
-    if abs(det) < tol.singular:
-        raise SingularMetric(f"det dV/dp = {det:.3e} at {q!r}")
-    g_down = np.linalg.inv(g_up)
-    W = g_up.T @ q.p
-    omega = float(q.p @ W)
-    if abs(omega) < tol.omega:
-        raise DegenerateOmega(f"<p|W> = {omega:.3e} at {q!r}")
-    P = np.eye(n) - np.outer(W, q.p) / omega
-    return KinematicFrame(V=Vv, g_up=g_up, g_down=g_down, W=W, Omega=omega, P=P)
-
-
-def phi_pullback(sys, q):
-    """Acceleration of the underlying velocity-space system, pulled back.
-
-    Component k is sum_i dV^k/dx^i V^i + sum_i dV^k/dp_i Theta_i, i.e. the
-    total time derivative of the velocity field along the flow.
-    """
-    n = sys.n
-    ctx, xs, ps, V, T = sys.series_at(q, 1)
-    Vv = np.array([s.value() for s in V])
-    Tv = np.array([s.value() for s in T])
-    out = np.zeros(n)
-    for k in range(n):
-        for i in range(n):
-            mi_x = [0] * (2 * n)
-            mi_x[i] = 1
-            mi_p = [0] * (2 * n)
-            mi_p[n + i] = 1
-            out[k] += V[k].partial(tuple(mi_x)) * Vv[i]
-            out[k] += V[k].partial(tuple(mi_p)) * Tv[i]
-    return out
-
-
-# ----------------------------------------------------------------------
 # regularity sampling
 # ----------------------------------------------------------------------
 
@@ -362,15 +290,20 @@ def check_regularity(sys, sampler, tol=DEFAULT_TOL):
     |V| > 0 away from p = 0, and Omega != 0.  Failures become report
     entries rather than exceptions.
     """
+    # engine and connections import this module
+    from .connections import ZeroConnection
+    from .engine import PointCalculus
+
+    conn = ZeroConnection(sys.n)
     samples = []
     for q in sampler.points():
         det = v_norm = omega = np.nan
         ok, failure = True, ""
         try:
-            frame = frame_at(sys, q, tol)
-            det = float(np.linalg.det(frame.g_up))
-            v_norm = float(np.linalg.norm(frame.V))
-            omega = frame.Omega
+            calc = PointCalculus(sys, conn, q, depth=0, tol=tol)
+            det = float(np.linalg.det(calc.g_up))
+            v_norm = float(np.linalg.norm(calc.V))
+            omega = calc.Omega
             if v_norm <= tol.singular:
                 ok, failure = False, "velocity field vanished at nonzero momentum"
         except SingularMetric as err:

@@ -15,6 +15,11 @@ Each series tracks a `trust` level: the highest total degree whose
 coefficients are exact given the inputs.  Extracting a derivative above
 the trust level is a bug and raises immediately.
 
+The package turns series into numbers with `read_values` and `read_jet1`
+(`partial` serves the oracles and tests): they stack the coefficient arrays
+of a nested list of series and take the constant and unit-monomial
+columns, since the first partial along x_v is the coefficient of x_v.
+
 A product is trusted to the lower trust of its factors, and it pays only
 for the monomial pairs up to that degree: its coefficients above its
 trust are exactly zero, so untrusted coefficients are never propagated
@@ -105,6 +110,11 @@ class TaylorContext:
             for n in self._pair_count
         ]
 
+        # coefficient index of each unit monomial e_v; degree 1 is stored in
+        # reverse variable order, so look it up
+        self.units = np.array([self.index[tuple(int(k == v) for k in range(nvars))]
+                               for v in range(nvars)] if order else [], dtype=np.int64)
+
         # d/dx_v maps coeff[m + e_v] -> coeff[m] * (m_v + 1)
         dst = np.flatnonzero(self.degrees < order)
         self._shift_src = [lookup(key[dst] + base ** v) for v in range(nvars)]
@@ -137,8 +147,7 @@ class TaylorContext:
     def variable(self, v, value):
         s = self.constant(value)
         if self.order >= 1:
-            unit = tuple(1 if k == v else 0 for k in range(self.nvars))
-            s.coef[..., self.index[unit]] = 1.0
+            s.coef[..., self.units[v]] = 1.0
         return s
 
 
@@ -349,6 +358,49 @@ class TaylorSeries:
             coeffs.append(coeffs[-1] * fall / (k * s0))
             fall -= 1.0
         return self._compose(coeffs)
+
+
+def _leaves(tree, out):
+    """Append the series of a rectangular nested list to `out`; return its shape."""
+    if isinstance(tree, TaylorSeries):
+        out.append(tree)
+        return ()
+    shapes = [_leaves(t, out) for t in tree]
+    return (len(shapes),) + shapes[0]
+
+
+def read_values(tree):
+    """Values of a nested list of series sharing a context.
+
+    The result has the batch axes of the series followed by the nesting's
+    shape; a bare series gives its batch-shaped value.
+    """
+    leaves = []
+    shape = _leaves(tree, leaves)
+    vals = np.stack([s.coef[..., 0] for s in leaves], axis=-1)
+    return vals.reshape(vals.shape[:-1] + shape)
+
+
+def read_jet1(tree):
+    """Values and first partials of a nested list of series sharing a context.
+
+    Returns (values, grad) with values shaped as in `read_values` and
+    grad[v] = d/dx_v of the values, so grad has one leading axis over the
+    context's variables.  Every series must be trusted to order 1.
+    """
+    leaves = []
+    shape = _leaves(tree, leaves)
+    trust = min(s.trust for s in leaves)
+    if trust < 1:
+        raise ValueError(f"requested order-1 derivative from a series trusted to order {trust}")
+    ctx = leaves[0].ctx
+    coef = np.stack([s.coef for s in leaves], axis=-2)
+    batch = coef.shape[:-2]
+    # contiguous results: einsum's summation order depends on the layout
+    vals = np.ascontiguousarray(coef[..., 0]).reshape(batch + shape)
+    # the unit monomials' factorials are 1: their coefficients are the partials
+    grad = np.ascontiguousarray(np.moveaxis(coef[..., ctx.units], -1, 0))
+    return vals, grad.reshape((ctx.nvars,) + batch + shape)
 
 
 def atan2_series(y, x):

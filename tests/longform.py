@@ -11,6 +11,18 @@ import numpy as np
 from nslab.engine import PointCalculus
 
 
+def _val(s):
+    return float(s.value())
+
+
+def _d(s, slot):
+    """First partial along phase variable `slot` (x^m is m, p_m is n + m),
+    read with partial() so the oracle stays apart from the engine's reader."""
+    mi = [0] * s.ctx.nvars
+    mi[slot] = 1
+    return float(s.partial(tuple(mi)))
+
+
 def _second_derivatives(calc):
     """Covariant derivative tables for dV/dp (X) and nabla V (Y)."""
     n = calc.n
@@ -32,31 +44,31 @@ def _second_derivatives(calc):
     for r in range(n):
         for k in range(n):
             for i in range(n):
-                val = calc.dx(X[k][i], r)
+                val = _d(X[k][i], r)
                 for b in range(n):
-                    val += glow[r, b] * calc.dp(X[k][i], b)
+                    val += glow[r, b] * _d(X[k][i], n + b)
                 for a in range(n):
-                    val += gamma[k, r, a] * calc.val(X[a][i])
-                    val += gamma[i, r, a] * calc.val(X[k][a])
+                    val += gamma[k, r, a] * _val(X[a][i])
+                    val += gamma[i, r, a] * _val(X[k][a])
                 nab_X[r, k, i] = val
     mgrad_X = np.zeros((n, n, n))  # [r, k, i] = d^2 V^i / dp_r dp_k
     for r in range(n):
         for k in range(n):
             for i in range(n):
-                mgrad_X[r, k, i] = calc.dp(X[k][i], r)
+                mgrad_X[r, k, i] = _d(X[k][i], n + r)
     nab_Y = np.zeros((n, n, n))   # [r, k, i] = nabla_r nabla_k V^i
     mgrad_Y = np.zeros((n, n, n))  # [r, k, i] = d(nabla_k V^i)/dp_r
     for r in range(n):
         for k in range(n):
             for i in range(n):
-                val = calc.dx(Y[k][i], r)
+                val = _d(Y[k][i], r)
                 for b in range(n):
-                    val += glow[r, b] * calc.dp(Y[k][i], b)
+                    val += glow[r, b] * _d(Y[k][i], n + b)
                 for a in range(n):
-                    val += gamma[i, r, a] * calc.val(Y[k][a])
-                    val -= gamma[a, r, k] * calc.val(Y[a][i])
+                    val += gamma[i, r, a] * _val(Y[k][a])
+                    val -= gamma[a, r, k] * _val(Y[a][i])
                 nab_Y[r, k, i] = val
-                mgrad_Y[r, k, i] = calc.dp(Y[k][i], r)
+                mgrad_Y[r, k, i] = _d(Y[k][i], n + r)
     return nab_X, mgrad_X, nab_Y, mgrad_Y
 
 

@@ -216,3 +216,16 @@ class TestNonFiniteResiduals:
             assert np.isnan(report.max_abs)
             assert report.verdict == "FAIL"
             assert len(report.violations) == 1
+
+
+class TestProgrammingErrors:
+    def test_bug_in_a_connection_propagates(self, sys_id3):
+        # only NslabError becomes a report row; a bug must not read as FAIL
+        from nslab import ZeroConnection
+
+        class Broken(ZeroConnection):
+            def gamma_series(self, calc):
+                return calc.no_such_field
+
+        with pytest.raises(AttributeError):
+            normality_report(sys_id3, Broken(3), PointSampler(n=3, count=3, seed=0), 1e-7)

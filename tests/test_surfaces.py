@@ -89,6 +89,16 @@ class TestSurfaceFrame:
         with pytest.raises(ValueError):
             surface_frame(sys_id2, zero2, circle, [0.0], 0.0)
 
+    def test_tiny_sphere_is_regular(self, sphere):
+        # the rank check is relative to the tangent lengths, not absolute
+        tiny = Hypersurface(3, ["1e-7*sin(y1)*cos(y2)", "1e-7*sin(y1)*sin(y2)",
+                                "1e-7*cos(y1)"], sphere.domain)
+        y = [0.7, 0.1]
+        _, _, normal, dn_dy = tiny.geometry(y)
+        _, _, unit_normal, unit_dn_dy = sphere.geometry(y)
+        assert np.max(np.abs(normal - unit_normal)) <= 1e-12
+        assert np.max(np.abs(dn_dy - unit_dn_dy)) <= 1e-12
+
 
 class TestPfaffRhs:
     def test_identity_circle_constant(self, sys_id2, zero2, circle):

@@ -13,14 +13,19 @@ from nslab import (
     build_modified_hamiltonian,
     build_riemannian_euclidean,
     check_regularity,
-    frame_at,
-    phi_pullback,
+    normality_report,
     system_from_config,
 )
+from nslab.engine import PointCalculus
 
 
 def q(x, p):
     return PhasePoint(np.asarray(x, float), np.asarray(p, float))
+
+
+def frame(sysm, point):
+    """The kinematic fields (V, metric pair, W, Omega, P) at a point."""
+    return PointCalculus(sysm, ZeroConnection(sysm.n), point, depth=0)
 
 
 class TestPhasePoint:
@@ -35,20 +40,20 @@ class TestPhasePoint:
 
 class TestFrame:
     def test_identity_system(self, sys_id2):
-        fr = frame_at(sys_id2, q([0, 0], [3, 4]))
+        fr = frame(sys_id2, q([0, 0], [3, 4]))
         assert np.allclose(fr.g_up, np.eye(2))
         assert np.allclose(fr.W, [3, 4])
         assert fr.Omega == 25.0
         assert np.allclose(fr.P, [[0.64, -0.48], [-0.48, 0.36]], atol=1e-15)
 
     def test_geodesic_point(self, sys_geo2):
-        fr = frame_at(sys_geo2, q([0, 0], [1, 0]))
+        fr = frame(sys_geo2, q([0, 0], [1, 0]))
         assert np.allclose(fr.V, [1, 0])
         assert np.allclose(fr.W, [-1, 0], atol=1e-14)
         assert fr.Omega == pytest.approx(-1.0, abs=1e-14)
 
     def test_geodesic_metric_pair(self, sys_geo2):
-        fr = frame_at(sys_geo2, q([0, 0], [3, 4]))
+        fr = frame(sys_geo2, q([0, 0], [3, 4]))
         expected = np.array([[7.0, -24.0], [-24.0, -7.0]]) / 625.0
         assert np.allclose(fr.g_up, expected, atol=1e-15)
         assert np.linalg.det(fr.g_up) == pytest.approx(-1.0 / 625.0, rel=1e-12)
@@ -59,7 +64,7 @@ class TestFrame:
             for _ in range(10):
                 point = q(rng.uniform(-1, 1, sysm.n),
                           rng.uniform(0.2, 2, sysm.n) * rng.choice([-1, 1], sysm.n))
-                fr = frame_at(sysm, point)
+                fr = frame(sysm, point)
                 n = sysm.n
                 assert np.allclose(fr.g_up @ fr.g_down, np.eye(n), atol=1e-12)
                 assert np.allclose(fr.P @ fr.P, fr.P, atol=1e-10)
@@ -70,7 +75,16 @@ class TestFrame:
     def test_singular_metric(self):
         sysm = ExplicitSystem(2, ["p1", "p1"], ["0", "0"])
         with pytest.raises(SingularMetric):
-            frame_at(sysm, q([0, 0], [1, 1]))
+            frame(sysm, q([0, 0], [1, 1])).g_up
+
+    def test_singular_metric_is_scale_free(self):
+        # a regular map scaled by 1e-5 stays regular; det g is 1e-15 here
+        tiny = ExplicitSystem(3, ["1e-5*p1", "1e-5*p2", "1e-5*p3"], ["0", "0", "0"])
+        sampler = PointSampler(3, 5, seed=0)
+        assert check_regularity(tiny, sampler).verdict
+        report = normality_report(tiny, ZeroConnection(3), sampler, 1e-7)
+        assert report.verdict == "PASS"
+        assert report.max_abs == 0.0
 
 
 class TestModifiedHamiltonianBuilder:
@@ -86,7 +100,7 @@ class TestModifiedHamiltonianBuilder:
             sysm = build_modified_hamiltonian(text, 2)
             for _ in range(6):
                 point = q(rng.uniform(-1, 1, 2), rng.uniform(0.3, 2, 2))
-                fr = frame_at(sysm, point)
+                fr = frame(sysm, point)
                 assert np.allclose(fr.W, -fr.V, atol=1e-12)
                 assert fr.Omega == pytest.approx(-1.0, abs=1e-12)
 
@@ -141,15 +155,15 @@ class TestEuclideanBuilder:
 
 class TestPhiPullback:
     def test_identity_zero(self, sys_id2):
-        assert np.allclose(phi_pullback(sys_id2, q([0.3, 0.1], [1, 2])), 0.0)
+        assert np.allclose(frame(sys_id2, q([0.3, 0.1], [1, 2])).phi, 0.0)
 
     def test_geodesic_zero(self, sys_geo2):
-        assert np.allclose(phi_pullback(sys_geo2, q([0.3, 0.1], [1, 2])), 0.0,
+        assert np.allclose(frame(sys_geo2, q([0.3, 0.1], [1, 2])).phi, 0.0,
                            atol=1e-14)
 
     def test_constant_force(self):
         sysm = ExplicitSystem(2, ["p1", "p2"], ["1", "0"])
-        assert np.allclose(phi_pullback(sysm, q([0.5, 0.5], [0.7, 0.2])), [1, 0])
+        assert np.allclose(frame(sysm, q([0.5, 0.5], [0.7, 0.2])).phi, [1, 0])
 
 
 class TestRegularity:

@@ -198,3 +198,47 @@ class TestTruncatedProduct:
                 up[v] += 1
                 assert mons[src] == tuple(up) and scale == up[v]
             assert len(c._shift_dst[v]) == np.count_nonzero(c.degrees < order)
+
+
+class TestReader:
+    def test_first_partials_match_partial(self):
+        # degree-1 monomials are not stored in variable order; the reader
+        # must agree with partial() for every variable, bit for bit
+        c = ctx(nvars=3, order=3)
+        x, y, z = (c.variable(v, val) for v, val in enumerate((0.3, -1.2, 0.8)))
+        tree = [[x * y.exp(), z.sin() * x], [y * y * z, (x + z).sqrt()]]
+        vals, grad = taylor.read_jet1(tree)
+        assert vals.shape == (2, 2) and grad.shape == (3, 2, 2)
+        units = np.eye(3, dtype=int)
+        for i in range(2):
+            for j in range(2):
+                assert vals[i, j] == tree[i][j].value()
+                for v in range(3):
+                    assert grad[v, i, j] == tree[i][j].partial(tuple(units[v]))
+        assert np.array_equal(taylor.read_values(tree), vals)
+
+    def test_batch_axes_lead_the_values(self):
+        c = ctx(nvars=2, order=2)
+        x = c.variable(0, np.array([1.0, 2.0, 3.0]))
+        y = c.variable(1, np.array([0.5, 0.25, -1.0]))
+        vals, grad = taylor.read_jet1([x * y, x + y])
+        assert vals.shape == (3, 2) and grad.shape == (2, 3, 2)
+        assert np.array_equal(vals[:, 0], x.value() * y.value())
+        assert np.array_equal(grad[0, :, 0], y.value())
+        assert np.array_equal(grad[1, :, 0], x.value())
+        assert np.all(grad[:, :, 1] == 1.0)
+
+    def test_single_series(self):
+        c = ctx(nvars=2, order=1)
+        x = c.variable(0, 2.0)
+        vals, grad = taylor.read_jet1(x * 3.0)
+        assert vals.shape == () and vals == 6.0
+        assert grad.tolist() == [3.0, 0.0]
+
+    def test_trust_is_checked(self):
+        c = ctx(nvars=2, order=2)
+        x = c.variable(0, 1.0)
+        flat = x.partial_series(0).partial_series(0)
+        assert taylor.read_values([x, flat]).tolist() == [1.0, 0.0]
+        with pytest.raises(ValueError):
+            taylor.read_jet1([x, flat])
