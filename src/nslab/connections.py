@@ -14,7 +14,7 @@ import numpy as np
 from . import taylor
 from .engine import PointCalculus, curvature_tensors, phase_jet1
 from .errors import AsymmetricGauge, ConfigError
-from .expressions import Expression, evaluate, evaluate_series, parse, phase_variables
+from .expressions import Expression, evaluate_series, parse, phase_variables
 from .systems import DEFAULT_TOL, seed_phase
 
 __all__ = [
@@ -68,7 +68,7 @@ class ConnectionField:
 
     def gamma(self, q):
         """Connection coefficients gamma[k, i, j] at a point."""
-        raise NotImplementedError
+        return taylor.read_values(self.gamma_series(self._series_point(q, 0)))
 
     def _series_point(self, q, depth):
         """What `gamma_series` reads at q for `depth` derivative levels of gamma."""
@@ -82,9 +82,6 @@ class ZeroConnection(ConnectionField):
         n = self.n
         zero = calc.ctx.constant(0.0)
         return [[[zero] * n for _ in range(n)] for _ in range(n)]
-
-    def gamma(self, q):
-        return np.zeros((self.n,) * 3)
 
 
 class _ExpressionTable:
@@ -113,13 +110,6 @@ class _ExpressionTable:
             table[(k, j, i)] = expr
         self.table = table
 
-    def values(self, q):
-        vals = np.zeros((self.n,) * 3)
-        env = list(np.concatenate([q.x, q.p]))
-        for (k, i, j), expr in self.table.items():
-            vals[k, i, j] = evaluate(expr, env)
-        return vals
-
     def series(self, calc):
         n = self.n
         env = calc.xs + calc.ps
@@ -145,9 +135,6 @@ class ExplicitConnection(ConnectionField):
 
     def gamma_series(self, calc):
         return self._table.series(calc)
-
-    def gamma(self, q):
-        return self._table.values(q)
 
 
 class CanonicalConnection(ConnectionField):
@@ -227,9 +214,6 @@ class CanonicalConnection(ConnectionField):
     def _series_point(self, q, depth):
         return PointCalculus(self.sys, self, q, depth=depth, tol=self.tol)
 
-    def gamma(self, q):
-        return self._series_point(q, 0).gamma
-
 
 class GaugeTensor:
     """Symmetric (1,2) tensor used to move between connections."""
@@ -240,9 +224,6 @@ class GaugeTensor:
             self._table = _ExpressionTable(n, entries, "gauge tensor")
         except ConfigError as err:
             raise AsymmetricGauge(str(err)) from None
-
-    def values(self, q):
-        return self._table.values(q)
 
     def series(self, calc):
         return self._table.series(calc)
@@ -266,19 +247,13 @@ class GaugedConnection(ConnectionField):
         return [[[base[k][i][j] + tser[k][i][j] for j in range(n)]
                  for i in range(n)] for k in range(n)]
 
-    def gamma(self, q):
-        return self.base.gamma(q) + self.T.values(q)
-
     def _series_point(self, q, depth):
         return self.base._series_point(q, depth)
 
 
-def canonical_connection(sys, q=None, tol=DEFAULT_TOL):
-    """The canonical connection of a system; with q, its coefficients there."""
-    conn = CanonicalConnection(sys, tol)
-    if q is None:
-        return conn
-    return conn.gamma(q)
+def canonical_connection(sys, tol=DEFAULT_TOL):
+    """The canonical connection of a system."""
+    return CanonicalConnection(sys, tol)
 
 
 def connection_from_config(cfg, sys):

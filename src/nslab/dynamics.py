@@ -1,16 +1,15 @@
 """Trajectory integration and the variational flow along it.
 
 The integrator advances the phase point together with any number of
-variation pairs.  Internally the momentum variation is carried in the
-plain chart (dp = d p_i / d y); the covariant variation covector used by
-the rest of the theory is
+variation pairs (tau, dp), both in the chart the stepper uses:
+tau^i = dx^i/dy and dp_i = dp_i/dy for a one-parameter family of
+trajectories.  The covariant variation covector of the theory,
 
     xi_i = dp_i - sum_{j,k} gamma[k,i,j] p_k tau^j,
 
-the covariant derivative of p along the family parameter.  Both charts
-describe the same linear flow; the plain one needs only the Jacobian of
-(V, Theta), so stepping stays cheap, and xi is reconstructed exactly
-through the connection whenever a state is materialized.
+is the covariant derivative of p along the family parameter.  It is
+formed only where it is read (`variational_rhs`, `Trajectory.xis`), so
+stepping needs only the Jacobian of (V, Theta) and never the connection.
 """
 
 from __future__ import annotations
@@ -43,16 +42,20 @@ class IntegratorConfig:
 
 
 class ExtendedState:
-    """Phase point plus m variation pairs (tau, xi)."""
+    """Phase point plus m variation pairs (tau, dp) in the integrator's chart.
 
-    def __init__(self, t, q, taus=(), xis=()):
+    taus[i] = dx/dy^i and dps[i] = dp/dy^i; the covariant xi follows from
+    them and the connection through `_dp_to_xi`.
+    """
+
+    def __init__(self, t, q, taus=(), dps=()):
         self.t = float(t)
         self.q = q
         self.taus = np.asarray(taus, dtype=float).reshape(-1, q.n)
-        self.xis = np.asarray(xis, dtype=float).reshape(-1, q.n)
-        if self.taus.shape != self.xis.shape:
-            raise ValueError("taus and xis must pair up")
-        if not (np.all(np.isfinite(self.taus)) and np.all(np.isfinite(self.xis))):
+        self.dps = np.asarray(dps, dtype=float).reshape(-1, q.n)
+        if self.taus.shape != self.dps.shape:
+            raise ValueError("taus and dps must pair up")
+        if not (np.all(np.isfinite(self.taus)) and np.all(np.isfinite(self.dps))):
             raise ValueError("variation data must be finite")
 
     @property
@@ -70,10 +73,16 @@ def deviation(state):
     return state.taus @ state.q.p
 
 
+def _dp_to_xi(gamma, p, taus, dps):
+    """Covariant xi_i = dp_i - sum_{j,k} gamma[k,i,j] p_k tau^j, per variation."""
+    return dps - np.einsum("kij,k,mj->mi", gamma, p, taus)
+
+
 def variational_rhs(sys, conn, state, tol=DEFAULT_TOL):
     """Time derivatives of (q, taus, xis) from the covariant variational system.
 
-    The covariant equations are
+    xi is formed from the state's (tau, dp) with the connection at q; the
+    covariant equations are
 
         nabla_t tau^i = sum_k nabla_k V^i tau^k + sum_k dV^i/dp_k xi_k
         nabla_t xi_i  = - sum_k (R^s_{ijk} p_s V^j - D^{sj}_{ik} p_s Q_j) tau^k
@@ -90,7 +99,8 @@ def variational_rhs(sys, conn, state, tol=DEFAULT_TOL):
     p = state.q.p
     V, Theta, Q = calc.V, calc.Theta, calc.Q
     R, D = calc.R, calc.D
-    taus, xis = state.taus, state.xis
+    taus = state.taus
+    xis = _dp_to_xi(calc.gamma, p, taus, state.dps)
 
     cov_tau = (np.einsum("ki,mk->mi", calc.nabla_V, taus)
                + np.einsum("ik,mk->mi", calc.g_up, xis))
@@ -134,16 +144,6 @@ def weak_fields(sys, conn, q, tol=DEFAULT_TOL):
 # integration
 # ----------------------------------------------------------------------
 
-def _xi_to_dp(conn, q, taus, xis):
-    gamma = conn.gamma(q)
-    return xis + np.einsum("kij,k,mj->mi", gamma, q.p, taus)
-
-
-def _dp_to_xi(conn, q, taus, dps):
-    gamma = conn.gamma(q)
-    return dps - np.einsum("kij,k,mj->mi", gamma, q.p, taus)
-
-
 class Trajectory:
     """Recorded fixed-step history of one extended trajectory.
 
@@ -173,10 +173,11 @@ class Trajectory:
         return np.einsum("tmi,ti->tm", self.taus, self.p)
 
     def xis(self, k):
-        return _dp_to_xi(self.conn, self.point(k), self.taus[k], self.dps[k])
+        gamma = self.conn.gamma(self.point(k))
+        return _dp_to_xi(gamma, self.p[k], self.taus[k], self.dps[k])
 
     def state(self, k):
-        return ExtendedState(self.t[k], self.point(k), self.taus[k], self.xis(k))
+        return ExtendedState(self.t[k], self.point(k), self.taus[k], self.dps[k])
 
     def states(self):
         return [self.state(k) for k in range(len(self.t))]
@@ -255,9 +256,8 @@ def _integrate_arrays(sys, x0, p0, taus0, dps0, cfg):
 def integrate(sys, conn, state0, cfg):
     """Advance one extended state; records every accepted step."""
     q0 = state0.q
-    dps0 = _xi_to_dp(conn, q0, state0.taus, state0.xis)
     ts, xs, ps, taus, dps = _integrate_arrays(
-        sys, q0.x[None, :], q0.p[None, :], state0.taus[None], dps0[None], cfg
+        sys, q0.x[None, :], q0.p[None, :], state0.taus[None], state0.dps[None], cfg
     )
     return Trajectory(sys, conn, ts, xs[:, 0], ps[:, 0], taus[:, 0], dps[:, 0])
 
@@ -267,7 +267,7 @@ def integrate_family(sys, conn, states, cfg):
     x0 = np.stack([s.q.x for s in states])
     p0 = np.stack([s.q.p for s in states])
     taus0 = np.stack([s.taus for s in states])
-    dps0 = np.stack([_xi_to_dp(conn, s.q, s.taus, s.xis) for s in states])
+    dps0 = np.stack([s.dps for s in states])
     ts, xs, ps, taus, dps = _integrate_arrays(sys, x0, p0, taus0, dps0, cfg)
     return [Trajectory(sys, conn, ts, xs[:, b], ps[:, b], taus[:, b], dps[:, b])
             for b in range(len(states))]

@@ -149,8 +149,10 @@ class PointCalculus:
 
     @cached_property
     def Omega(self):
-        omega = float(self.q.p @ self.W)
-        if abs(omega) < self.tol.omega:
+        """<p|W>; degenerate when |<p|W>| <= tol.omega * |p| * |W|, so at p = 0 too."""
+        W = self.W
+        omega = float(self.q.p @ W)
+        if abs(omega) <= self.tol.omega * np.linalg.norm(self.q.p) * np.linalg.norm(W):
             raise DegenerateOmega(f"<p|W> = {omega:.3e} at {self.q!r}")
         return omega
 

@@ -59,7 +59,7 @@ class Hypersurface:
             out = term if out is None else out + term
         return out
 
-    def geometry(self, y, tol=DEFAULT_TOL):
+    def geometry(self, y):
         """Embedded point, tangents, gauged normal and its y-derivatives.
 
         Returns (x, taus, normal, dn_dy) with taus[i, s] = dx^s/dy^i and
@@ -130,7 +130,7 @@ def surface_frame(sys, conn, surf, y, nu, tol=DEFAULT_TOL):
     """
     if nu == 0:
         raise ValueError("nu must be nonzero")
-    x, taus, normal, dn_dy = surf.geometry(y, tol)
+    x, taus, normal, dn_dy = surf.geometry(y)
     q = PhasePoint(x, nu * normal)
     calc = PointCalculus(sys, conn, q, depth=0, tol=tol)
     dn = _dn_covariant(calc.gamma, normal, taus, dn_dy)
@@ -147,7 +147,7 @@ def pfaff_rhs(sys, conn, surf, y, nu, tol=DEFAULT_TOL):
 
     evaluated at momentum p = nu * n(y).
     """
-    x, taus, normal, dn_dy = surf.geometry(y, tol)
+    x, taus, normal, dn_dy = surf.geometry(y)
     q = PhasePoint(x, nu * normal)
     calc = PointCalculus(sys, conn, q, depth=0, tol=tol)
     dn = _dn_covariant(calc.gamma, normal, taus, dn_dy)
@@ -284,7 +284,7 @@ def compatibility_residual(sys, conn, surf, y, nu, tol=DEFAULT_TOL):
     identically when the additional normality equations hold.  The output
     is exactly antisymmetric by construction.
     """
-    x, taus, normal, dn_dy = surf.geometry(y, tol)
+    x, taus, normal, dn_dy = surf.geometry(y)
     q = PhasePoint(x, nu * normal)
     calc = PointCalculus(sys, conn, q, depth=1, tol=tol)
     dn = _dn_covariant(calc.gamma, normal, taus, dn_dy)
@@ -337,10 +337,12 @@ def simulate_shift(sys, conn, surf, nu_source, cfg, grid=None, tol=DEFAULT_TOL):
     """Shift a gridded surface patch along the system's trajectories.
 
     Initial data per grid node: x from the embedding, p = nu * n, tau_i
-    the embedding tangents, and xi_i = (dnu/dy^i) n + nu * dn_i with
+    the embedding tangents, and dp_i = d(nu * n)/dy^i = (dnu/dy^i) n
+    + nu * dn/dy^i, the plain derivative of the launch momentum, with
     dnu/dy taken from the Pfaff right-hand side at the solved nu (zero
-    for a constant nu source).  The deviation functions phi_i then start
-    at zero and stay zero exactly when the shift is normal.
+    for a constant nu source, where the connection is never evaluated).
+    The deviation functions phi_i then start at zero and stay zero
+    exactly when the shift is normal.
     """
     if isinstance(nu_source, NuGrid):
         items = [(y, val) for _, y, val in nu_source.nodes()]
@@ -363,13 +365,11 @@ def simulate_shift(sys, conn, surf, nu_source, cfg, grid=None, tol=DEFAULT_TOL):
     for y, nu in items:
         if abs(nu) < tol.nu_floor:
             raise NuVanished(f"nu vanished at grid node y={y!r}")
-        x, taus, normal, dn_dy = surf.geometry(y, tol)
-        q = PhasePoint(x, nu * normal)
+        x, taus, normal, dn_dy = surf.geometry(y)
         dnu = (pfaff_rhs(sys, conn, surf, y, nu, tol) if solved
                else np.zeros(surf.m))
-        dn = _dn_covariant(conn.gamma(q), normal, taus, dn_dy)
-        xis = dnu[:, None] * normal[None, :] + nu * dn
-        states.append(ExtendedState(0.0, q, taus, xis))
+        dps = dnu[:, None] * normal[None, :] + nu * dn_dy
+        states.append(ExtendedState(0.0, PhasePoint(x, nu * normal), taus, dps))
         ys.append(y)
         nus.append(nu)
     trajectories = integrate_family(sys, conn, states, cfg)

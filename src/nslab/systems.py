@@ -32,7 +32,13 @@ from .expressions import (
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Cutoffs shared by the geometric layer; override per call if needed."""
+    """Cutoffs shared by the geometric layer; override per call if needed.
+
+    `singular` and `omega` are ratios, free of the scale of V and p: the
+    metric is singular when |det g| <= singular * ||g||_F^n, the velocity
+    vanishes when |V| <= singular * ||g||_F * |p|, and Omega = <p|W> is
+    degenerate when |Omega| <= omega * |p| * |W|.
+    """
 
     singular: float = 1e-12
     omega: float = 1e-12
@@ -304,7 +310,7 @@ def check_regularity(sys, sampler, tol=DEFAULT_TOL):
             det = float(np.linalg.det(calc.g_up))
             v_norm = float(np.linalg.norm(calc.V))
             omega = calc.Omega
-            if v_norm <= tol.singular:
+            if v_norm <= tol.singular * np.linalg.norm(calc.g_up) * np.linalg.norm(q.p):
                 ok, failure = False, "velocity field vanished at nonzero momentum"
         except SingularMetric as err:
             ok, failure = False, f"singular metric: {err}"

@@ -105,7 +105,7 @@ class TestCurvatures:
 
 class TestCanonicalConnection:
     def test_identity_zero(self, sys_id2):
-        assert np.allclose(canonical_connection(sys_id2, QQ), 0.0)
+        assert np.allclose(canonical_connection(sys_id2).gamma(QQ), 0.0)
 
     def test_geodesic_zero_and_symmetric(self, sys_geo2, conn_geo2):
         g = conn_geo2.gamma(q([0, 0], [1, 0]))
@@ -173,7 +173,10 @@ class TestGauge:
     def test_zero_base(self, sys_id2):
         T = GaugeTensor(2, {"1,1,2": "p1", "2,2,2": "x1"})
         gauged, _ = gauge_transform(sys_id2, ZeroConnection(2), T)
-        assert np.allclose(gauged.gamma(QQ), T.values(QQ))
+        expected = np.zeros((2, 2, 2))
+        expected[0, 0, 1] = expected[0, 1, 0] = QQ.p[0]
+        expected[1, 1, 1] = QQ.x[0]
+        assert np.allclose(gauged.gamma(QQ), expected)
 
     def test_force_shift(self):
         sysm = ExplicitSystem(2, ["3", "0"], ["0", "0"])

@@ -51,7 +51,8 @@ class TestVariationalRhs:
     def test_identity_decouples(self, sys_id2, zero2):
         state = ExtendedState(0, q([0, 0], [1, 0]), [[0.3, 0.4]], [[0.7, -0.2]])
         _, _, dtaus, dxis = variational_rhs(sys_id2, zero2, state)
-        assert np.allclose(dtaus, state.xis)
+        # with the zero connection xi = dp
+        assert np.allclose(dtaus, state.dps)
         assert np.allclose(dxis, 0)
 
     def test_zero_variation_stays_zero(self, sys_geox2, conn_geox2):
@@ -69,9 +70,7 @@ class TestVariationalRhs:
         x0, p0 = np.array([0.2, -0.1]), np.array([1.0, 0.6])
         dx0, dp0 = np.array([0.3, -0.2]), np.array([0.1, 0.4])
         eps = 1e-5
-        gamma = conn.gamma(q(x0, p0))
-        xi0 = dp0 - np.einsum("kij,k,j->i", gamma, p0, dx0)
-        tr = integrate(sysm, conn, ExtendedState(0, q(x0, p0), [dx0], [xi0]), cfg)
+        tr = integrate(sysm, conn, ExtendedState(0, q(x0, p0), [dx0], [dp0]), cfg)
         plus = integrate(sysm, conn,
                          ExtendedState(0, q(x0 + eps * dx0, p0 + eps * dp0)), cfg)
         minus = integrate(sysm, conn,
@@ -81,14 +80,12 @@ class TestVariationalRhs:
 
     def test_consistent_with_integrator_chart(self, sys_geox2, conn_geox2):
         # the recorded (tau, xi) trajectory must differentiate to the
-        # covariant right-hand side, whichever chart the stepper used
+        # covariant right-hand side, though the stepper carries (tau, dp)
         cfg = IntegratorConfig(t_end=0.2, step=1e-4)
         x0, p0 = np.array([0.1, 0.3]), np.array([0.9, 0.4])
-        gamma = conn_geox2.gamma(q(x0, p0))
         tau0, dp0 = np.array([1.0, -0.5]), np.array([0.2, 0.7])
-        xi0 = dp0 - np.einsum("kij,k,j->i", gamma, p0, tau0)
         tr = integrate(sys_geox2, conn_geox2,
-                       ExtendedState(0, q(x0, p0), [tau0], [xi0]), cfg)
+                       ExtendedState(0, q(x0, p0), [tau0], [dp0]), cfg)
         k = 1000
         st = tr.state(k)
         _, _, dtaus, dxis = variational_rhs(sys_geox2, conn_geox2, st)
@@ -256,5 +253,5 @@ class TestDeviationOde:
                   + 8 * phis[k + 1] - phis[k + 2]) / (12 * h)
             st = tr.state(k)
             calc = PointCalculus(sys_geox2, conn_geox2, st.q)
-            pred = st.taus @ calc.U + st.xis @ calc.W
+            pred = st.taus @ calc.U + tr.xis(k) @ calc.W
             assert np.max(np.abs(pd - pred)) < 1e-5

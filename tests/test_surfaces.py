@@ -15,6 +15,7 @@ from nslab import (
     surface_from_config,
     verify_orthogonality,
 )
+from nslab.engine import PointCalculus
 
 # frozen two-path regression value for the non-compliant system
 # (5x5 grid from y0=(0.75, 0), nu0=1, four substeps per edge)
@@ -253,6 +254,20 @@ class TestSimulateShift:
             assert np.max(np.abs(ta.x - tb.x)) < 1e-10
             assert np.max(np.abs(ta.phis - tb.phis)) < 1e-10
 
+    def test_launch_matches_neighbouring_trajectories(self, sys_geox2, conn_geox2):
+        # (tau, dp) of the middle node are d(x, p)/dy of the shifted family:
+        # central differences of the outer nodes' trajectories are the oracle
+        y0, h = 0.3, 1e-4
+        patch = Hypersurface(2, ["cos(y1)", "sin(y1)"], [[y0 - h, y0 + h]])
+        grid = solve_nu(sys_geox2, conn_geox2, patch, [y0], 1.2, [3])
+        cfg = IntegratorConfig(t_end=0.5, step=1e-3)
+        run = simulate_shift(sys_geox2, conn_geox2, patch, grid, cfg)
+        lo, mid, hi = run.trajectories
+        fd_x = (hi.x - lo.x) / (2 * h)
+        fd_p = (hi.p - lo.p) / (2 * h)
+        assert np.max(np.abs(fd_x - mid.taus[:, 0])) < 1e-6
+        assert np.max(np.abs(fd_p - mid.dps[:, 0])) < 1e-6
+
     def test_tiny_nu_rejected(self, sys_id2, zero2, circle):
         cfg = IntegratorConfig(t_end=0.1, step=1e-2)
         with pytest.raises(NuVanished):
@@ -266,6 +281,34 @@ class TestSimulateShift:
         lines = path.read_text().splitlines()
         assert lines[0] == "y1,t,x1,x2,p1,p2,phi_1"
         assert len(lines) == 1 + 3 * 2
+
+
+class TestShiftEvaluations:
+    """The launch evaluates the field stack only for dnu/dy of a solved nu."""
+
+    @pytest.fixture
+    def calcs(self, monkeypatch):
+        built = []
+        init = PointCalculus.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PointCalculus, "__init__", counted)
+        return built
+
+    def test_constant_nu_builds_none(self, sys_geox2, conn_geox2, circle, calcs):
+        cfg = IntegratorConfig(t_end=0.01, step=1e-2)
+        simulate_shift(sys_geox2, conn_geox2, circle, 1.0, cfg, grid=[5])
+        assert len(calcs) == 0
+
+    def test_solved_nu_builds_one_per_node(self, sys_geox2, conn_geox2, circle, calcs):
+        cfg = IntegratorConfig(t_end=0.01, step=1e-2)
+        grid = solve_nu(sys_geox2, conn_geox2, circle, [0.0], 1.5, [5])
+        calcs.clear()
+        simulate_shift(sys_geox2, conn_geox2, circle, grid, cfg)
+        assert len(calcs) == 5
 
 
 class TestVerify:

@@ -86,6 +86,27 @@ class TestFrame:
         assert report.verdict == "PASS"
         assert report.max_abs == 0.0
 
+    @pytest.mark.parametrize("scale", ["1e-11", "1e-13"])
+    def test_omega_and_velocity_cutoffs_are_scale_free(self, scale):
+        # at 1e-11 <p|W> is ~1e-13, below an absolute cutoff of 1e-12;
+        # at 1e-13 |V| is too
+        tiny = ExplicitSystem(3, [f"{scale}*p{i}" for i in (1, 2, 3)], ["0", "0", "0"])
+        sampler = PointSampler(3, 5, seed=0)
+        assert check_regularity(tiny, sampler).verdict
+        report = normality_report(tiny, ZeroConnection(3), sampler, 1e-7)
+        assert report.verdict == "PASS"
+        assert report.max_abs == 0.0
+
+    def test_rotation_omega_stays_degenerate(self):
+        # W is orthogonal to p, so <p|W> is zero up to rounding
+        rotation = ExplicitSystem(2, ["p2", "-p1"], ["0", "0"])
+        for point in PointSampler(2, 5, seed=0).points():
+            with pytest.raises(DegenerateOmega):
+                frame(rotation, point).Omega
+        report = check_regularity(rotation, PointSampler(2, 5, seed=0))
+        assert not report.verdict
+        assert all("degenerate Omega" in s.failure for s in report.failures)
+
 
 class TestModifiedHamiltonianBuilder:
     def test_values(self, sys_geo2):
