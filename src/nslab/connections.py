@@ -48,6 +48,11 @@ class _PhaseSeeds:
         self.xs, self.ps = seed_phase(self.ctx, q.x, q.p)
 
 
+def _zero(calc):
+    """The zero series with the batch shape of the point `calc` was built for."""
+    return calc.ctx.constant(np.zeros(calc.xs[0].coef.shape[:-1]))
+
+
 class ConnectionField:
     source = "abstract"
 
@@ -67,7 +72,7 @@ class ConnectionField:
         raise NotImplementedError
 
     def gamma(self, q):
-        """Connection coefficients gamma[k, i, j] at a point."""
+        """Connection coefficients gamma[k, i, j] at a point; a batch leads with its axes."""
         return taylor.read_values(self.gamma_series(self._series_point(q, 0)))
 
     def _series_point(self, q, depth):
@@ -80,7 +85,7 @@ class ZeroConnection(ConnectionField):
 
     def gamma_series(self, calc):
         n = self.n
-        zero = calc.ctx.constant(0.0)
+        zero = _zero(calc)
         return [[[zero] * n for _ in range(n)] for _ in range(n)]
 
 
@@ -113,7 +118,7 @@ class _ExpressionTable:
     def series(self, calc):
         n = self.n
         env = calc.xs + calc.ps
-        zero = calc.ctx.constant(0.0)
+        zero = _zero(calc)
         out = [[[zero] * n for _ in range(n)] for _ in range(n)]
         for (k, i, j), expr in self.table.items():
             out[k][i][j] = evaluate_series(expr, env)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PointCalculus
+from .engine import PointCalculus, point_chunks
 from .errors import NonFiniteState
 from .systems import DEFAULT_TOL, PhasePoint
 
@@ -75,7 +75,7 @@ def deviation(state):
 
 def _dp_to_xi(gamma, p, taus, dps):
     """Covariant xi_i = dp_i - sum_{j,k} gamma[k,i,j] p_k tau^j, per variation."""
-    return dps - np.einsum("kij,k,mj->mi", gamma, p, taus)
+    return dps - np.einsum("...kij,...k,...mj->...mi", gamma, p, taus)
 
 
 def variational_rhs(sys, conn, state, tol=DEFAULT_TOL):
@@ -173,6 +173,7 @@ class Trajectory:
         return np.einsum("tmi,ti->tm", self.taus, self.p)
 
     def xis(self, k):
+        """xi at step k; a slice of steps evaluates the connection as one batch."""
         gamma = self.conn.gamma(self.point(k))
         return _dp_to_xi(gamma, self.p[k], self.taus[k], self.dps[k])
 
@@ -191,11 +192,12 @@ class Trajectory:
                 + [f"xi{j+1}_{i+1}" for j in range(m) for i in range(n)]
                 + [f"phi_{j+1}" for j in range(m)])
         phis = self.phis
+        xis = np.concatenate([self.xis(c) for c in point_chunks(len(self.t))])
         with open(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
             for k in range(len(self.t)):
                 row = [self.t[k], *self.x[k], *self.p[k], *self.taus[k].ravel(),
-                       *self.xis(k).ravel(), *phis[k]]
+                       *xis[k].ravel(), *phis[k]]
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 

@@ -1,4 +1,4 @@
-"""Series-backed evaluation of the derived field stack at one phase point.
+"""Series-backed evaluation of the derived field stack at a phase point or a batch.
 
 Everything the residual and variational layers need (metric pair, W,
 Omega, projector, acceleration field phi, force covector, U, curvatures,
@@ -9,14 +9,17 @@ finite-differenced internally.  Series become numbers only through
 `taylor.read_values` and `taylor.read_jet1`.
 
 Index conventions used throughout (all arrays are plain numpy at the
-point, series only while building):
+point, series only while building).  The point may be a batch (see
+`PhasePoint`): every field then carries the point's batch axes in front
+of the indices below, and each check raises if it fails at any point of
+the batch.
 
     gamma[k, i, j]        connection, symmetric in (i, j)
     glow[m, b]            sum_c p_c gamma[c, m, b]
     R[k, r, i, j]         curvature, antisymmetric in (i, j)
     D[k, r, i, j]         dynamic curvature -d gamma[k, i, j] / dp_r
-    nabla_<f>[m, ...]     horizontal covariant derivative, leading axis m
-    mgrad_<f>[m, ...]     momentum gradient d/dp_m, leading axis m
+    nabla_<f>[m, ...]     horizontal covariant derivative, first index m
+    mgrad_<f>[m, ...]     momentum gradient d/dp_m, first index m
 """
 
 from __future__ import annotations
@@ -29,41 +32,59 @@ from . import taylor
 from .errors import DegenerateOmega, SingularMetric
 from .systems import DEFAULT_TOL
 
+# Points per batched evaluation.  On the pfaff-sphere benchmark (2-core
+# x86-64, numpy 2.4), against one point at a time (53.5 MB peak RSS), chunks
+# of 8 / 16 / 32 points cost +1.8 / +3.5 / +7.5 MB and solved in 0.65 /
+# 0.50 / 0.37 s; 32 would break the benchmark's 10% peak-RSS bound.
+_MAX_POINTS = 16
 
-def phase_jet1(tree):
+
+def point_chunks(count):
+    """Slices that split `count` points into batches of at most 16."""
+    return [slice(i, i + _MAX_POINTS) for i in range(0, count, _MAX_POINTS)]
+
+
+def phase_jet1(tree, batch=0):
     """Values, x-partials and p-partials of nested phase-space series.
 
-    The partials lead with the derivative index: ddx[m] = d/dx^m and
-    ddp[m] = d/dp_m, each shaped like the values.
+    The derivative index follows the `batch` leading batch axes:
+    ddx[..., m, :] = d/dx^m and ddp[..., m, :] = d/dp_m of the values.
     """
     vals, grad = taylor.read_jet1(tree)
     n = len(grad) // 2
-    return vals, grad[:n], grad[n:]
+    return vals, np.moveaxis(grad[:n], 0, batch), np.moveaxis(grad[n:], 0, batch)
 
 
 def curvature_tensors(p, gamma, dgdx, dgdp):
     """Assemble R and D from the connection's first-order jet.
 
-    dgdx[m] and dgdp[m] are d gamma / dx^m and d gamma / dp_m.
+    dgdx[..., m, :, :, :] and dgdp[..., m, :, :, :] are d gamma / dx^m and
+    d gamma / dp_m; leading batch axes broadcast.
     """
-    glow = np.einsum("c,cmb->mb", p, gamma)
+    glow = np.einsum("...c,...cmb->...mb", p, gamma)
     # R[k,r,i,j]: horizontal x-derivatives plus quadratic terms
-    hderiv = dgdx + np.einsum("mi,mkjr->ikjr", glow, dgdp)
-    R = (np.einsum("ikjr->krij", hderiv)
-         - np.einsum("jkir->krij", hderiv)
-         + np.einsum("kim,mjr->krij", gamma, gamma)
-         - np.einsum("kjm,mir->krij", gamma, gamma))
-    D = -np.transpose(dgdp, (1, 0, 2, 3))
+    hderiv = dgdx + np.einsum("...mi,...mkjr->...ikjr", glow, dgdp)
+    R = (np.einsum("...ikjr->...krij", hderiv)
+         - np.einsum("...jkir->...krij", hderiv)
+         + np.einsum("...kim,...mjr->...krij", gamma, gamma)
+         - np.einsum("...kjm,...mir->...krij", gamma, gamma))
+    D = -np.swapaxes(dgdp, -4, -3)
     return R, D
 
 
+def _dot(a, b):
+    """a @ b over the last axes, batch axes broadcast; rounds exactly as `a @ b`."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 class PointCalculus:
-    """Lazy evaluation of all derived fields at one point.
+    """Lazy evaluation of all derived fields at a point or a batch of points.
 
     `depth` is the number of exact derivative levels required of the
     top-level fields (1 suffices for every residual; 0 is enough for the
     Pfaff right-hand side).  The Taylor order of the underlying V series
-    is depth + 1 plus whatever the connection itself consumes.
+    is depth + 1 plus whatever the connection itself consumes.  With a
+    batched `q` every field leads with q's batch axes.
     """
 
     def __init__(self, sys, conn, q, depth=1, tol=DEFAULT_TOL):
@@ -73,6 +94,7 @@ class PointCalculus:
         self.depth = depth
         self.tol = tol
         self.n = sys.n
+        self.batch_ndim = q.x.ndim - 1
         v_trust = max(depth + 1, conn.v_trust_needed(depth))
         self.ctx, self.xs, self.ps, self.V_s, self.T_s = sys.series_at(q, v_trust)
 
@@ -114,6 +136,15 @@ class PointCalculus:
     def phi(self):
         return taylor.read_values(self.phi_s)
 
+    def _jet1(self, tree):
+        return phase_jet1(tree, self.batch_ndim)
+
+    def _check(self, bad, error, label, value):
+        """Raise `error` naming the first point of the batch where `bad` holds."""
+        if np.any(bad):
+            i = np.unravel_index(np.argmax(bad), np.shape(bad))
+            raise error(f"{label} = {value[i]:.3e} at {self.q[i]!r}")
+
     @cached_property
     def g_up(self):
         """g_up[i, r] = dV^i/dp_r, checked for singularity relative to its size.
@@ -125,8 +156,8 @@ class PointCalculus:
         """
         g = taylor.read_values(self.Vp_s)
         det = np.linalg.det(g)
-        if abs(det) <= self.tol.singular * np.linalg.norm(g) ** self.n:
-            raise SingularMetric(f"det dV/dp = {det:.3e} at {self.q!r}")
+        bound = self.tol.singular * np.linalg.norm(g, axis=(-2, -1)) ** self.n
+        self._check(np.abs(det) <= bound, SingularMetric, "det dV/dp", det)
         return g
 
     @cached_property
@@ -150,15 +181,16 @@ class PointCalculus:
     @cached_property
     def Omega(self):
         """<p|W>; degenerate when |<p|W>| <= tol.omega * |p| * |W|, so at p = 0 too."""
-        W = self.W
-        omega = float(self.q.p @ W)
-        if abs(omega) <= self.tol.omega * np.linalg.norm(self.q.p) * np.linalg.norm(W):
-            raise DegenerateOmega(f"<p|W> = {omega:.3e} at {self.q!r}")
+        p, W = self.q.p, self.W
+        omega = _dot(p, W)
+        bound = self.tol.omega * np.linalg.norm(p, axis=-1) * np.linalg.norm(W, axis=-1)
+        self._check(np.abs(omega) <= bound, DegenerateOmega, "<p|W>", omega)
         return omega
 
     @cached_property
     def P(self):
-        return np.eye(self.n) - np.outer(self.W, self.q.p) / self.Omega
+        return (np.eye(self.n)
+                - self.W[..., :, None] * self.q.p[..., None, :] / self.Omega[..., None, None])
 
     # -- connection-dependent fields -------------------------------------
 
@@ -172,12 +204,12 @@ class PointCalculus:
 
     @cached_property
     def glow(self):
-        return np.einsum("c,cmb->mb", self.q.p, self.gamma)
+        return np.einsum("...c,...cmb->...mb", self.q.p, self.gamma)
 
     @cached_property
     def gamma_jet(self):
-        """(gamma, d gamma/dx^m, d gamma/dp_m) with leading m axes on the jets."""
-        return phase_jet1(self.gamma_s)
+        """(gamma, d gamma/dx^m, d gamma/dp_m), m the first index after the batch axes."""
+        return self._jet1(self.gamma_s)
 
     @cached_property
     def curvatures(self):
@@ -247,42 +279,42 @@ class PointCalculus:
     @cached_property
     def nabla_V(self):
         """nabla_V[m, i] = nabla_m V^i."""
-        vals, ddx, ddp = phase_jet1(self.V_s)
-        return (ddx + np.einsum("mb,ib->mi", self.glow, self.g_up)
-                + np.einsum("ima,a->mi", self.gamma, vals))
+        vals, ddx, ddp = self._jet1(self.V_s)
+        return (ddx + np.einsum("...mb,...ib->...mi", self.glow, self.g_up)
+                + np.einsum("...ima,...a->...mi", self.gamma, vals))
 
     @cached_property
     def nabla_W(self):
         """nabla_W[m, s] = nabla_m W^s."""
-        vals, ddx, ddp = phase_jet1(self.W_s)
-        return (ddx + np.einsum("mb,bs->ms", self.glow, ddp)
-                + np.einsum("sma,a->ms", self.gamma, vals))
+        vals, ddx, ddp = self._jet1(self.W_s)
+        return (ddx + np.einsum("...mb,...bs->...ms", self.glow, ddp)
+                + np.einsum("...sma,...a->...ms", self.gamma, vals))
 
     @cached_property
     def mgrad_W(self):
         """mgrad_W[r, s] = dW^s/dp_r; this is the compatibility tensor A."""
-        return phase_jet1(self.W_s)[2]
+        return self._jet1(self.W_s)[2]
 
     @cached_property
     def nabla_Q(self):
         """nabla_Q[m, i] = nabla_m Q_i."""
-        vals, ddx, ddp = phase_jet1(self.Q_s)
-        return (ddx + np.einsum("mb,bi->mi", self.glow, ddp)
-                - np.einsum("bmi,b->mi", self.gamma, vals))
+        vals, ddx, ddp = self._jet1(self.Q_s)
+        return (ddx + np.einsum("...mb,...bi->...mi", self.glow, ddp)
+                - np.einsum("...bmi,...b->...mi", self.gamma, vals))
 
     @cached_property
     def mgrad_Q(self):
-        return phase_jet1(self.Q_s)[2]
+        return self._jet1(self.Q_s)[2]
 
     @cached_property
     def nabla_U(self):
-        vals, ddx, ddp = phase_jet1(self.U_s)
-        return (ddx + np.einsum("mb,bi->mi", self.glow, ddp)
-                - np.einsum("bmi,b->mi", self.gamma, vals))
+        vals, ddx, ddp = self._jet1(self.U_s)
+        return (ddx + np.einsum("...mb,...bi->...mi", self.glow, ddp)
+                - np.einsum("...bmi,...b->...mi", self.gamma, vals))
 
     @cached_property
     def mgrad_U(self):
-        return phase_jet1(self.U_s)[2]
+        return self._jet1(self.U_s)[2]
 
     # -- deviation-equation fields ---------------------------------------
 
@@ -290,33 +322,34 @@ class PointCalculus:
     def alpha(self):
         """Coefficient vector of the momentum-variation part of phi-ddot."""
         p, W, V, Q = self.q.p, self.W, self.V, self.Q
-        term1 = np.einsum("rk,r->k", self.g_up, self.U)        # dV^r/dp_k U_r
-        term2 = np.einsum("rk,r->k", self.nabla_W, V)          # nabla_r W^k V^r
-        term3 = np.einsum("rk,r->k", self.mgrad_W, Q)          # dW^k/dp_r Q_r
-        term4 = np.einsum("r,kr->k", W, self.mgrad_Q)          # W^r dQ_r/dp_k
-        term5 = np.einsum("s,skrq,r,q->k", p, self.D, W, V)
+        term1 = np.einsum("...rk,...r->...k", self.g_up, self.U)    # dV^r/dp_k U_r
+        term2 = np.einsum("...rk,...r->...k", self.nabla_W, V)      # nabla_r W^k V^r
+        term3 = np.einsum("...rk,...r->...k", self.mgrad_W, Q)      # dW^k/dp_r Q_r
+        term4 = np.einsum("...r,...kr->...k", W, self.mgrad_Q)      # W^r dQ_r/dp_k
+        term5 = np.einsum("...s,...skrq,...r,...q->...k", p, self.D, W, V)
         return term1 + term2 + term3 + term4 - term5
 
     @cached_property
     def beta(self):
         p, W, V, Q = self.q.p, self.W, self.V, self.Q
-        b = (np.einsum("rk,r->k", self.nabla_U, V)
-             + np.einsum("rk,r->k", self.mgrad_U, Q)
-             + np.einsum("kr,r->k", self.nabla_V, self.U)
-             + np.einsum("kr,r->k", self.nabla_Q, W))
-        b = b - np.einsum("srmk,m,r,s->k", self.R, V, W, p)
-        b = b + np.einsum("smrk,m,r,s->k", self.D, Q, W, p)
+        b = (np.einsum("...rk,...r->...k", self.nabla_U, V)
+             + np.einsum("...rk,...r->...k", self.mgrad_U, Q)
+             + np.einsum("...kr,...r->...k", self.nabla_V, self.U)
+             + np.einsum("...kr,...r->...k", self.nabla_Q, W))
+        b = b - np.einsum("...srmk,...m,...r,...s->...k", self.R, V, W, p)
+        b = b + np.einsum("...smrk,...m,...r,...s->...k", self.D, Q, W, p)
         return b
 
     @cached_property
     def eta(self):
-        return self.beta - self.U * float(self.q.p @ self.alpha) / self.Omega
+        s = _dot(self.q.p, self.alpha)[..., None]
+        return self.beta - self.U * s / self.Omega[..., None]
 
     @cached_property
     def ode_coefficients(self):
         """(A, B) of the second-order deviation equation phi'' = A phi' + B phi."""
-        return (float(self.q.p @ self.alpha) / self.Omega,
-                float(self.eta @ self.W) / self.Omega)
+        return (_dot(self.q.p, self.alpha) / self.Omega,
+                _dot(self.eta, self.W) / self.Omega)
 
     # -- compatibility tensors -------------------------------------------
 
@@ -326,23 +359,25 @@ class PointCalculus:
 
     @cached_property
     def B_tensor(self):
-        p, W, O = self.q.p, self.W, self.Omega
-        anti = self.mgrad_W - self.mgrad_W.T
+        p, W, O = self.q.p, self.W, self.Omega[..., None, None]
+        anti = self.mgrad_W - np.swapaxes(self.mgrad_W, -2, -1)
         return (self.mgrad_U
-                + np.einsum("k,m,mrks->rs", W, p, self.D)
-                - self.nabla_W.T
-                + np.einsum("mr,m->r", anti, p)[:, None] * self.U[None, :] / O)
+                + np.einsum("...k,...m,...mrks->...rs", W, p, self.D)
+                - np.swapaxes(self.nabla_W, -2, -1)
+                + np.einsum("...mr,...m->...r", anti, p)[..., :, None] * self.U[..., None, :] / O)
 
     @cached_property
     def C_tensor(self):
-        p, W, O, U = self.q.p, self.W, self.Omega, self.U
+        p, W, O, U = self.q.p, self.W, self.Omega[..., None, None], self.U
         c = self.nabla_U
-        c = c - (np.outer(U, np.einsum("m,ms->s", p, self.mgrad_U))
-                 + np.einsum("rm,m->r", self.nabla_W, p)[:, None] * U[None, :]) / O
-        c = c - np.einsum("mqks,m,k,q->s", self.D, p, W, p)[None, :] * U[:, None] / O
-        c = c - 0.5 * np.einsum("qkrs,k,q->rs", self.R, W, p)
+        c = c - (U[..., :, None] * np.einsum("...m,...ms->...s", p, self.mgrad_U)[..., None, :]
+                 + np.einsum("...rm,...m->...r", self.nabla_W, p)[..., :, None]
+                 * U[..., None, :]) / O
+        c = c - (np.einsum("...mqks,...m,...k,...q->...s", self.D, p, W, p)[..., None, :]
+                 * U[..., :, None] / O)
+        c = c - 0.5 * np.einsum("...qkrs,...k,...q->...rs", self.R, W, p)
         return c
 
     @cached_property
     def lam(self):
-        return float(np.einsum("rs,sr->", self.B_tensor, self.P)) / (self.n - 1)
+        return np.einsum("...rs,...sr->...", self.B_tensor, self.P) / (self.n - 1)

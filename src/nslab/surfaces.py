@@ -21,7 +21,7 @@ import numpy as np
 
 from . import taylor
 from .dynamics import ExtendedState, integrate_family
-from .engine import PointCalculus
+from .engine import PointCalculus, point_chunks
 from .errors import ConfigError, NuVanished, RankDeficientTangents
 from .expressions import Expression, evaluate_series, parse
 from .systems import DEFAULT_TOL, PhasePoint
@@ -63,12 +63,14 @@ class Hypersurface:
         """Embedded point, tangents, gauged normal and its y-derivatives.
 
         Returns (x, taus, normal, dn_dy) with taus[i, s] = dx^s/dy^i and
-        dn_dy[i, s] = dn_s/dy^i, all exact through series arithmetic.
+        dn_dy[i, s] = dn_s/dy^i, all exact through series arithmetic.  A
+        batch of parameter values y[..., i] gives results with the same
+        leading batch axes.
         """
         y = np.asarray(y, dtype=float)
         n, m = self.n, self.m
         ctx = taylor.context(m, 2)
-        ys = [ctx.variable(i, y[i]) for i in range(m)]
+        ys = [ctx.variable(i, y[..., i]) for i in range(m)]
         xser = [evaluate_series(e, ys) for e in self.embedding]
         x = taylor.read_values(xser)
         tau_s = [[xser[s].partial_series(i) for s in range(n)] for i in range(m)]
@@ -82,20 +84,24 @@ class Hypersurface:
                 term = -term
             raw.append(term)
         raw_pt = taylor.read_values(raw)
-        norm = float(np.linalg.norm(raw_pt))
+        norm = np.linalg.norm(raw_pt, axis=-1)
         # |raw| is the volume spanned by the tangents, at most the product of
         # their lengths (Hadamard), so the ratio is free of the surface's scale
-        if norm <= 1e-12 * np.prod(np.linalg.norm(taus, axis=1)):
-            raise RankDeficientTangents(f"tangent vectors are dependent at y={y.tolist()}")
+        bad = norm <= 1e-12 * np.prod(np.linalg.norm(taus, axis=-1), axis=-1)
+        if np.any(bad):
+            i = np.unravel_index(np.argmax(bad), bad.shape)
+            raise RankDeficientTangents(f"tangent vectors are dependent at y={y[i].tolist()}")
         nsq = raw[0] * raw[0]
         for s in range(1, n):
             nsq = nsq + raw[s] * raw[s]
         length = nsq.sqrt()
-        first = np.flatnonzero(np.abs(raw_pt) > 1e-12 * norm)[0]
-        sign = self.normal_scale * (1.0 if raw_pt[first] > 0 else -1.0)
+        # the first component that is not negligible is made positive
+        first = np.argmax(np.abs(raw_pt) > 1e-12 * norm[..., None], axis=-1)
+        lead = np.take_along_axis(raw_pt, first[..., None], axis=-1)[..., 0]
+        sign = self.normal_scale * np.where(lead > 0, 1.0, -1.0)
         nser = [r * sign / length for r in raw]
         normal, dn_dy = taylor.read_jet1(nser)
-        return x, taus, normal, dn_dy
+        return x, taus, normal, np.moveaxis(dn_dy, 0, -2)
 
     def grid_axes(self, counts):
         counts = [int(c) for c in counts]
@@ -118,7 +124,7 @@ class SurfaceFrame:
 
 def _dn_covariant(gamma, normal, taus, dn_dy):
     """dn[i, s]: covariant derivative of the normal covector along tau_i."""
-    return dn_dy - np.einsum("ksr,k,ir->is", gamma, normal, taus)
+    return dn_dy - np.einsum("...ksr,...k,...ir->...is", gamma, normal, taus)
 
 
 def surface_frame(sys, conn, surf, y, nu, tol=DEFAULT_TOL):
@@ -145,15 +151,30 @@ def pfaff_rhs(sys, conn, surf, y, nu, tol=DEFAULT_TOL):
         psi_i = -(nu^2 / Omega) sum_s W^s dn[i, s]
                 - (nu / Omega) sum_s U_s tau^s_i,
 
-    evaluated at momentum p = nu * n(y).
+    evaluated at momentum p = nu * n(y).  y[..., i] and nu broadcast over
+    leading batch axes, which lead the result; the points are evaluated in
+    batches of at most 16.
     """
+    y = np.asarray(y, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    batch = np.broadcast_shapes(y.shape[:-1], nu.shape)
+    ys = np.broadcast_to(y, batch + (surf.m,)).reshape(-1, surf.m)
+    nus = np.broadcast_to(nu, batch).reshape(-1)
+    psi = [_pfaff_points(sys, conn, surf, ys[c], nus[c], tol)
+           for c in point_chunks(len(nus))]
+    return np.concatenate(psi).reshape(batch + (surf.m,))
+
+
+def _pfaff_points(sys, conn, surf, y, nu, tol):
+    """pfaff_rhs on a batch of points y[b] with speeds nu[b] in one PointCalculus."""
     x, taus, normal, dn_dy = surf.geometry(y)
-    q = PhasePoint(x, nu * normal)
+    q = PhasePoint(x, nu[:, None] * normal)
     calc = PointCalculus(sys, conn, q, depth=0, tol=tol)
     dn = _dn_covariant(calc.gamma, normal, taus, dn_dy)
-    omega = calc.Omega
-    return (-(nu * nu / omega) * dn @ calc.W
-            - (nu / omega) * taus @ calc.U)
+    omega = calc.Omega[:, None, None]
+    nu = nu[:, None, None]
+    return (np.matmul(-(nu * nu / omega) * dn, calc.W[:, :, None])[:, :, 0]
+            - np.matmul((nu / omega) * taus, calc.U[:, :, None])[:, :, 0])
 
 
 # ----------------------------------------------------------------------
@@ -175,19 +196,22 @@ class NuGrid:
 
 
 def _edge_rk4(sys, conn, surf, y_from, y_to, nu, substeps, tol):
-    """RK4 for nu along one straight parameter segment.
+    """RK4 for nu along straight parameter segments, all in lockstep.
 
-    The right-hand side is singular like 1/nu^3 as nu -> 0, so solutions
-    can reach zero at finite parameter values; a sign change between
-    substeps means the integration stepped across that singular set and
-    left the sheet on which the shift construction exists.
+    Edge e runs from y_from[e] to y_to[e] starting at nu[e]; each RK4 stage
+    is one batched `pfaff_rhs` call over every edge.  The right-hand side
+    is singular like 1/nu^3 as nu -> 0, so solutions can reach zero at
+    finite parameter values; a sign change between substeps means the
+    integration stepped across that singular set and left the sheet on
+    which the shift construction exists.  The error names the first edge
+    (in the order given) that failed in the earliest failing substep.
     """
     delta = y_to - y_from
     h = 1.0 / substeps
 
     def f(s, v):
         psi = pfaff_rhs(sys, conn, surf, y_from + s * delta, v, tol)
-        return float(psi @ delta)
+        return np.matmul(psi[:, None, :], delta[:, :, None])[:, 0, 0]
 
     v = nu
     for k in range(substeps):
@@ -198,13 +222,25 @@ def _edge_rk4(sys, conn, surf, y_from, y_to, nu, substeps, tol):
         k4 = f(s + h, v + h * k3)
         prev = v
         v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(v) or abs(v) < tol.nu_floor or v * prev <= 0.0:
+        bad = ~np.isfinite(v) | (np.abs(v) < tol.nu_floor) | (v * prev <= 0.0)
+        if np.any(bad):
+            e = int(np.argmax(bad))
             raise NuVanished(
-                f"nu reached {v:.3e} integrating from y={y_from.tolist()} "
-                f"toward y={y_to.tolist()}; the initial-speed field vanishes "
+                f"nu reached {v[e]:.3e} integrating from y={y_from[e].tolist()} "
+                f"toward y={y_to[e].tolist()}; the initial-speed field vanishes "
                 "inside the patch for this base value"
             )
     return v
+
+
+def _ray(idx, d, direction, size):
+    """Grid indices after idx along axis d in one direction, up to the edge."""
+    out = []
+    cur = list(idx)
+    while 0 <= cur[d] + direction < size:
+        cur[d] += direction
+        out.append(tuple(cur))
+    return out
 
 
 def solve_nu(sys, conn, surf, y0, nu0, grid, substeps=4, tol=DEFAULT_TOL):
@@ -216,6 +252,11 @@ def solve_nu(sys, conn, surf, y0, nu0, grid, substeps=4, tol=DEFAULT_TOL):
     disagreement over all grid cells: each cell's far corner is reached
     along its two edge orderings from the same base value, and the
     difference measures how far the system is from an integrable one.
+
+    Independent edges advance in lockstep: pass d moves every chain
+    leaving the filled slab one edge at a time, and the cells take two
+    edge batches, the first and the second edges of both paths of every
+    cell.
     """
     if nu0 == 0:
         raise ValueError("nu0 must be nonzero")
@@ -227,52 +268,50 @@ def solve_nu(sys, conn, surf, y0, nu0, grid, substeps=4, tol=DEFAULT_TOL):
     values = np.full(shape, np.nan)
     values[base] = nu0
 
-    def node(idx):
-        return np.array([ax[i] for ax, i in zip(axes, idx)])
+    def nodes(idxs):
+        return np.array([[ax[i] for ax, i in zip(axes, idx)] for idx in idxs])
+
+    def edges(starts, ends, nu):
+        return _edge_rk4(sys, conn, surf, nodes(starts), nodes(ends), nu, substeps, tol)
+
+    def ix(idxs):
+        return tuple(np.array(idxs).T)
 
     # sweep axis by axis: after pass d, the slab spanned by axes 0..d is filled
     filled = [base]
     for d in range(m):
-        new_filled = []
+        chains, new_filled = [], []
         for idx in filled:
-            new_filled.append(idx)
-            for direction in (1, -1):
-                cur = idx
-                while True:
-                    nxt = list(cur)
-                    nxt[d] += direction
-                    if not (0 <= nxt[d] < shape[d]):
-                        break
-                    nxt = tuple(nxt)
-                    values[nxt] = _edge_rk4(sys, conn, surf, node(cur), node(nxt),
-                                            values[cur], substeps, tol)
-                    new_filled.append(nxt)
-                    cur = nxt
+            rays = [_ray(idx, d, direction, shape[d]) for direction in (1, -1)]
+            chains += [[idx] + ray for ray in rays]
+            new_filled += [idx] + rays[0] + rays[1]
+        for k in range(1, max(len(c) for c in chains)):
+            live = [c for c in chains if len(c) > k]
+            starts = [c[k - 1] for c in live]
+            ends = [c[k] for c in live]
+            values[ix(ends)] = edges(starts, ends, values[ix(starts)])
         filled = new_filled
 
     residual = 0.0
+    # (start, corner, far) of both paths of every cell, path a then path b
+    paths = []
     for a in range(m):
         for b in range(a + 1, m):
             for idx in np.ndindex(shape):
                 if idx[a] + 1 >= shape[a] or idx[b] + 1 >= shape[b]:
                     continue
-                stepa = list(idx)
-                stepa[a] += 1
-                stepb = list(idx)
-                stepb[b] += 1
                 far = list(idx)
                 far[a] += 1
                 far[b] += 1
-                start = values[idx]
-                via_a = _edge_rk4(sys, conn, surf, node(idx), node(tuple(stepa)),
-                                  start, substeps, tol)
-                via_a = _edge_rk4(sys, conn, surf, node(tuple(stepa)), node(tuple(far)),
-                                  via_a, substeps, tol)
-                via_b = _edge_rk4(sys, conn, surf, node(idx), node(tuple(stepb)),
-                                  start, substeps, tol)
-                via_b = _edge_rk4(sys, conn, surf, node(tuple(stepb)), node(tuple(far)),
-                                  via_b, substeps, tol)
-                residual = max(residual, abs(via_a - via_b))
+                for axis in (a, b):
+                    corner = list(idx)
+                    corner[axis] += 1
+                    paths.append((idx, tuple(corner), tuple(far)))
+    if paths:
+        starts, corners, fars = zip(*paths)
+        mid = edges(starts, corners, values[ix(starts)])
+        ends = edges(corners, fars, mid)
+        residual = float(np.max(np.abs(ends[0::2] - ends[1::2])))
     return NuGrid(axes=axes, values=values, base_index=base, nu0=nu0,
                   residual=residual)
 

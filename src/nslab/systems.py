@@ -50,16 +50,20 @@ DEFAULT_TOL = Tolerances()
 
 
 class PhasePoint:
-    """A point of phase space: chart coordinates x and momentum components p."""
+    """A point of phase space: chart coordinates x and momentum components p.
+
+    x and p may carry equal leading batch axes, the component axis last; such
+    a point is a batch of points, and `point[i]` is the point at batch index i.
+    """
 
     __slots__ = ("x", "p")
 
     def __init__(self, x, p):
         x = np.array(x, dtype=float)  # own copies; instances are immutable
         p = np.array(p, dtype=float)
-        if x.shape != p.shape or x.ndim != 1:
-            raise ValueError("x and p must be 1-d arrays of equal length")
-        if x.size < 2:
+        if x.shape != p.shape or x.ndim < 1:
+            raise ValueError("x and p must be arrays of equal shape, components last")
+        if x.shape[-1] < 2:
             raise ValueError("dimension must be at least 2")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
             raise ValueError("phase point entries must be finite")
@@ -70,7 +74,10 @@ class PhasePoint:
 
     @property
     def n(self):
-        return self.x.size
+        return self.x.shape[-1]
+
+    def __getitem__(self, index):
+        return PhasePoint(self.x[index], self.p[index])
 
     def __repr__(self):
         return f"PhasePoint(x={self.x.tolist()}, p={self.p.tolist()})"
@@ -197,12 +204,16 @@ class ModifiedHamiltonianSystem(SystemDefinition):
         denom = ps[0] * hp[0]
         for i in range(1, n):
             denom = denom + ps[i] * hp[i]
-        if np.any(np.abs(denom.value()) < DEFAULT_TOL.omega):
+        # relative to |p| |dH/dp|, so the cutoff ignores the scale of H
+        bound = (DEFAULT_TOL.omega * np.linalg.norm(taylor.read_values(ps), axis=-1)
+                 * np.linalg.norm(taylor.read_values(hp), axis=-1))
+        if np.any(np.abs(denom.value()) <= bound):
             raise DegenerateOmega(
                 "sum_s p_s dH/dp_s vanished; the rescaled Hamiltonian flow is undefined"
             )
-        V = [hp[i] / denom for i in range(n)]
-        T = [-(hx[i] / denom) for i in range(n)]
+        inv = denom._reciprocal()
+        V = [hp[i] * inv for i in range(n)]
+        T = [-(hx[i] * inv) for i in range(n)]
         return V, T
 
 

@@ -176,6 +176,19 @@ class TestIntegrate:
                           "xi1_1", "xi1_2", "phi_1"]
         assert len(lines) == cfg.steps + 2
 
+    def test_csv_xi_matches_each_step(self, sys_geox2, conn_geox2, tmp_path):
+        # 41 steps: the connection is read in batches of 16, 16 and 9 points
+        cfg = IntegratorConfig(t_end=0.4, step=1e-2)
+        state = ExtendedState(0, q([0.3, -0.2], [1.1, 0.6]), [[0, 1]], [[0.5, 0.2]])
+        tr = integrate(sys_geox2, conn_geox2, state, cfg)
+        path = tmp_path / "trajectory.csv"
+        tr.write_csv(path)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        xi = rows[:, 7:9]
+        want = np.stack([tr.xis(k)[0] for k in range(len(tr.t))])
+        assert np.max(np.abs(want)) > 0.1
+        assert np.max(np.abs(xi - want)) <= 1e-15
+
 
 class TestWeakFields:
     def test_identity_all_zero(self, sys_id2, zero2):

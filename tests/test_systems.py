@@ -12,6 +12,7 @@ from nslab import (
     ZeroWv,
     build_modified_hamiltonian,
     build_riemannian_euclidean,
+    canonical_connection,
     check_regularity,
     normality_report,
     system_from_config,
@@ -124,6 +125,17 @@ class TestModifiedHamiltonianBuilder:
                 fr = frame(sysm, point)
                 assert np.allclose(fr.W, -fr.V, atol=1e-12)
                 assert fr.Omega == pytest.approx(-1.0, abs=1e-12)
+
+    def test_denominator_cutoff_is_scale_free(self):
+        # the rescaled flow does not depend on the scale of H
+        verdicts = []
+        for scale in ("1", "1e-13"):
+            sysm = build_modified_hamiltonian(f"{scale}*(p1^2 + p2^2)/2 + {scale}*x1", 2)
+            report = normality_report(sysm, canonical_connection(sysm),
+                                      PointSampler(2, 5, seed=0), 1e-7)
+            assert not any(r.error for r in report.rows)
+            verdicts.append(report.verdict)
+        assert verdicts == ["PASS", "PASS"]
 
     def test_zero_momentum_degenerate(self):
         sysm = build_modified_hamiltonian("p1^2 + p2^2", 2)
