@@ -180,9 +180,6 @@ class Trajectory:
     def state(self, k):
         return ExtendedState(self.t[k], self.point(k), self.taus[k], self.dps[k])
 
-    def states(self):
-        return [self.state(k) for k in range(len(self.t))]
-
     def write_csv(self, path):
         n, m = self.x.shape[1], self.m
         cols = (["t"]

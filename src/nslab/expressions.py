@@ -18,13 +18,35 @@ Functions: sqrt, sin, cos, tan, exp, log, abs, atan2(a,b), pow(a,b).
 
 Parsed expressions are immutable; evaluation is side-effect-free and
 deterministic.
+
+Series evaluation (`evaluate_series`) replays a flat register program that
+each Expression compiles once, on first use (a tape; Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., ch. 6):
+
+- literals stay scalars: a constant subtree folds to one float through the
+  same float algebra as `evaluate`, so ``x1 + sqrt(0)`` evaluates where a
+  series of 0 could not be differentiated, and a series operand times a
+  scalar costs no jet product;
+- ``a / c`` for a nonzero constant c is ``a * (1/c)``, rounded exactly as
+  the product with the reciprocal series;
+- an integer constant exponent is a power by repeated squaring that starts
+  from the base;
+- structurally equal subexpressions are computed once;
+- a constant-only expression comes back as a series with the first
+  variable's batch shape and trust.
+
+A constant subtree the float algebra cannot fold (``log(0)``, ``1/0``) is
+left to the series operation, which raises at its place in the program;
+an `EvaluationDomainError` names the subexpression text and its offset.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -96,6 +118,7 @@ class Expression:
         self.text = text
         self.variables = tuple(variables)
         self.root = root
+        self._program = None
 
     def __repr__(self):
         return f"Expression({self.text!r}, vars={self.variables})"
@@ -105,6 +128,12 @@ class Expression:
 
     def snippet(self, node):
         return self.text[node.span[0]:node.span[1]]
+
+    def program(self):
+        """The series program `evaluate_series` replays, compiled on first use."""
+        if self._program is None:
+            self._program = _compile(self)
+        return self._program
 
 
 # ----------------------------------------------------------------------
@@ -302,15 +331,7 @@ class _FloatAlgebra:
 
 
 class _SeriesAlgebra:
-    def __init__(self, template):
-        self.template = template
-
-    def num(self, v):
-        c = self.template.ctx.constant(
-            np.broadcast_to(v, self.template.coef.shape[:-1])
-        )
-        c.trust = self.template.trust
-        return c
+    """Series operations of the compiled program; none returns or mutates an input."""
 
     @staticmethod
     def pow(a, b):
@@ -320,8 +341,7 @@ class _SeriesAlgebra:
                 b0 = b.value()
                 if np.ndim(b0) == 0 or np.all(b0 == b0.flat[0]):
                     out = a.powc(float(b0.flat[0]))
-                    out.trust = min(out.trust, b.trust)
-                    return out
+                    return taylor.TaylorSeries(out.ctx, out.coef, min(out.trust, b.trust))
             return (b * a.log()).exp()
         return a.powc(float(b))
 
@@ -333,10 +353,6 @@ class _SeriesAlgebra:
     log = staticmethod(lambda u: u.log())
     abs = staticmethod(lambda u: u.absolute())
     atan2 = staticmethod(taylor.atan2_series)
-
-    @staticmethod
-    def div(a, b):
-        return a / b
 
 
 def _eval(node, env, alg, expr):
@@ -381,11 +397,125 @@ def evaluate(expr, values):
     return _eval(expr.root, env, _FloatAlgebra, expr)
 
 
+# ----------------------------------------------------------------------
+# series evaluation: a flat register program per expression
+# ----------------------------------------------------------------------
+
+# the float operations that fold a constant subtree, as `evaluate` applies them
+_FOLD = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
+         "*": operator.mul, "/": _FloatAlgebra.div, "^": _FloatAlgebra.pow}
+_FOLD.update((fn, getattr(_FloatAlgebra, fn)) for fn in FUNCTIONS if fn != "pow")
+
+_SERIES = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
+           "*": operator.mul, "/": operator.truediv, "^": _SeriesAlgebra.pow}
+_SERIES.update((fn, getattr(_SeriesAlgebra, fn)) for fn in FUNCTIONS if fn != "pow")
+
+
+def _lift(c, template):
+    """A folded constant as a series with the template's batch shape and trust."""
+    s = template.ctx.constant(np.broadcast_to(c, template.coef.shape[:-1]))
+    s.trust = template.trust
+    return s
+
+
+def _scale(s, c):
+    """s * c for a constant c, rounded as the product with a constant series is.
+
+    That product sums its monomial pairs from 0.0, so it gives 0.0 where
+    s * c gives -0.0; adding 0.0 does the same.
+    """
+    return taylor.TaylorSeries(s.ctx, s.coef * c + 0.0, s.trust)
+
+
+def _compile(expr):
+    """Compile `expr` into (code, result) for `evaluate_series`.
+
+    Registers 0..nvars-1 hold the variables and instruction i writes
+    register nvars + i.  An instruction is (fn, registers, node): fn applied
+    to those registers, with any folded constant bound into fn, and node the
+    AST node whose text and offset name a domain error.  Instructions are
+    numbered by value, so a repeated subexpression is computed once.
+    """
+    nvars = len(expr.variables)
+    code = []
+    numbers = {}
+
+    def emit(key, fn, regs, node):
+        if key not in numbers:
+            numbers[key] = nvars + len(code)
+            code.append((fn, regs, node))
+        return numbers[key]
+
+    def lift(c):
+        return emit(("lift", c.hex()), partial(_lift, c), (0,), None)
+
+    def series(op, args, node):
+        # args: registers (int) and folded constants (float), at least one register
+        if op == "/" and isinstance(args[1], float) and args[1] != 0.0:
+            # a / c is a * (1/c): bit-identical to the reciprocal series' product
+            op, args = "*", (args[0], 1.0 / args[1])
+        if op == "*" and isinstance(args[0], float):
+            args = args[::-1]
+        key = (op,) + tuple(a if isinstance(a, int) else a.hex() for a in args)
+        fn = _SERIES[op]
+        a, b = args[0], args[-1]
+        if op == "*" and isinstance(b, float):
+            return emit(key, lambda s: _scale(s, b), (a,), node)
+        if op == "/" and isinstance(a, float):
+            return emit(key, lambda s: _scale(s._reciprocal(), a), (b,), node)
+        if op in ("+", "-", "^") and isinstance(b, float):
+            return emit(key, lambda s: fn(s, b), (a,), node)
+        if op in ("+", "-") and isinstance(a, float):
+            return emit(key, lambda s: fn(a, s), (b,), node)
+        # the other constants enter as series: a constant base, atan2, x / 0
+        regs = tuple(r if isinstance(r, int) else lift(r) for r in args)
+        return emit(key, fn, regs, node)
+
+    def walk(node):
+        if isinstance(node, Num):
+            return _FloatAlgebra.num(node.value)
+        if isinstance(node, Var):
+            return node.slot
+        if isinstance(node, Neg):
+            op, args = "neg", (node.arg,)
+        elif isinstance(node, Bin):
+            op, args = node.op, (node.left, node.right)
+        else:
+            op, args = ("^" if node.fn == "pow" else node.fn), node.args
+        args = tuple(walk(a) for a in args)
+        if all(isinstance(a, float) for a in args):
+            try:
+                return _FOLD[op](*args)
+            except (EvaluationDomainError, ArithmeticError, ValueError):
+                # the series operation raises it when the program reaches it
+                args = tuple(lift(a) for a in args)
+        return series(op, args, node)
+
+    result = walk(expr.root)
+    if isinstance(result, float):
+        result = lift(result)
+    return code, result
+
+
 def evaluate_series(expr, env):
-    """Evaluate over TaylorSeries inputs (one per variable, shared context)."""
+    """Evaluate over TaylorSeries inputs (one per variable, shared context).
+
+    Replays the expression's compiled program (see the module docstring).
+    """
     if len(env) != len(expr.variables):
         raise ValueError("wrong number of variable series")
-    return _eval(expr.root, env, _SeriesAlgebra(env[0]), expr)
+    code, result = expr.program()
+    regs = list(env)
+    try:
+        for fn, args, node in code:
+            regs.append(fn(*[regs[i] for i in args]))
+    except EvaluationDomainError as err:
+        if err.snippet is None:
+            raise EvaluationDomainError(
+                str(err), expr.snippet(node), node.span[0]
+            ) from None
+        raise
+    return regs[result]
 
 
 # ----------------------------------------------------------------------

@@ -399,20 +399,21 @@ def simulate_shift(sys, conn, surf, nu_source, cfg, grid=None, tol=DEFAULT_TOL):
             items.append((y, nu0))
         solved = False
 
-    states = []
-    ys, nus = [], []
     for y, nu in items:
         if abs(nu) < tol.nu_floor:
             raise NuVanished(f"nu vanished at grid node y={y!r}")
-        x, taus, normal, dn_dy = surf.geometry(y)
-        dnu = (pfaff_rhs(sys, conn, surf, y, nu, tol) if solved
-               else np.zeros(surf.m))
-        dps = dnu[:, None] * normal[None, :] + nu * dn_dy
-        states.append(ExtendedState(0.0, PhasePoint(x, nu * normal), taus, dps))
-        ys.append(y)
-        nus.append(nu)
+    ys = [y for y, _ in items]
+    nodes = np.array(ys)
+    nus = np.array([nu for _, nu in items])
+    x, taus, normal, dn_dy = surf.geometry(nodes)
+    dnu = (pfaff_rhs(sys, conn, surf, nodes, nus, tol) if solved
+           else np.zeros((len(ys), surf.m)))
+    dps = dnu[:, :, None] * normal[:, None, :] + nus[:, None, None] * dn_dy
+    p = nus[:, None] * normal
+    states = [ExtendedState(0.0, PhasePoint(x[b], p[b]), taus[b], dps[b])
+              for b in range(len(ys))]
     trajectories = integrate_family(sys, conn, states, cfg)
-    return ShiftRun(surf=surf, ys=ys, nus=np.array(nus), trajectories=trajectories)
+    return ShiftRun(surf=surf, ys=ys, nus=nus, trajectories=trajectories)
 
 
 @dataclass

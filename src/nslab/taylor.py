@@ -218,16 +218,23 @@ class TaylorSeries:
         raise TypeError("use ipow or powc for series exponentiation")
 
     def ipow(self, k):
+        """self**k by repeated squaring from the base; always a new series."""
         if k < 0:
             return self.ipow(-k)._reciprocal()
-        out = self.ctx.constant(np.ones(self.coef.shape[:-1]))
-        out.trust = self.trust
-        base = self
+        if k == 0:
+            out = self.ctx.constant(np.ones(self.coef.shape[:-1]))
+            out.trust = self.trust
+            return out
+        out, base = None, self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
+                out = base if out is None else out * base
             k >>= 1
+            if k:
+                base = base * base
+        if out is self:
+            # a new array; + 0.0 turns -0.0 into 0.0, as a product's sum does
+            out = TaylorSeries(self.ctx, self.coef + 0.0, self.trust)
         return out
 
     # ------------------------------------------------------------------

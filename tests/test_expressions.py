@@ -19,7 +19,7 @@ from nslab import (
     parse_expression,
     substitute,
 )
-from nslab.expressions import Bin, Call, Neg, Num, Var
+from nslab.expressions import Bin, Call, Neg, Num, Var, evaluate_series
 
 
 def q(x, p):
@@ -240,3 +240,121 @@ def test_series_pow_ignores_untrusted_exponent_coefficients():
     got = _SeriesAlgebra.pow(a, b)
     assert np.array_equal(got.coef, (a * a).coef)
     assert got.trust == 0
+
+
+def _series_env(variables, values, order=2, batch=()):
+    from nslab import taylor
+
+    ctx = taylor.context(len(variables), order)
+    return [ctx.variable(i, np.full(batch, float(v))) for i, v in enumerate(values)]
+
+
+class TestCompiledProgram:
+    """evaluate_series replays one flat program per expression."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        from nslab import taylor
+
+        calls = []
+        multiply = taylor.TaylorContext.multiply
+
+        def counted(self, a, b, trust):
+            calls.append(trust)
+            return multiply(self, a, b, trust)
+
+        monkeypatch.setattr(taylor.TaylorContext, "multiply", counted)
+        return calls
+
+    @pytest.mark.parametrize("text, count", [
+        ("p1^2", 1),              # the power starts from the base, not from 1 * p1
+        ("x1*p2^2/5", 2),         # the literal divisor is a scalar multiply
+        ("p2^2 + x1*p2^2", 2),    # p2^2 is formed once
+    ])
+    def test_products_formed(self, products, text, count):
+        e = parse_expression(text, 2)
+        values = [0.3, -0.7, 1.1, 0.9]
+        got = evaluate_series(e, _series_env(e.variables, values))
+        assert len(products) == count
+        assert got.value() == pytest.approx(evaluate(e, values), rel=1e-15)
+        assert e.program() is e.program()
+
+    def test_literal_divisor_forms_no_reciprocal(self, monkeypatch):
+        from nslab import taylor
+
+        calls = []
+        reciprocal = taylor.TaylorSeries._reciprocal
+
+        def counted(self):
+            calls.append(self)
+            return reciprocal(self)
+
+        monkeypatch.setattr(taylor.TaylorSeries, "_reciprocal", counted)
+        e = parse_expression("x1*p2^2/5", 2)
+        evaluate_series(e, _series_env(e.variables, [0.3, -0.7, 1.1, 0.9]))
+        assert calls == []
+
+    @pytest.mark.parametrize("text, value", [("0", 0.0), ("2/5", 0.4)])
+    def test_constant_result_is_a_series(self, text, value):
+        e = parse_expression(text, 2)
+        env = _series_env(e.variables, [0.3, -0.7, 1.1, 0.9], batch=(3,))
+        env[0].trust = 1
+        got = evaluate_series(e, env)
+        assert got.coef.shape == env[0].coef.shape
+        assert got.trust == 1
+        assert np.all(got.value() == value)
+        assert not np.any(got.coef[..., 1:])
+
+    @pytest.mark.parametrize("text, values, snippet, offset", [
+        ("log(x1 - 1.5)", [1.5, 0.0], "log(x1 - 1.5)", 0),
+        ("x1 + log(0)", [1.0, 0.0], "log(0)", 5),
+    ])
+    def test_domain_error_names_the_subexpression(self, text, values, snippet, offset):
+        e = parse(text, ("x1", "x2"))
+        with pytest.raises(EvaluationDomainError) as err:
+            evaluate_series(e, _series_env(e.variables, values))
+        assert err.value.snippet == snippet
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("text", ["x1 + sqrt(0)", "x1*abs(0)"])
+    def test_constant_subtrees_fold_as_floats(self, text):
+        # a constant subtree is a number, so it has no derivative to fail on
+        e = parse(text, ("x1", "x2"))
+        got = evaluate_series(e, _series_env(e.variables, [0.8, 0.1], order=2))
+        assert got.value() == evaluate(e, [0.8, 0.1])
+        assert got.trust == 2
+
+    def test_inputs_are_never_aliased(self):
+        # x1 trusted to 2, x2 to 1: the exponent x2 - x2 + 1 is constant through
+        # its trust, and x1^1 must not hand back (and retrust) x1 itself
+        texts = ["x1^(x2-x2+1)", "pow(x1, x2-x2+1)", "x1^1", "pow(x1, 1)", "x1^0",
+                 "x1^(x2-x2+1)*x2", "x1*1", "1*x1", "x1/1", "x1 + 0", "-x1", "x1^2"]
+        env = _series_env(("x1", "x2"), [0.8, 0.1])
+        env[1].trust = 1
+        before = [(s.coef.copy(), s.trust) for s in env]
+        for text in texts:
+            evaluate_series(parse(text, ("x1", "x2")), env)
+        for s, (coef, trust) in zip(env, before):
+            assert s.trust == trust
+            assert np.array_equal(s.coef, coef)
+        assert env[0].ipow(1) is not env[0]
+
+
+def test_random_programs_match_float_evaluation():
+    """200 random ASTs: the compiled constant term is the float value."""
+    from nslab.expressions import Expression
+
+    rng = np.random.default_rng(7)
+    variables = ("x1", "x2", "p1", "p2")
+    checked = 0
+    while checked < 200:
+        expr = Expression("<random>", variables,
+                          _random_ast(rng, int(rng.integers(1, 6)), len(variables)))
+        values = rng.uniform(-1, 1, 4)
+        try:
+            want = evaluate(expr, values)
+        except EvaluationDomainError:
+            continue
+        got = evaluate_series(expr, _series_env(variables, values, order=1)).value()
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (want, got)
+        checked += 1

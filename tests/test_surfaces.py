@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -308,7 +310,30 @@ class TestShiftEvaluations:
         grid = solve_nu(sys_geox2, conn_geox2, circle, [0.0], 1.5, [5])
         calcs.clear()
         simulate_shift(sys_geox2, conn_geox2, circle, grid, cfg)
-        assert len(calcs) == 5
+        # the launch evaluates dnu/dy at all 5 nodes in one batched pfaff_rhs call
+        assert len(calcs) == 1
+
+    def test_batched_launch_matches_per_node(self, sys_geox3, conn_geox3, sphere):
+        # 25 nodes: two pfaff_rhs chunks, against one geometry and pfaff_rhs per node
+        grid = solve_nu(sys_geox3, conn_geox3, sphere, [0.75, 0.0], 1.1, [5, 5],
+                        substeps=1)
+        cfg = IntegratorConfig(t_end=0.01, step=1e-2)
+        run = simulate_shift(sys_geox3, conn_geox3, sphere, grid, cfg)
+        for (_, y, nu), tr in zip(grid.nodes(), run.trajectories):
+            x, taus, normal, dn_dy = sphere.geometry(y)
+            dnu = pfaff_rhs(sys_geox3, conn_geox3, sphere, y, nu)
+            want = (x, nu * normal, taus, dnu[:, None] * normal[None, :] + nu * dn_dy)
+            got = (tr.x[0], tr.p[0], tr.taus[0], tr.dps[0])
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= 1e-14
+
+    def test_vanished_nu_names_its_node(self, sys_geox2, conn_geox2, circle):
+        grid = solve_nu(sys_geox2, conn_geox2, circle, [0.0], 1.5, [5])
+        grid.values[3] = 1e-13
+        cfg = IntegratorConfig(t_end=0.01, step=1e-2)
+        y = repr(next(y for idx, y, _ in grid.nodes() if idx == (3,)))
+        with pytest.raises(NuVanished, match=re.escape(f"grid node y={y}")):
+            simulate_shift(sys_geox2, conn_geox2, circle, grid, cfg)
 
 
 class TestVerify:
