@@ -9,7 +9,6 @@ trajectories, verifying orthogonality as it goes.
 from .connections import (
     CanonicalConnection,
     ConnectionField,
-    CurvaturePair,
     ExplicitConnection,
     GaugedConnection,
     GaugeTensor,
@@ -28,13 +27,11 @@ from .dynamics import (
     ExtendedState,
     IntegratorConfig,
     Trajectory,
-    WeakFieldBundle,
     deviation,
     integrate,
     integrate_family,
     phase_rhs,
     variational_rhs,
-    weak_fields,
 )
 from .engine import PointCalculus
 from .errors import (
@@ -65,14 +62,11 @@ from .expressions import (
     substitute,
 )
 from .normality import (
-    ABCTensors,
     BatchReport,
     NormalityResidual,
-    abc_tensors,
-    additional_residuals,
     normality_report,
     residual_at,
-    weak_residuals,
+    residual_from_calc,
 )
 from .sampling import PointSampler
 from .surfaces import (

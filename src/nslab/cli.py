@@ -42,7 +42,7 @@ from .expressions import (
     substitute,
 )
 from .engine import PointCalculus
-from .normality import _residual_from_calc, normality_report
+from .normality import normality_report, residual_from_calc
 from .sampling import PointSampler
 from .surfaces import load_surface, simulate_shift, solve_nu, verify_orthogonality
 from .systems import (
@@ -149,19 +149,23 @@ def cmd_gauge_test(args):
     sampler = PointSampler(n=sys.n, count=3, seed=args.seed + 1,
                            pmin=args.pmin, pmax=args.pmax, xbox=args.xbox)
     points = sampler.points()
-    base_calcs = [PointCalculus(sys, conn, q) for q in points]
-    base = [_residual_from_calc(calc) for calc in base_calcs]
-    base_alpha = [calc.alpha for calc in base_calcs]
+    batch = PhasePoint(np.stack([q.x for q in points]), np.stack([q.p for q in points]))
+
+    def evaluate(c):
+        calc = PointCalculus(sys, c, batch)
+        return calc.alpha, residual_from_calc(calc)
+
+    base_alpha, base = evaluate(conn)
     worst_alpha = 0.0
     worst_resid = 0.0
     rows = []
     for k in range(args.count):
         T = random_gauge_tensor(sys.n, rng)
         gauged, _ = gauge_transform(sys, conn, T)
-        for q, b, a0 in zip(points, base, base_alpha):
-            calc = PointCalculus(sys, gauged, q)
-            d_alpha = float(np.max(np.abs(calc.alpha - a0)))
-            r = _residual_from_calc(calc)
+        alpha, resid = evaluate(gauged)
+        for j in range(len(points)):
+            r, b = resid[j], base[j]
+            d_alpha = float(np.max(np.abs(alpha[j] - base_alpha[j])))
             d_resid = abs(r.max_abs - b.max_abs)
             for attr in ("weak1", "weak2", "addA", "addB", "addC"):
                 lhs, rhs = getattr(r, attr), getattr(b, attr)

@@ -28,7 +28,6 @@ __all__ = [
     "covariant_derivative",
     "momentum_gradient",
     "curvatures",
-    "CurvaturePair",
     "force_covector",
     "gauge_transform",
     "random_gauge_tensor",
@@ -278,26 +277,10 @@ def connection_from_config(cfg, sys):
 # curvature and covariant differentiation
 # ----------------------------------------------------------------------
 
-class CurvaturePair(tuple):
-    """(R, D); R[k,r,i,j] antisymmetric in (i,j), D = -d gamma/dp."""
-
-    __slots__ = ()
-
-    def __new__(cls, R, D):
-        return super().__new__(cls, (R, D))
-
-    @property
-    def R(self):
-        return self[0]
-
-    @property
-    def D(self):
-        return self[1]
-
-
 def curvatures(conn, q):
+    """(R, D) at q; R[k,r,i,j] antisymmetric in (i,j), D = -d gamma/dp."""
     gamma, dgdx, dgdp = phase_jet1(conn.gamma_series(conn._series_point(q, 1)))
-    return CurvaturePair(*curvature_tensors(q.p, gamma, dgdx, dgdp))
+    return curvature_tensors(q.p, gamma, dgdx, dgdp)
 
 
 class TensorField:

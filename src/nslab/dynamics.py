@@ -117,29 +117,6 @@ def variational_rhs(sys, conn, state, tol=DEFAULT_TOL):
     return V, Theta, dtaus, dxis
 
 
-@dataclass
-class WeakFieldBundle:
-    """Pointwise data entering the deviation equation and its residuals.
-
-    A and B are the coefficients of phi'' = A phi' + B phi; they satisfy
-    A Omega = <p|alpha> and B Omega = <eta|W> exactly as computed.
-    """
-
-    U: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    eta: np.ndarray
-    A: float
-    B: float
-
-
-def weak_fields(sys, conn, q, tol=DEFAULT_TOL):
-    calc = PointCalculus(sys, conn, q, depth=1, tol=tol)
-    A, B = calc.ode_coefficients
-    return WeakFieldBundle(U=calc.U, alpha=calc.alpha, beta=calc.beta,
-                           eta=calc.eta, A=A, B=B)
-
-
 # ----------------------------------------------------------------------
 # integration
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -241,7 +241,8 @@ class _Parser:
         if kind == "op" and val == "(":
             node = self.expr()
             self.expect_op(")")
-            return node
+            # the parentheses belong to the node, so a parent's span stays balanced
+            return replace(node, span=(off, self.tokens[self.pos - 1][2] + 1))
         if kind == "ident":
             if val in FUNCTIONS:
                 self.expect_op("(")
@@ -290,10 +291,6 @@ def parse_expression(text, n):
 # ----------------------------------------------------------------------
 
 class _FloatAlgebra:
-    @staticmethod
-    def num(v):
-        return float(v)
-
     @staticmethod
     def pow(a, b):
         if float(b).is_integer():
@@ -355,17 +352,17 @@ class _SeriesAlgebra:
     atan2 = staticmethod(taylor.atan2_series)
 
 
-def _eval(node, env, alg, expr):
+def _eval(node, env, expr):
     try:
         if isinstance(node, Num):
-            return alg.num(node.value)
+            return float(node.value)
         if isinstance(node, Var):
             return env[node.slot]
         if isinstance(node, Neg):
-            return -_eval(node.arg, env, alg, expr)
+            return -_eval(node.arg, env, expr)
         if isinstance(node, Bin):
-            a = _eval(node.left, env, alg, expr)
-            b = _eval(node.right, env, alg, expr)
+            a = _eval(node.left, env, expr)
+            b = _eval(node.right, env, expr)
             if node.op == "+":
                 return a + b
             if node.op == "-":
@@ -373,13 +370,13 @@ def _eval(node, env, alg, expr):
             if node.op == "*":
                 return a * b
             if node.op == "/":
-                return alg.div(a, b)
-            return alg.pow(a, b)
+                return _FloatAlgebra.div(a, b)
+            return _FloatAlgebra.pow(a, b)
         if isinstance(node, Call):
-            args = [_eval(a, env, alg, expr) for a in node.args]
+            args = [_eval(a, env, expr) for a in node.args]
             if node.fn == "pow":
-                return alg.pow(*args)
-            return getattr(alg, node.fn)(*args)
+                return _FloatAlgebra.pow(*args)
+            return getattr(_FloatAlgebra, node.fn)(*args)
     except EvaluationDomainError as err:
         if err.snippet is None:
             raise EvaluationDomainError(
@@ -394,7 +391,7 @@ def evaluate(expr, values):
     env = [float(v) for v in values]
     if len(env) != len(expr.variables):
         raise ValueError("wrong number of variable values")
-    return _eval(expr.root, env, _FloatAlgebra, expr)
+    return _eval(expr.root, env, expr)
 
 
 # ----------------------------------------------------------------------
@@ -473,7 +470,7 @@ def _compile(expr):
 
     def walk(node):
         if isinstance(node, Num):
-            return _FloatAlgebra.num(node.value)
+            return float(node.value)
         if isinstance(node, Var):
             return node.slot
         if isinstance(node, Neg):

@@ -5,8 +5,12 @@ onto the null space of the momentum covector; the additional residuals
 test projected antisymmetry of A and C and proportionality of the
 projected B to the projector itself.  A system admits the normal shift
 of arbitrary hypersurfaces exactly when all of them vanish wherever
-p != 0, so the batch report's verdict is the operational form of that
+p != 0, so the sweep report's verdict is the operational form of that
 condition.
+
+`residual_from_calc` is the one assembly of the residuals, for a calc at a
+point or a batch; `residual_at` builds that calc, and `normality_report`
+sweeps a point cloud with it.
 """
 
 from __future__ import annotations
@@ -21,60 +25,12 @@ from .systems import DEFAULT_TOL
 
 
 @dataclass
-class ABCTensors:
-    """Compatibility tensors of the Pfaff system plus the trace factor."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    lam: float
-
-
-def abc_tensors(sys, conn, q, tol=DEFAULT_TOL):
-    calc = PointCalculus(sys, conn, q, depth=1, tol=tol)
-    return ABCTensors(A=calc.A_tensor, B=calc.B_tensor, C=calc.C_tensor,
-                      lam=calc.lam)
-
-
-def weak_residuals(sys, conn, q, tol=DEFAULT_TOL):
-    """(sum_r alpha^r P^k_r, sum_r eta_r P^r_k) as two n-vectors."""
-    calc = PointCalculus(sys, conn, q, depth=1, tol=tol)
-    return _weak_from_calc(calc)
-
-
-def _weak_from_calc(calc):
-    weak1 = calc.P @ calc.alpha
-    weak2 = calc.eta @ calc.P
-    return weak1, weak2
-
-
-def additional_residuals(sys, conn, q, tol=DEFAULT_TOL):
-    """(addA, addB, addC) matrices; empty for n = 2 where they are vacuous."""
-    calc = PointCalculus(sys, conn, q, depth=1, tol=tol)
-    return _additional_from_calc(calc)
-
-
-def _additional_from_calc(calc):
-    n = calc.n
-    if n == 2:
-        empty = np.zeros((0, 0))
-        return empty, empty, empty
-    P = calc.P
-    A, B, C = calc.A_tensor, calc.B_tensor, calc.C_tensor
-    addA = np.einsum("ir,rs,js->ij", P, A - A.T, P)
-    addC = np.einsum("ri,rs,sj->ij", P, C - C.T, P)
-    addB = P @ B @ P - calc.lam * P
-    return addA, addB, addC
-
-
-@dataclass
 class NormalityResidual:
-    """Raw residuals at one point plus the conditioning scale.
+    """Raw residuals at a point or a batch of points.
 
-    `max_abs` is the raw form the acceptance thresholds apply to;
-    `normalized_max` divides by 1 + the magnitudes of the fields the
-    residuals are built from, which flattens the growth of raw values at
-    large momenta.
+    Each array leads with the batch axes of `q`; `max_abs` is the largest
+    entry over all of them, the raw form the acceptance thresholds apply
+    to, and `r[i]` is the residual of the point at batch index i.
     """
 
     q: object
@@ -83,7 +39,6 @@ class NormalityResidual:
     addA: np.ndarray
     addB: np.ndarray
     addC: np.ndarray
-    scale: float = 1.0
     error: str = ""
 
     @property
@@ -92,31 +47,39 @@ class NormalityResidual:
         vals = [np.max(np.abs(p)) for p in parts if p.size]
         return float(np.max(vals)) if vals else float("nan")
 
-    @property
-    def normalized_max(self):
-        return self.max_abs / self.scale
+    def __getitem__(self, index):
+        return NormalityResidual(self.q[index], self.weak1[index], self.weak2[index],
+                                 self.addA[index], self.addB[index], self.addC[index])
 
 
-def residual_at(sys, conn, q, tol=DEFAULT_TOL):
-    """All residuals at one point from a single shared pipeline.
+def residual_from_calc(calc):
+    """Weak and additional residuals of a calc at a point or a batch.
 
+    weak1 = P alpha and weak2 = eta P; addA and addC are the projected
+    antisymmetric parts of A and C, addB = P B P - lam P.  The additional
+    residuals are empty (0 x 0 per point) for n = 2, where they are vacuous.
     Raises NonFiniteResidual when any residual is NaN or infinite, so
     overflow can never read as agreement.
     """
-    return _residual_from_calc(PointCalculus(sys, conn, q, depth=1, tol=tol))
-
-
-def _residual_from_calc(calc):
-    weak1, weak2 = _weak_from_calc(calc)
-    addA, addB, addC = _additional_from_calc(calc)
+    P = calc.P
+    weak1 = np.matmul(P, calc.alpha[..., None])[..., 0]
+    weak2 = np.matmul(calc.eta[..., None, :], P)[..., 0, :]
+    if calc.n == 2:
+        addA = addB = addC = np.zeros(P.shape[:-2] + (0, 0))
+    else:
+        A, B, C = calc.A_tensor, calc.B_tensor, calc.C_tensor
+        addA = np.einsum("...ir,...rs,...js->...ij", P, A - np.swapaxes(A, -2, -1), P)
+        addC = np.einsum("...ri,...rs,...sj->...ij", P, C - np.swapaxes(C, -2, -1), P)
+        addB = np.matmul(np.matmul(P, B), P) - calc.lam[..., None, None] * P
     if not all(np.isfinite(r).all() for r in (weak1, weak2, addA, addB, addC)):
         raise NonFiniteResidual("non-finite normality residual")
-    scale = float(1.0
-                  + np.linalg.norm(calc.alpha) + np.linalg.norm(calc.eta)
-                  + np.linalg.norm(calc.A_tensor) + np.linalg.norm(calc.B_tensor)
-                  + np.linalg.norm(calc.C_tensor))
     return NormalityResidual(q=calc.q, weak1=weak1, weak2=weak2,
-                             addA=addA, addB=addB, addC=addC, scale=scale)
+                             addA=addA, addB=addB, addC=addC)
+
+
+def residual_at(sys, conn, q, tol=DEFAULT_TOL):
+    """All residuals at q (a point or a batch) from one depth-1 PointCalculus."""
+    return residual_from_calc(PointCalculus(sys, conn, q, depth=1, tol=tol))
 
 
 @dataclass

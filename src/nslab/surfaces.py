@@ -112,7 +112,11 @@ class Hypersurface:
 
 @dataclass
 class SurfaceFrame:
-    """Surface data at one parameter value for a given system and nu."""
+    """Surface data at a parameter value for a given system and nu.
+
+    A batch of parameter values y[..., i] puts its batch axes in front of
+    the shapes below.
+    """
 
     y: np.ndarray
     x: np.ndarray
@@ -122,9 +126,19 @@ class SurfaceFrame:
     b: np.ndarray           # (m, m): second fundamental form components
 
 
-def _dn_covariant(gamma, normal, taus, dn_dy):
-    """dn[i, s]: covariant derivative of the normal covector along tau_i."""
-    return dn_dy - np.einsum("...ksr,...k,...ir->...is", gamma, normal, taus)
+def _surface_calc(sys, conn, surf, y, nu, depth, tol):
+    """(calc, taus, normal, dn) at the surface points y with momentum p = nu * n.
+
+    y[..., i] and nu share leading batch axes (a scalar nu broadcasts);
+    calc is the PointCalculus at those points and dn[..., i, s] the
+    covariant derivative of the normal covector along tau_i.
+    """
+    x, taus, normal, dn_dy = surf.geometry(y)
+    nu = np.asarray(nu, dtype=float)
+    calc = PointCalculus(sys, conn, PhasePoint(x, nu[..., None] * normal),
+                         depth=depth, tol=tol)
+    dn = dn_dy - np.einsum("...ksr,...k,...ir->...is", calc.gamma, normal, taus)
+    return calc, taus, normal, dn
 
 
 def surface_frame(sys, conn, surf, y, nu, tol=DEFAULT_TOL):
@@ -134,14 +148,11 @@ def surface_frame(sys, conn, surf, y, nu, tol=DEFAULT_TOL):
     b is assembled from the projected dn map; its symmetry is a theorem,
     not an input, and is asserted only by the tests.
     """
-    if nu == 0:
+    if np.any(np.asarray(nu) == 0):
         raise ValueError("nu must be nonzero")
-    x, taus, normal, dn_dy = surf.geometry(y)
-    q = PhasePoint(x, nu * normal)
-    calc = PointCalculus(sys, conn, q, depth=0, tol=tol)
-    dn = _dn_covariant(calc.gamma, normal, taus, dn_dy)
-    b = -np.einsum("ir,qr,jq->ij", taus, calc.P, dn)
-    return SurfaceFrame(y=np.asarray(y, float), x=x, taus=taus, normal=normal,
+    calc, taus, normal, dn = _surface_calc(sys, conn, surf, y, nu, 0, tol)
+    b = -np.einsum("...ir,...qr,...jq->...ij", taus, calc.P, dn)
+    return SurfaceFrame(y=np.asarray(y, float), x=calc.q.x, taus=taus, normal=normal,
                         dn=dn, b=b)
 
 
@@ -167,10 +178,7 @@ def pfaff_rhs(sys, conn, surf, y, nu, tol=DEFAULT_TOL):
 
 def _pfaff_points(sys, conn, surf, y, nu, tol):
     """pfaff_rhs on a batch of points y[b] with speeds nu[b] in one PointCalculus."""
-    x, taus, normal, dn_dy = surf.geometry(y)
-    q = PhasePoint(x, nu[:, None] * normal)
-    calc = PointCalculus(sys, conn, q, depth=0, tol=tol)
-    dn = _dn_covariant(calc.gamma, normal, taus, dn_dy)
+    calc, taus, _, dn = _surface_calc(sys, conn, surf, y, nu, 0, tol)
     omega = calc.Omega[:, None, None]
     nu = nu[:, None, None]
     return (np.matmul(-(nu * nu / omega) * dn, calc.W[:, :, None])[:, :, 0]
@@ -317,24 +325,24 @@ def solve_nu(sys, conn, surf, y0, nu0, grid, substeps=4, tol=DEFAULT_TOL):
 
 
 def compatibility_residual(sys, conn, surf, y, nu, tol=DEFAULT_TOL):
-    """Antisymmetric mixed-partial defect of the Pfaff system at one point.
+    """Antisymmetric mixed-partial defect of the Pfaff system, (..., m, m).
 
     Assembled from the A/B/C tensors and the projected dn map; vanishes
     identically when the additional normality equations hold.  The output
-    is exactly antisymmetric by construction.
+    is exactly antisymmetric by construction.  y[..., i] and nu share
+    leading batch axes (a scalar nu broadcasts), and all points are
+    evaluated in one PointCalculus.
     """
-    x, taus, normal, dn_dy = surf.geometry(y)
-    q = PhasePoint(x, nu * normal)
-    calc = PointCalculus(sys, conn, q, depth=1, tol=tol)
-    dn = _dn_covariant(calc.gamma, normal, taus, dn_dy)
-    pdn = np.einsum("qr,iq->ir", calc.P, dn)
-    omega = calc.Omega
-    xa = np.einsum("rs,ir,js->ij", calc.A_tensor, pdn, pdn)
-    xb = np.einsum("rs,ir,js->ij", calc.B_tensor, pdn, taus)
-    xc = np.einsum("rs,ir,js->ij", calc.C_tensor, taus, taus)
-    return (nu ** 3 / omega * (xa - xa.T)
-            + nu ** 2 / omega * (xb - xb.T)
-            + nu / omega * (xc - xc.T))
+    calc, taus, _, dn = _surface_calc(sys, conn, surf, y, nu, 1, tol)
+    pdn = np.einsum("...qr,...iq->...ir", calc.P, dn)
+    omega = calc.Omega[..., None, None]
+    nu = np.asarray(nu, dtype=float)[..., None, None]
+    xa = np.einsum("...rs,...ir,...js->...ij", calc.A_tensor, pdn, pdn)
+    xb = np.einsum("...rs,...ir,...js->...ij", calc.B_tensor, pdn, taus)
+    xc = np.einsum("...rs,...ir,...js->...ij", calc.C_tensor, taus, taus)
+    return (nu ** 3 / omega * (xa - np.swapaxes(xa, -2, -1))
+            + nu ** 2 / omega * (xb - np.swapaxes(xb, -2, -1))
+            + nu / omega * (xc - np.swapaxes(xc, -2, -1)))
 
 
 # ----------------------------------------------------------------------

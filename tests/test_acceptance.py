@@ -28,8 +28,6 @@ from nslab import (
     simulate_shift,
     solve_nu,
     surface_frame,
-    weak_fields,
-    weak_residuals,
 )
 from nslab.engine import PointCalculus
 from nslab.expressions import parse, phase_variables, substitute
@@ -54,8 +52,8 @@ def test_01_weak_normality_on_example_family():
         sysm = build_modified_hamiltonian(text, 2)
         conn = canonical_connection(sysm)
         for q in PointSampler(2, 100, seed=42).points():
-            w1, w2 = weak_residuals(sysm, conn, q)
-            worst = max(worst, float(np.max(np.abs(w1))), float(np.max(np.abs(w2))))
+            r = residual_at(sysm, conn, q)
+            worst = max(worst, float(np.max(np.abs(r.weak1))), float(np.max(np.abs(r.weak2))))
     verdict(1, "weak normality, Hamiltonian family (n=2)",
             worst <= 1e-8, f"max residual {worst:.3e} <= 1e-8")
 
@@ -90,8 +88,8 @@ def test_03_flat_family_compliance():
 def test_04_discrimination():
     bad2 = ExplicitSystem(2, ["p1", "p2"], ["p2^2", "0"])
     conn = canonical_connection(bad2)
-    w1, w2 = weak_residuals(bad2, conn, PhasePoint([0, 0], [1, 2]))
-    weak_max = max(float(np.max(np.abs(w1))), float(np.max(np.abs(w2))))
+    r = residual_at(bad2, conn, PhasePoint([0, 0], [1, 2]))
+    weak_max = max(float(np.max(np.abs(r.weak1))), float(np.max(np.abs(r.weak2))))
     report = normality_report(bad2, conn, PointSampler(2, 50, seed=42), 1e-7)
     run = simulate_shift(bad2, conn, CIRCLE, 1.0,
                          IntegratorConfig(t_end=1.0, step=1e-3), grid=[9])
@@ -298,8 +296,8 @@ def test_12_deviation_ode():
                    + 16 * phis[k + 1] - phis[k + 2]) / (12 * h * h)
             pd = (phis[k - 2] - 8 * phis[k - 1]
                   + 8 * phis[k + 1] - phis[k + 2]) / (12 * h)
-            wf = weak_fields(sysm, conn, tr.point(k))
-            gap = float(np.max(np.abs(pdd - (wf.A * pd + wf.B * phis[k]))))
+            A, B = PointCalculus(sysm, conn, tr.point(k)).ode_coefficients
+            gap = float(np.max(np.abs(pdd - (A * pd + B * phis[k]))))
             checks.append(gap)
             max_pdd = max(max_pdd, float(np.max(np.abs(pdd))))
     worst_gap = max(checks)

@@ -17,8 +17,11 @@ from nslab import (
     ZeroConnection,
     build_modified_hamiltonian,
     canonical_connection,
+    compatibility_residual,
     pfaff_rhs,
     random_gauge_tensor,
+    residual_at,
+    residual_from_calc,
     solve_nu,
 )
 from nslab.engine import PointCalculus
@@ -82,6 +85,10 @@ class TestBatchedFields:
         # fields that vanish for a compliant system are rounding left over from
         # cancelling terms, so the tolerance is relative to the largest field
         scale = max(1.0, max(float(np.max(np.abs(s))) for *_, ss in pairs for s in ss))
+        resid = residual_from_calc(batch)
+        single_resids = [residual_at(sysm, conn, q) for q in points]
+        for name in ("weak1", "weak2", "addA", "addB", "addC"):
+            pairs.append((name, getattr(resid, name), [getattr(r, name) for r in single_resids]))
         for name, got, scalar in pairs:
             assert got.shape == (2, 3) + np.shape(scalar[0]), name
             _assert_stacked(got, scalar, scale)
@@ -205,6 +212,21 @@ class TestBatchedPfaff:
         assert max(w[0] for w in widths) == 16
         # four stages per lockstep edge step: 2 + 2 sweep steps, 2 cell batches of 32
         assert len(widths) == 4 * (2 + 2) + 4 * 2 * 2
+
+    def test_compatibility_matches_stacked_points(self, sys_bad3, conn_bad3, widths):
+        rng = np.random.default_rng(9)
+        ys = np.stack([rng.uniform(0.3, 1.2, (2, 3)), rng.uniform(-0.6, 0.6, (2, 3))], -1)
+        nus = rng.uniform(0.5, 2.0, (2, 3))
+        batched = compatibility_residual(sys_bad3, conn_bad3, SPHERE, ys, nus)
+        assert widths == [(2, 3)]
+        assert batched.shape == (2, 3, 2, 2)
+        assert np.array_equal(batched, -np.swapaxes(batched, -2, -1))
+        _assert_stacked(batched, [compatibility_residual(sys_bad3, conn_bad3, SPHERE, y, nu)
+                                  for y, nu in zip(ys.reshape(-1, 2), nus.ravel())])
+        # a scalar speed broadcasts over the batch
+        common = compatibility_residual(sys_bad3, conn_bad3, SPHERE, ys[0], 1.5)
+        _assert_stacked(common, [compatibility_residual(sys_bad3, conn_bad3, SPHERE, y, 1.5)
+                                 for y in ys[0]])
 
 
 def _scalar_solve(sys, conn, surf, y0, nu0, grid, substeps):

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from nslab.cli import main
+from nslab.engine import PointCalculus
 
 
 @pytest.fixture()
@@ -108,11 +110,24 @@ class TestExitCodes:
         assert code == 2
         assert "no points" in out
 
-    def test_gauge_test(self, configs, capsys):
+    def test_gauge_test(self, configs, capsys, monkeypatch):
+        built = []
+        init = PointCalculus.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[2].x.shape[:-1])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PointCalculus, "__init__", counted)
         code, out = run(["gauge-test", "--system", configs["geo"],
                          "--count", "5", "--out-dir", configs["out"]], capsys)
         assert code == 0
         assert "RESULT gauge-test PASS" in out
+        # one calc over the 3 sample points for the base and one per gauge
+        assert built == [(3,)] * 6
+        lines = (Path(configs["out"]) / "gauge.csv").read_text().splitlines()
+        assert lines[0] == "gauge_index,alpha_change,residual_change"
+        assert [line.split(",")[0] for line in lines[1:]] == [str(k) for k in range(5) for _ in range(3)]
 
 
 class TestOutputContract:

@@ -13,8 +13,8 @@ from nslab import (
     integrate_family,
     phase_rhs,
     variational_rhs,
-    weak_fields,
 )
+from nslab.engine import PointCalculus
 from longform import long_form_fields
 
 
@@ -192,19 +192,18 @@ class TestIntegrate:
 
 class TestWeakFields:
     def test_identity_all_zero(self, sys_id2, zero2):
-        wf = weak_fields(sys_id2, zero2, q([0.7, -0.4], [1.4, 0.2]))
-        for part in (wf.U, wf.alpha, wf.beta, wf.eta):
+        calc = PointCalculus(sys_id2, zero2, q([0.7, -0.4], [1.4, 0.2]))
+        for part in (calc.U, calc.alpha, calc.beta, calc.eta):
             assert np.allclose(part, 0.0)
-        assert wf.A == 0.0 and wf.B == 0.0
+        A, B = calc.ode_coefficients
+        assert A == 0.0 and B == 0.0
 
     def test_coefficient_identities(self, sys_geox2, conn_geox2):
-        from nslab.engine import PointCalculus
-
         point = q([0.3, 0.2], [1.0, 0.4])
-        wf = weak_fields(sys_geox2, conn_geox2, point)
         calc = PointCalculus(sys_geox2, conn_geox2, point)
-        assert wf.A * calc.Omega == point.p @ wf.alpha
-        assert wf.B * calc.Omega == wf.eta @ calc.W
+        A, B = calc.ode_coefficients
+        assert A * calc.Omega == point.p @ calc.alpha
+        assert B * calc.Omega == calc.eta @ calc.W
 
     @pytest.mark.parametrize("which", ["geox", "bad"])
     def test_long_form_oracle(self, which, sys_geox2, conn_geox2, sys_bad2,
@@ -214,12 +213,12 @@ class TestWeakFields:
         rng = np.random.default_rng(17)
         for _ in range(8):
             point = q(rng.uniform(-1, 1, 2), rng.uniform(0.3, 2, 2))
-            wf = weak_fields(sysm, conn, point)
+            calc = PointCalculus(sysm, conn, point)
             alpha, beta, eta = long_form_fields(sysm, conn, point)
             scale = 1 + np.max(np.abs(alpha)) + np.max(np.abs(beta))
-            assert np.max(np.abs(wf.alpha - alpha)) < 1e-9 * scale
-            assert np.max(np.abs(wf.beta - beta)) < 1e-9 * scale
-            assert np.max(np.abs(wf.eta - eta)) < 1e-9 * scale
+            assert np.max(np.abs(calc.alpha - alpha)) < 1e-9 * scale
+            assert np.max(np.abs(calc.beta - beta)) < 1e-9 * scale
+            assert np.max(np.abs(calc.eta - eta)) < 1e-9 * scale
 
 
 class TestDeviationOde:
@@ -247,8 +246,8 @@ class TestDeviationOde:
                    + 16 * phis[k + 1] - phis[k + 2]) / (12 * h * h)
             pd = (phis[k - 2] - 8 * phis[k - 1]
                   + 8 * phis[k + 1] - phis[k + 2]) / (12 * h)
-            wf = weak_fields(sysm, conn, tr.point(k))
-            rows.append((pdd, wf.A * pd + wf.B * phis[k]))
+            A, B = PointCalculus(sysm, conn, tr.point(k)).ode_coefficients
+            rows.append((pdd, A * pd + B * phis[k]))
             max_pdd = max(max_pdd, np.max(np.abs(pdd)))
         tol = max(1e-4, 1e-3 * max_pdd)
         for pdd, pred in rows:
@@ -256,7 +255,6 @@ class TestDeviationOde:
 
     def test_phidot_matches_field_form(self, sys_geox2, conn_geox2):
         # d phi/dt = sum_k U_k tau^k + sum_k W^k xi_k
-        from nslab.engine import PointCalculus
 
         tr = self._run(sys_geox2, conn_geox2, 55)
         phis = tr.phis

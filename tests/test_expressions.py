@@ -65,6 +65,18 @@ class TestParser:
         with pytest.raises(ExpressionSyntaxError):
             parse_expression("atan2(p1)", 2)
 
+    def test_parentheses_belong_to_the_span(self):
+        # a node's span covers its own parentheses, so every snippet is balanced
+        e = parse("(x1 - 2)^0.5", ("x1",))
+        with pytest.raises(EvaluationDomainError) as err:
+            evaluate(e, [1.0])
+        assert err.value.snippet == "(x1 - 2)^0.5"
+        assert err.value.offset == 0
+        e = parse("2*(x1 - 2)", ("x1",))
+        assert e.snippet(e.root) == "2*(x1 - 2)"
+        assert e.root.right.span == (2, 10)
+        assert e.snippet(e.root.right) == "(x1 - 2)"
+
     def test_whitespace_and_floats(self):
         e = parse_expression(" 1.5e-2 * x1  ", 2)
         assert evaluate(e, [2.0, 0, 0, 0]) == pytest.approx(0.03)
@@ -308,6 +320,7 @@ class TestCompiledProgram:
     @pytest.mark.parametrize("text, values, snippet, offset", [
         ("log(x1 - 1.5)", [1.5, 0.0], "log(x1 - 1.5)", 0),
         ("x1 + log(0)", [1.0, 0.0], "log(0)", 5),
+        ("(x1 - 2)^0.5", [1.0, 0.0], "(x1 - 2)^0.5", 0),
     ])
     def test_domain_error_names_the_subexpression(self, text, values, snippet, offset):
         e = parse(text, ("x1", "x2"))

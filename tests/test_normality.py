@@ -5,14 +5,12 @@ from nslab import (
     DegenerateOmega,
     PhasePoint,
     PointSampler,
-    abc_tensors,
-    additional_residuals,
     gauge_transform,
     normality_report,
     random_gauge_tensor,
     residual_at,
-    weak_residuals,
 )
+from nslab.engine import PointCalculus
 
 # frozen regression baselines, computed once with this implementation and
 # stored to six significant digits (the source theory provides no
@@ -30,26 +28,21 @@ def q(x, p):
 
 class TestAbcTensors:
     def test_identity_values(self, sys_id2, zero2):
-        t = abc_tensors(sys_id2, zero2, q([0.3, 0.4], [1.5, -0.7]))
-        assert np.allclose(t.A, np.eye(2))
-        assert np.allclose(t.B, 0) and np.allclose(t.C, 0)
-        assert t.lam == 0.0
+        calc = PointCalculus(sys_id2, zero2, q([0.3, 0.4], [1.5, -0.7]))
+        assert np.allclose(calc.A_tensor, np.eye(2))
+        assert np.allclose(calc.B_tensor, 0) and np.allclose(calc.C_tensor, 0)
+        assert calc.lam == 0.0
 
     def test_lambda_trace_identity(self, sys_bad3, conn_bad3):
-        from nslab.engine import PointCalculus
-
         point = q([0.1, -0.2, 0.3], [1.0, 2.0, 0.5])
-        t = abc_tensors(sys_bad3, conn_bad3, point)
         calc = PointCalculus(sys_bad3, conn_bad3, point)
-        assert t.lam * 2 == np.einsum("rs,sr->", t.B, calc.P)
+        assert calc.lam * 2 == np.einsum("rs,sr->", calc.B_tensor, calc.P)
 
     def test_geodesic_projected_antisymmetry(self, sys_geo2, conn_geo2):
-        from nslab.engine import PointCalculus
-
         point = q([0, 0], [1, 0])
-        t = abc_tensors(sys_geo2, conn_geo2, point)
         calc = PointCalculus(sys_geo2, conn_geo2, point)
-        proj = np.einsum("ir,rs,js->ij", calc.P, t.A - t.A.T, calc.P)
+        A = calc.A_tensor
+        proj = np.einsum("ir,rs,js->ij", calc.P, A - A.T, calc.P)
         assert np.max(np.abs(proj)) < 1e-8
 
     def test_a_matches_finite_difference(self, sys_geo2, conn_geo2):
@@ -57,72 +50,70 @@ class TestAbcTensors:
         h = 1e-6
         for _ in range(20):
             point = q(rng.uniform(-1, 1, 2), rng.uniform(0.3, 3, 2))
-            t = abc_tensors(sys_geo2, conn_geo2, point)
+            A = PointCalculus(sys_geo2, conn_geo2, point).A_tensor
             for r in range(2):
                 dp = np.zeros(2)
                 dp[r] = h
-                from nslab.engine import PointCalculus
-
                 wp = PointCalculus(sys_geo2, conn_geo2, q(point.x, point.p + dp),
                                    depth=0).W
                 wm = PointCalculus(sys_geo2, conn_geo2, q(point.x, point.p - dp),
                                    depth=0).W
-                assert np.max(np.abs((wp - wm) / (2 * h) - t.A[r])) < 1e-5
+                assert np.max(np.abs((wp - wm) / (2 * h) - A[r])) < 1e-5
 
 
 class TestWeakResiduals:
     def test_identity_exactly_zero(self, sys_id2, zero2):
-        w1, w2 = weak_residuals(sys_id2, zero2, q([0.5, -0.5], [2.0, 1.0]))
-        assert np.max(np.abs(w1)) == 0.0
-        assert np.max(np.abs(w2)) == 0.0
+        r = residual_at(sys_id2, zero2, q([0.5, -0.5], [2.0, 1.0]))
+        assert np.max(np.abs(r.weak1)) == 0.0
+        assert np.max(np.abs(r.weak2)) == 0.0
 
     def test_geodesic_family(self, sys_geo2, conn_geo2):
         for point in PointSampler(2, 100, seed=42).points():
-            w1, w2 = weak_residuals(sys_geo2, conn_geo2, point)
-            assert max(np.max(np.abs(w1)), np.max(np.abs(w2))) <= 1e-8
+            r = residual_at(sys_geo2, conn_geo2, point)
+            assert max(np.max(np.abs(r.weak1)), np.max(np.abs(r.weak2))) <= 1e-8
 
     def test_bad_system_baseline(self, sys_bad2, conn_bad2):
-        w1, w2 = weak_residuals(sys_bad2, conn_bad2, q([0, 0], [1, 2]))
-        value = max(np.max(np.abs(w1)), np.max(np.abs(w2)))
+        r = residual_at(sys_bad2, conn_bad2, q([0, 0], [1, 2]))
+        value = max(np.max(np.abs(r.weak1)), np.max(np.abs(r.weak2)))
         assert value > 1e-3
         assert value == pytest.approx(BAD2_WEAK_MAX, rel=1e-5)
-        assert np.max(np.abs(w1)) == pytest.approx(BAD2_WEAK1_MAX, rel=1e-5)
+        assert np.max(np.abs(r.weak1)) == pytest.approx(BAD2_WEAK1_MAX, rel=1e-5)
 
     def test_degenerate_omega_raises(self, sys_bad2, conn_bad2):
         # Omega = |p|^2 vanishes only at p = 0, which PhasePoint allows
         with pytest.raises(DegenerateOmega):
-            weak_residuals(sys_bad2, conn_bad2, q([0, 0], [0, 0]))
+            residual_at(sys_bad2, conn_bad2, q([0, 0], [0, 0]))
 
 
 class TestAdditionalResiduals:
     def test_identity_n3_zero(self, sys_id3, zero3):
-        aA, aB, aC = additional_residuals(sys_id3, zero3, q([0, 0, 0], [1, 2, 3]))
-        assert np.allclose(aA, 0) and np.allclose(aB, 0) and np.allclose(aC, 0)
+        r = residual_at(sys_id3, zero3, q([0, 0, 0], [1, 2, 3]))
+        assert np.allclose(r.addA, 0) and np.allclose(r.addB, 0) and np.allclose(r.addC, 0)
 
     def test_vacuous_for_n2(self, sys_geo2, conn_geo2):
-        aA, aB, aC = additional_residuals(sys_geo2, conn_geo2, q([0, 0], [1, 0]))
-        assert aA.shape == aB.shape == aC.shape == (0, 0)
+        r = residual_at(sys_geo2, conn_geo2, q([0, 0], [1, 0]))
+        assert r.addA.shape == r.addB.shape == r.addC.shape == (0, 0)
 
     def test_geodesic_n3_family(self, sys_geo3, conn_geo3):
         for point in PointSampler(3, 100, seed=42).points():
-            aA, aB, aC = additional_residuals(sys_geo3, conn_geo3, point)
-            worst = max(np.max(np.abs(aA)), np.max(np.abs(aB)), np.max(np.abs(aC)))
+            r = residual_at(sys_geo3, conn_geo3, point)
+            worst = max(np.max(np.abs(r.addA)), np.max(np.abs(r.addB)), np.max(np.abs(r.addC)))
             assert worst <= 1e-8
 
     def test_bad_system_baseline(self, sys_bad3, conn_bad3):
-        aA, aB, aC = additional_residuals(sys_bad3, conn_bad3, q(*BAD3_POINT))
-        worst = max(np.max(np.abs(aA)), np.max(np.abs(aB)), np.max(np.abs(aC)))
+        r = residual_at(sys_bad3, conn_bad3, q(*BAD3_POINT))
+        worst = max(np.max(np.abs(r.addA)), np.max(np.abs(r.addB)), np.max(np.abs(r.addC)))
         assert worst > 1e-4
-        assert np.max(np.abs(aB)) == pytest.approx(BAD3_ADD_B, rel=1e-4)
-        assert np.max(np.abs(aC)) == pytest.approx(BAD3_ADD_C, rel=1e-4)
+        assert np.max(np.abs(r.addB)) == pytest.approx(BAD3_ADD_B, rel=1e-4)
+        assert np.max(np.abs(r.addC)) == pytest.approx(BAD3_ADD_C, rel=1e-4)
 
     def test_addb_trace_vanishes(self, sys_bad3, conn_bad3, sys_geox3, conn_geox3):
         rng = np.random.default_rng(40)
         for sysm, conn in [(sys_bad3, conn_bad3), (sys_geox3, conn_geox3)]:
             for _ in range(6):
                 point = q(rng.uniform(-1, 1, 3), rng.uniform(0.3, 3, 3))
-                _, aB, _ = additional_residuals(sysm, conn, point)
-                assert abs(np.trace(aB)) < 1e-10
+                r = residual_at(sysm, conn, point)
+                assert abs(np.trace(r.addB)) < 1e-10
 
 
 class TestReport:
