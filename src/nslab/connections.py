@@ -15,7 +15,7 @@ from . import taylor
 from .engine import PointCalculus, curvature_tensors, phase_jet1
 from .errors import AsymmetricGauge, ConfigError
 from .expressions import Expression, evaluate_series, parse, phase_variables
-from .systems import DEFAULT_TOL, seed_phase
+from .systems import DEFAULT_TOL, phase_env, seed_phase
 
 __all__ = [
     "ConnectionField",
@@ -47,11 +47,6 @@ class _PhaseSeeds:
         self.xs, self.ps = seed_phase(self.ctx, q.x, q.p)
 
 
-def _zero(calc):
-    """The zero series with the batch shape of the point `calc` was built for."""
-    return calc.ctx.constant(np.zeros(calc.xs[0].coef.shape[:-1]))
-
-
 class ConnectionField:
     source = "abstract"
 
@@ -63,7 +58,7 @@ class ConnectionField:
         return 0
 
     def gamma_series(self, calc):
-        """gamma[k][i][j] as series at the point `calc` was built for.
+        """gamma[..., k, i, j] as one series at the point `calc` was built for.
 
         `calc` is a PointCalculus, or for a connection without a system the
         phase variables seeded at the point (see `_series_point`).
@@ -83,16 +78,17 @@ class ZeroConnection(ConnectionField):
     source = "zero"
 
     def gamma_series(self, calc):
-        n = self.n
-        zero = _zero(calc)
-        return [[[zero] * n for _ in range(n)] for _ in range(n)]
+        return calc.ctx.constant(np.zeros(calc.xs.shape[:-1] + (self.n,) * 3))
 
 
 class _ExpressionTable:
-    """Symmetric (k, i, j) table of expressions with triangle completion."""
+    """Symmetric (k, i, j) table of expressions with triangle completion.
+
+    `exprs` holds the distinct entries and `slots[k, i, j]` the position of
+    entry (k, i, j) among them, offset by one: slot 0 is an omitted entry.
+    """
 
     def __init__(self, n, entries, label):
-        self.n = n
         pv = phase_variables(n)
         table = {}
         for key, text in entries.items():
@@ -112,16 +108,16 @@ class _ExpressionTable:
                 )
             table[(k, i, j)] = expr
             table[(k, j, i)] = expr
-        self.table = table
+        self.exprs = list(dict.fromkeys(table.values()))
+        self.slots = np.zeros((n, n, n), dtype=np.int64)
+        for key, expr in table.items():
+            self.slots[key] = 1 + self.exprs.index(expr)
 
     def series(self, calc):
-        n = self.n
-        env = calc.xs + calc.ps
-        zero = _zero(calc)
-        out = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        for (k, i, j), expr in self.table.items():
-            out[k][i][j] = evaluate_series(expr, env)
-        return out
+        env = phase_env(calc.xs, calc.ps)
+        zero = calc.ctx.constant(np.zeros(calc.xs.shape[:-1]))
+        entries = taylor.stack([zero] + [evaluate_series(e, env) for e in self.exprs])
+        return entries[..., self.slots]
 
 
 class ExplicitConnection(ConnectionField):
@@ -165,55 +161,22 @@ class CanonicalConnection(ConnectionField):
             raise ValueError("canonical connection evaluated against a foreign system")
         n = self.n
         calc.g_up  # raises SingularMetric early if dV/dp degenerates
-        g_down = taylor.series_matrix_inverse(calc.Vp_s)
-        phi = calc.phi_s
-        dphi = [[phi[k].partial_series(n + r) for r in range(n)] for k in range(n)]
-        d2phi = [[[None] * n for _ in range(n)] for _ in range(n)]
-        vpp = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for r in range(n):
-            for s in range(r, n):
-                for k in range(n):
-                    d2 = dphi[k][r].partial_series(n + s)
-                    d2phi[k][r][s] = d2
-                    d2phi[k][s][r] = d2
-                    v2 = calc.Vp_s[k][r].partial_series(n + s)
-                    vpp[k][r][s] = v2
-                    vpp[k][s][r] = v2
-        # psi[k][a]: first velocity-derivative of the acceleration field
-        psi = [[None] * n for _ in range(n)]
-        for k in range(n):
-            for a in range(n):
-                acc = g_down[0][a] * dphi[k][0]
-                for m in range(1, n):
-                    acc = acc + g_down[m][a] * dphi[k][m]
-                psi[k][a] = acc
-        inner = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for k in range(n):
-            for r in range(n):
-                for s in range(r, n):
-                    acc = d2phi[k][r][s]
-                    for a in range(n):
-                        acc = acc - vpp[a][r][s] * psi[k][a]
-                    inner[k][r][s] = acc
-                    inner[k][s][r] = acc
-        gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for k in range(n):
-            tmp = [[None] * n for _ in range(n)]
-            for r in range(n):
-                for j in range(n):
-                    acc = inner[k][r][0] * g_down[0][j]
-                    for s in range(1, n):
-                        acc = acc + inner[k][r][s] * g_down[s][j]
-                    tmp[r][j] = acc
-            for i in range(n):
-                for j in range(i, n):
-                    acc = g_down[0][i] * tmp[0][j]
-                    for r in range(1, n):
-                        acc = acc + g_down[r][i] * tmp[r][j]
-                    acc = acc * (-0.5)
-                    gamma[k][i][j] = acc
-                    gamma[k][j][i] = acc
-        return gamma
+        g_down = taylor.series_matrix_inverse(calc.Vp_s)         # [m, a]
+        dphi = calc.phi_s.partials(n, 2 * n)                     # [k, r] = dphi^k/dp_r
+        # psi[k, a]: first velocity-derivative of the acceleration field
+        psi = (g_down[..., None, :, :] * dphi[..., :, :, None]).sum(-2)
+        # second p-derivatives and gamma are symmetric in their last two
+        # indices; [r, s] reads [min(r, s), max(r, s)], so they are exactly so
+        r = np.arange(n)
+        lo, hi = np.minimum.outer(r, r), np.maximum.outer(r, r)
+        vpp = calc.Vp_s.partials(n, 2 * n)[..., lo, hi]          # [a, r, s]
+        d2phi = dphi.partials(n, 2 * n)[..., lo, hi]             # [k, r, s]
+        # inner[k, r, s]: second velocity-derivative of the acceleration field
+        inner = d2phi - (vpp[..., None, :, :, :] * psi[..., :, :, None, None]).sum(-3)
+        # gamma[k, i, j] = -1/2 sum_{r,s} g_down[r, i] inner[k, r, s] g_down[s, j]
+        tmp = (inner[..., :, :, :, None] * g_down[..., None, None, :, :]).sum(-2)
+        gamma = (g_down[..., None, :, :, None] * tmp[..., :, :, None, :]).sum(-3)
+        return gamma[..., lo, hi] * (-0.5)
 
     def _series_point(self, q, depth):
         return PointCalculus(self.sys, self, q, depth=depth, tol=self.tol)
@@ -245,11 +208,7 @@ class GaugedConnection(ConnectionField):
         return self.base.v_trust_needed(depth)
 
     def gamma_series(self, calc):
-        n = self.n
-        base = self.base.gamma_series(calc)
-        tser = self.T.series(calc)
-        return [[[base[k][i][j] + tser[k][i][j] for j in range(n)]
-                 for i in range(n)] for k in range(n)]
+        return self.base.gamma_series(calc) + self.T.series(calc)
 
     def _series_point(self, q, depth):
         return self.base._series_point(q, depth)
@@ -303,11 +262,9 @@ class TensorField:
     def jet(self, q):
         """(values, d/dx^m, d/dp_m) at q with leading m axes on the partials."""
         seeds = _PhaseSeeds(q, 1)
-        env = seeds.xs + seeds.ps
-        series = np.empty(self.components.shape, dtype=object)
-        for idx in np.ndindex(series.shape):
-            series[idx] = evaluate_series(self.components[idx], env)
-        return phase_jet1(series.tolist())
+        env = phase_env(seeds.xs, seeds.ps)
+        flat = taylor.stack([evaluate_series(e, env) for e in self.components.flat])
+        return phase_jet1(flat[..., np.arange(flat.shape[-1]).reshape(self.components.shape)])
 
 
 def covariant_derivative(conn, field, q):

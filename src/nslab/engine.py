@@ -5,7 +5,8 @@ Omega, projector, acceleration field phi, force covector, U, curvatures,
 the deviation-equation fields alpha/beta/eta and the compatibility
 tensors A/B/C) is computed here from a single truncated-Taylor pipeline,
 so all derivatives are exact to machine precision and no quantity is ever
-finite-differenced internally.  Series become numbers only through
+finite-differenced internally.  Each `*_s` field is one tensor series
+(see `taylor`), and series become numbers only through
 `taylor.read_values` and `taylor.read_jet1`.
 
 Index conventions used throughout (all arrays are plain numpy at the
@@ -44,13 +45,13 @@ def point_chunks(count):
     return [slice(i, i + _MAX_POINTS) for i in range(0, count, _MAX_POINTS)]
 
 
-def phase_jet1(tree, batch=0):
-    """Values, x-partials and p-partials of nested phase-space series.
+def phase_jet1(series, batch=0):
+    """Values, x-partials and p-partials of a phase-space tensor series.
 
     The derivative index follows the `batch` leading batch axes:
     ddx[..., m, :] = d/dx^m and ddp[..., m, :] = d/dp_m of the values.
     """
-    vals, grad = taylor.read_jet1(tree)
+    vals, grad = taylor.read_jet1(series)
     n = len(grad) // 2
     return vals, np.moveaxis(grad[:n], 0, batch), np.moveaxis(grad[n:], 0, batch)
 
@@ -109,10 +110,14 @@ class PointCalculus:
         return taylor.read_values(self.T_s)
 
     @cached_property
+    def dV_s(self):
+        """dV_s[i, v] = dV^i/dz^v over the phase variables z = (x, p)."""
+        return self.V_s.partials(0, 2 * self.n)
+
+    @cached_property
     def Vp_s(self):
         """Series matrix dV^i/dp_r; the metric pair comes from its values."""
-        return [[self.V_s[i].partial_series(self.n + r) for r in range(self.n)]
-                for i in range(self.n)]
+        return self.dV_s[..., self.n:]
 
     @cached_property
     def phi_s(self):
@@ -122,22 +127,15 @@ class PointCalculus:
         derivative of the velocity field along the flow.
         """
         n = self.n
-        out = []
-        for k in range(n):
-            acc = self.V_s[k].partial_series(0) * self.V_s[0]
-            acc = acc + self.Vp_s[k][0] * self.T_s[0]
-            for m in range(1, n):
-                acc = acc + self.V_s[k].partial_series(m) * self.V_s[m]
-                acc = acc + self.Vp_s[k][m] * self.T_s[m]
-            out.append(acc)
-        return out
+        return (self.dV_s[..., :n] * self.V_s[..., None, :]
+                + self.Vp_s * self.T_s[..., None, :]).sum(-1)
 
     @cached_property
     def phi(self):
         return taylor.read_values(self.phi_s)
 
-    def _jet1(self, tree):
-        return phase_jet1(tree, self.batch_ndim)
+    def _jet1(self, series):
+        return phase_jet1(series, self.batch_ndim)
 
     def _check(self, bad, error, label, value):
         """Raise `error` naming the first point of the batch where `bad` holds."""
@@ -166,13 +164,8 @@ class PointCalculus:
 
     @cached_property
     def W_s(self):
-        out = []
-        for s in range(self.n):
-            acc = self.Vp_s[0][s] * self.ps[0]
-            for r in range(1, self.n):
-                acc = acc + self.Vp_s[r][s] * self.ps[r]
-            out.append(acc)
-        return out
+        """W^s = sum_r dV^r/dp_s p_r."""
+        return (self.Vp_s * self.ps[..., :, None]).sum(-2)
 
     @cached_property
     def W(self):
@@ -226,28 +219,13 @@ class PointCalculus:
 
     @cached_property
     def glow_s(self):
-        n = self.n
-        out = [[None] * n for _ in range(n)]
-        for m in range(n):
-            for b in range(n):
-                acc = self.ps[0] * self.gamma_s[0][m][b]
-                for c in range(1, n):
-                    acc = acc + self.ps[c] * self.gamma_s[c][m][b]
-                out[m][b] = acc
-        return out
+        """glow_s[m, b] = sum_c p_c gamma[c, m, b]."""
+        return (self.ps[..., :, None, None] * self.gamma_s).sum(-3)
 
     @cached_property
     def Q_s(self):
-        """Force covector: Theta minus the connection's contribution."""
-        n = self.n
-        out = []
-        for i in range(n):
-            acc = self.T_s[i]
-            for j in range(n):
-                for k in range(n):
-                    acc = acc - self.gamma_s[k][i][j] * (self.ps[k] * self.V_s[j])
-            out.append(acc)
-        return out
+        """Force covector Q_i = Theta_i - sum_j glow[i, j] V^j."""
+        return self.T_s - (self.glow_s * self.V_s[..., None, :]).sum(-1)
 
     @cached_property
     def Q(self):
@@ -257,18 +235,11 @@ class PointCalculus:
     def U_s(self):
         """U_s = sum_r (nabla_s V^r) p_r + Q_s, kept as series for one more level."""
         n = self.n
-        out = []
-        for s in range(n):
-            acc = self.Q_s[s]
-            for r in range(n):
-                cov = self.V_s[r].partial_series(s)
-                for b in range(n):
-                    cov = cov + self.glow_s[s][b] * self.Vp_s[r][b]
-                for a in range(n):
-                    cov = cov + self.gamma_s[r][s][a] * self.V_s[a]
-                acc = acc + cov * self.ps[r]
-            out.append(acc)
-        return out
+        # cov[r, s] = nabla_s V^r
+        cov = (self.dV_s[..., :n]
+               + (self.glow_s[..., None, :, :] * self.Vp_s[..., :, None, :]).sum(-1)
+               + (self.gamma_s * self.V_s[..., None, None, :]).sum(-1))
+        return self.Q_s + (cov * self.ps[..., :, None]).sum(-2)
 
     @cached_property
     def U(self):

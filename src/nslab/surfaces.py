@@ -14,6 +14,7 @@ test suite holds the code to that.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -25,6 +26,15 @@ from .engine import PointCalculus, point_chunks
 from .errors import ConfigError, NuVanished, RankDeficientTangents
 from .expressions import Expression, evaluate_series, parse
 from .systems import DEFAULT_TOL, PhasePoint
+
+
+def _levi_civita(n):
+    """The permutation symbol eps[c_0, ..., c_{n-1}] as an array."""
+    eps = np.zeros((n,) * n)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        eps[perm] = -1.0 if inversions % 2 else 1.0
+    return eps
 
 
 class Hypersurface:
@@ -46,19 +56,6 @@ class Hypersurface:
 
     # ------------------------------------------------------------------
 
-    def _series_det(self, rows):
-        k = len(rows)
-        if k == 1:
-            return rows[0][0]
-        out = None
-        for c in range(k):
-            minor = [[row[cc] for cc in range(k) if cc != c] for row in rows[1:]]
-            term = rows[0][c] * self._series_det(minor)
-            if c % 2:
-                term = -term
-            out = term if out is None else out + term
-        return out
-
     def geometry(self, y):
         """Embedded point, tangents, gauged normal and its y-derivatives.
 
@@ -68,21 +65,20 @@ class Hypersurface:
         leading batch axes.
         """
         y = np.asarray(y, dtype=float)
-        n, m = self.n, self.m
+        m = self.m
         ctx = taylor.context(m, 2)
-        ys = [ctx.variable(i, y[..., i]) for i in range(m)]
-        xser = [evaluate_series(e, ys) for e in self.embedding]
+        env = [ctx.variable(i, y[..., i]) for i in range(m)]
+        xser = taylor.stack([evaluate_series(e, env) for e in self.embedding])
         x = taylor.read_values(xser)
-        tau_s = [[xser[s].partial_series(i) for s in range(n)] for i in range(m)]
-        taus = taylor.read_values(tau_s)
-        # annihilator of the tangent span via signed minors
-        raw = []
-        for s in range(n):
-            rows = [[tau_s[i][c] for c in range(n) if c != s] for i in range(m)]
-            term = self._series_det(rows) if m else ctx.constant(1.0)
-            if s % 2:
-                term = -term
-            raw.append(term)
+        tau_s = xser.partials(0, m)                      # [s, i] = dx^s/dy^i
+        taus = np.ascontiguousarray(np.swapaxes(taylor.read_values(tau_s), -1, -2))
+        # annihilator of the tangent span,
+        #     raw_s = sum eps[s, c_0, ..., c_{m-1}] tau_0^c_0 ... tau_{m-1}^c_{m-1},
+        # contracted from the last tangent to the first: raw's last axis is
+        # c_i, so tau_i gets i + 1 unit axes between the batch and c
+        raw = _levi_civita(self.n)
+        for i in reversed(range(m)):
+            raw = (tau_s[(...,) + (None,) * (i + 1) + (slice(None), i)] * raw).sum(-1)
         raw_pt = taylor.read_values(raw)
         norm = np.linalg.norm(raw_pt, axis=-1)
         # |raw| is the volume spanned by the tangents, at most the product of
@@ -91,16 +87,12 @@ class Hypersurface:
         if np.any(bad):
             i = np.unravel_index(np.argmax(bad), bad.shape)
             raise RankDeficientTangents(f"tangent vectors are dependent at y={y[i].tolist()}")
-        nsq = raw[0] * raw[0]
-        for s in range(1, n):
-            nsq = nsq + raw[s] * raw[s]
-        length = nsq.sqrt()
+        length = (raw * raw).sum(-1).sqrt()
         # the first component that is not negligible is made positive
         first = np.argmax(np.abs(raw_pt) > 1e-12 * norm[..., None], axis=-1)
         lead = np.take_along_axis(raw_pt, first[..., None], axis=-1)[..., 0]
         sign = self.normal_scale * np.where(lead > 0, 1.0, -1.0)
-        nser = [r * sign / length for r in raw]
-        normal, dn_dy = taylor.read_jet1(nser)
+        normal, dn_dy = taylor.read_jet1(raw * sign[..., None] / length[..., None])
         return x, taus, normal, np.moveaxis(dn_dy, 0, -2)
 
     def grid_axes(self, counts):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import taylor
-from .errors import ConfigError, DegenerateOmega, SingularMetric, ZeroWv
+from .errors import ConfigError, DegenerateOmega, NslabError, SingularMetric, ZeroWv
 from .expressions import (
     Expression,
     derivative,
@@ -34,10 +34,11 @@ from .expressions import (
 class Tolerances:
     """Cutoffs shared by the geometric layer; override per call if needed.
 
-    `singular` and `omega` are ratios, free of the scale of V and p: the
-    metric is singular when |det g| <= singular * ||g||_F^n, the velocity
-    vanishes when |V| <= singular * ||g||_F * |p|, and Omega = <p|W> is
-    degenerate when |Omega| <= omega * |p| * |W|.
+    `singular`, `omega` and `w_v` are ratios, free of the scale of V, p
+    and W: the metric is singular when |det g| <= singular * ||g||_F^n, the
+    velocity vanishes when |V| <= singular * ||g||_F * |p|, Omega = <p|W>
+    is degenerate when |Omega| <= omega * |p| * |W|, and dW/dv of a
+    two-function force family vanishes when |W_v| <= w_v * |(d_x W, W_v)|.
     """
 
     singular: float = 1e-12
@@ -97,13 +98,20 @@ def _as_expression(obj, variables):
 def seed_phase(ctx, x, p):
     """Phase variables (xs, ps) at x and p: variable i is x^i, variable n + i is p_i.
 
-    x and p may carry leading batch axes; the last axis is the component.
+    x and p may carry leading batch axes; the last axis is the component,
+    and xs and ps are each one series of shape (..., n).
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     n = x.shape[-1]
-    return ([ctx.variable(i, x[..., i]) for i in range(n)],
-            [ctx.variable(n + i, p[..., i]) for i in range(n)])
+    return (taylor.stack([ctx.variable(i, x[..., i]) for i in range(n)]),
+            taylor.stack([ctx.variable(n + i, p[..., i]) for i in range(n)]))
+
+
+def phase_env(xs, ps):
+    """The phase variables one by one, in the order `evaluate_series` reads them."""
+    n = xs.shape[-1]
+    return [xs[..., i] for i in range(n)] + [ps[..., i] for i in range(n)]
 
 
 class SystemDefinition:
@@ -142,11 +150,12 @@ class SystemDefinition:
         n = self.n
         ctx = taylor.context(2 * n, self.ctx_order(1))
         V, T = self.v_theta_series(ctx, *seed_phase(ctx, X, P))
-        vals, grad = taylor.read_jet1(V + T)
-        return vals[..., :n], vals[..., n:], np.ascontiguousarray(np.moveaxis(grad, 0, -1))
+        vals, grad = taylor.read_jet1(taylor.stack([V, T], axis=-2))
+        J = np.moveaxis(grad, 0, -1).reshape(vals.shape[:-2] + (2 * n, 2 * n))
+        return vals[..., 0, :], vals[..., 1, :], np.ascontiguousarray(J)
 
     def series_at(self, q, v_trust):
-        """V and Theta series at a point with V exact to order `v_trust`."""
+        """V and Theta series (each (..., n)) at a point with V exact to order `v_trust`."""
         ctx = taylor.context(2 * self.n, self.ctx_order(v_trust))
         xs, ps = seed_phase(ctx, q.x, q.p)
         V, T = self.v_theta_series(ctx, xs, ps)
@@ -155,7 +164,7 @@ class SystemDefinition:
     def component_jet(self, which, i, q, order):
         """Jet of V^i or Theta_i at q; the test suites build oracles from these."""
         ctx, _, _, V, T = self.series_at(q, order if which == "V" else order + 1)
-        series = V[i] if which == "V" else T[i]
+        series = V[..., i] if which == "V" else T[..., i]
         return jet_from_series(series, phase_variables(self.n))
 
 
@@ -173,9 +182,9 @@ class ExplicitSystem(SystemDefinition):
         self.theta_exprs = [_as_expression(e, pv) for e in theta_exprs]
 
     def v_theta_series(self, ctx, xs, ps):
-        env = xs + ps
-        return ([evaluate_series(e, env) for e in self.v_exprs],
-                [evaluate_series(e, env) for e in self.theta_exprs])
+        env = phase_env(xs, ps)
+        return (taylor.stack([evaluate_series(e, env) for e in self.v_exprs]),
+                taylor.stack([evaluate_series(e, env) for e in self.theta_exprs]))
 
 
 class ModifiedHamiltonianSystem(SystemDefinition):
@@ -198,12 +207,9 @@ class ModifiedHamiltonianSystem(SystemDefinition):
 
     def v_theta_series(self, ctx, xs, ps):
         n = self.n
-        h = evaluate_series(self.H, xs + ps)
-        hx = [h.partial_series(i) for i in range(n)]
-        hp = [h.partial_series(n + i) for i in range(n)]
-        denom = ps[0] * hp[0]
-        for i in range(1, n):
-            denom = denom + ps[i] * hp[i]
+        grad = evaluate_series(self.H, phase_env(xs, ps)).partials(0, 2 * n)
+        hx, hp = grad[..., :n], grad[..., n:]
+        denom = (ps * hp).sum(-1)
         # relative to |p| |dH/dp|, so the cutoff ignores the scale of H
         bound = (DEFAULT_TOL.omega * np.linalg.norm(taylor.read_values(ps), axis=-1)
                  * np.linalg.norm(taylor.read_values(hp), axis=-1))
@@ -211,10 +217,8 @@ class ModifiedHamiltonianSystem(SystemDefinition):
             raise DegenerateOmega(
                 "sum_s p_s dH/dp_s vanished; the rescaled Hamiltonian flow is undefined"
             )
-        inv = denom._reciprocal()
-        V = [hp[i] * inv for i in range(n)]
-        T = [-(hx[i] * inv) for i in range(n)]
-        return V, T
+        inv = denom._reciprocal()[..., None]
+        return hp * inv, -(hx * inv)
 
 
 class EuclideanNewtonianSystem(SystemDefinition):
@@ -242,26 +246,20 @@ class EuclideanNewtonianSystem(SystemDefinition):
 
     def v_theta_series(self, ctx, xs, ps):
         n = self.n
-        vsq = ps[0] * ps[0]
-        for i in range(1, n):
-            vsq = vsq + ps[i] * ps[i]
+        vsq = (ps * ps).sum(-1)
         v = vsq.sqrt()
-        env = xs + [v]
+        env = [xs[..., i] for i in range(n)] + [v]
         wv = evaluate_series(self.W_v, env)
-        if np.any(np.abs(wv.value()) < DEFAULT_TOL.w_v):
+        grad = taylor.stack([evaluate_series(e, env) for e in self.W_x])
+        # relative to |(d_x W, W_v)|, so the cutoff ignores the scale of W
+        scale = np.hypot(np.linalg.norm(taylor.read_values(grad), axis=-1), wv.value())
+        if np.any(np.abs(wv.value()) <= DEFAULT_TOL.w_v * scale):
             raise ZeroWv("dW/dv vanished at an evaluation point")
         hw = evaluate_series(self.h, [evaluate_series(self.W, env)])
-        grad = [evaluate_series(e, env) for e in self.W_x]
-        T = []
-        for i in range(n):
-            f = hw / wv * ps[i] / v
-            for k in range(n):
-                quad = 2.0 * ps[k] * ps[i]
-                if k == i:
-                    quad = quad - vsq
-                f = f - grad[k] / wv * quad / v
-            T.append(f)
-        return list(ps), T
+        # quad[k, i] = 2 p_k p_i - delta_ki v^2
+        quad = (2.0 * ps)[..., :, None] * ps[..., None, :] - vsq[..., None, None] * np.eye(n)
+        drift = (grad / wv[..., None])[..., :, None] * quad / v[..., None, None]
+        return ps, (hw / wv)[..., None] * ps / v[..., None] - drift.sum(-2)
 
 
 def build_modified_hamiltonian(H, n):
@@ -304,8 +302,9 @@ def check_regularity(sys, sampler, tol=DEFAULT_TOL):
     """Sample-based regularity screen for the Legendre map of a system.
 
     Checks, per sample: det dV/dp != 0 (local diffeomorphism proxy),
-    |V| > 0 away from p = 0, and Omega != 0.  Failures become report
-    entries rather than exceptions.
+    |V| > 0 away from p = 0, and Omega != 0.  Failures, and any other
+    NslabError a sample raises, become report entries rather than
+    exceptions; `failure` names the error's class.
     """
     # engine and connections import this module
     from .connections import ZeroConnection
@@ -327,6 +326,8 @@ def check_regularity(sys, sampler, tol=DEFAULT_TOL):
             ok, failure = False, f"singular metric: {err}"
         except DegenerateOmega as err:
             ok, failure = False, f"degenerate Omega: {err}"
+        except NslabError as err:
+            ok, failure = False, f"{type(err).__name__}: {err}"
         samples.append(RegularitySample(q, det, v_norm, omega, ok, failure))
     return RegularityReport(samples=samples, verdict=all(s.ok for s in samples))
 

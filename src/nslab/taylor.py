@@ -1,24 +1,29 @@
-"""Truncated multivariate Taylor (jet) arithmetic.
+"""Truncated multivariate Taylor (jet) arithmetic over tensors.
 
-A series is a dense vector of Taylor coefficients over the monomial basis
-of total degree <= order in `nvars` variables.  Coefficients are stored as
-partial derivatives divided by multi-index factorials, so the truncated
-product of two series is the exact Taylor expansion of the product.  All
-elementary functions are evaluated by univariate composition around the
-constant term, which is likewise exact to machine precision.
+A series holds the Taylor coefficients over the monomial basis of total
+degree <= order in `nvars` variables.  Coefficients are stored as partial
+derivatives divided by multi-index factorials, so the truncated product of
+two series is the exact Taylor expansion of the product.  All elementary
+functions are evaluated by univariate composition around the constant
+term, which is likewise exact to machine precision.
 
-Coefficient arrays may carry leading batch axes; every operation
-broadcasts over them, which lets ODE right-hand sides evaluate whole
-families of points in single numpy calls.
+`coef` has the layout (batch..., tensor..., monomial): leading batch axes
+(a family of points), then the field's own tensor axes, then the monomial
+axis.  Every operation broadcasts over the leading axes together, so one
+product of two tensor series is one call however many points and entries
+it covers.  Indexing (`s[i]`, `s[..., i]`, `s[..., None, :]`) and `sum`
+act on the leading axes only; `stack` builds a tensor from entries and
+`partials` appends the gradient over a range of variables as a new last
+tensor axis.
 
-Each series tracks a `trust` level: the highest total degree whose
-coefficients are exact given the inputs.  Extracting a derivative above
-the trust level is a bug and raises immediately.
+Each series tracks a `trust` level, one for the whole tensor: the highest
+total degree whose coefficients are exact given the inputs.  Extracting a
+derivative above the trust level is a bug and raises immediately.
 
 The package turns series into numbers with `read_values` and `read_jet1`
-(`partial` serves the oracles and tests): they stack the coefficient arrays
-of a nested list of series and take the constant and unit-monomial
-columns, since the first partial along x_v is the coefficient of x_v.
+(`partial` serves the oracles and tests): they take the constant and
+unit-monomial columns, since the first partial along x_v is the
+coefficient of x_v.
 
 A product is trusted to the lower trust of its factors, and it pays only
 for the monomial pairs up to that degree: its coefficients above its
@@ -33,7 +38,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
 from .errors import EvaluationDomainError
 
@@ -102,24 +106,19 @@ class TaylorContext:
         self._ik = lookup(key[self._ia] + key[self._ib])
         self._pair_count = np.searchsorted(pair_deg[by_deg], levels, side="right")
         self._pairs = [(self._ia[:n], self._ib[:n], self._ik[:n]) for n in self._pair_count]
-        # batched products sum pairs into coefficients with one sparse
-        # gather per trust level
-        self._gathers = [
-            sparse.csr_matrix((np.ones(n), (self._ik[:n], np.arange(n))),
-                              shape=(self.size, n))
-            for n in self._pair_count
-        ]
 
         # coefficient index of each unit monomial e_v; degree 1 is stored in
         # reverse variable order, so look it up
         self.units = np.array([self.index[tuple(int(k == v) for k in range(nvars))]
                                for v in range(nvars)] if order else [], dtype=np.int64)
 
-        # d/dx_v maps coeff[m + e_v] -> coeff[m] * (m_v + 1)
-        dst = np.flatnonzero(self.degrees < order)
-        self._shift_src = [lookup(key[dst] + base ** v) for v in range(nvars)]
-        self._shift_dst = [dst] * nvars
-        self._shift_scale = [mono[dst, v] + 1.0 for v in range(nvars)]
+        # d/dx_v maps coeff[m + e_v] -> coeff[m] * (m_v + 1); row v of the
+        # source and scale tables serves variable v
+        self._shift_dst = np.flatnonzero(self.degrees < order)
+        self._shift_src = np.array(
+            [lookup(key[self._shift_dst] + base ** v) for v in range(nvars)],
+            dtype=np.int64).reshape(nvars, len(self._shift_dst))
+        self._shift_scale = mono[self._shift_dst].T + 1.0
 
     def multiply(self, a, b, trust):
         """Product of two coefficient arrays, exact through degree `trust`.
@@ -131,12 +130,15 @@ class TaylorContext:
         if not a.any() or not b.any():
             return np.zeros(np.broadcast_shapes(a.shape, b.shape))
         ia, ib, ik = self._pairs[trust]
-        if a.ndim == b.ndim == 1:
-            return np.bincount(ik, weights=a[ia] * b[ib], minlength=self.size)
         prod = a.take(ia, axis=-1) * b.take(ib, axis=-1)
-        flat = prod.reshape(-1, len(ik))
-        out = (self._gathers[trust] @ flat.T).T
-        return np.ascontiguousarray(out).reshape(prod.shape[:-1] + (self.size,))
+        lead = prod.shape[:-1]
+        rows = math.prod(lead)
+        # one bincount over all leading axes: row r sums into r * size + ik
+        # (a single row needs no offset, and building one costs a third of
+        # a small product)
+        index = ik if rows == 1 else (np.arange(rows)[:, None] * self.size + ik).ravel()
+        out = np.bincount(index, weights=prod.ravel(), minlength=rows * self.size)
+        return out.reshape(lead + (self.size,))
 
     def constant(self, value):
         value = np.asarray(value, dtype=float)
@@ -163,6 +165,22 @@ class TaylorSeries:
         self.ctx = ctx
         self.coef = coef
         self.trust = trust
+
+    @property
+    def shape(self):
+        """The leading (batch and tensor) axes; the monomial axis is not among them."""
+        return self.coef.shape[:-1]
+
+    def __getitem__(self, key):
+        """Index the leading axes as numpy does; the monomial axis stays whole."""
+        if not isinstance(key, tuple):
+            key = (key,)
+        return TaylorSeries(self.ctx, self.coef[key + (slice(None),)], self.trust)
+
+    def sum(self, axis):
+        """Sum over one leading axis, entry by entry in index order."""
+        return TaylorSeries(self.ctx, self.coef.sum(axis=axis - 1 if axis < 0 else axis),
+                            self.trust)
 
     # ------------------------------------------------------------------
     # ring operations
@@ -254,14 +272,22 @@ class TaylorSeries:
         i = self.ctx.index[tuple(multi_index)]
         return self.coef[..., i] * self.ctx.factorials[i]
 
-    def partial_series(self, v):
-        """d/dx_v as a series; costs one trust level."""
+    def partials(self, start, stop):
+        """d/dx_v for v in range(start, stop) along a new last tensor axis.
+
+        Costs one trust level.
+        """
         if self.trust < 1:
             raise ValueError("cannot differentiate a series with no trusted derivatives")
         ctx = self.ctx
-        coef = np.zeros_like(self.coef)
-        coef[..., ctx._shift_dst[v]] = self.coef[..., ctx._shift_src[v]] * ctx._shift_scale[v]
+        coef = np.zeros(self.shape + (stop - start, ctx.size))
+        coef[..., ctx._shift_dst] = (self.coef[..., ctx._shift_src[start:stop]]
+                                     * ctx._shift_scale[start:stop])
         return TaylorSeries(ctx, coef, self.trust - 1)
+
+    def partial_series(self, v):
+        """d/dx_v as a series; costs one trust level."""
+        return self.partials(v, v + 1)[..., 0]
 
     # ------------------------------------------------------------------
     # univariate composition
@@ -367,47 +393,38 @@ class TaylorSeries:
         return self._compose(coeffs)
 
 
-def _leaves(tree, out):
-    """Append the series of a rectangular nested list to `out`; return its shape."""
-    if isinstance(tree, TaylorSeries):
-        out.append(tree)
-        return ()
-    shapes = [_leaves(t, out) for t in tree]
-    return (len(shapes),) + shapes[0]
+def stack(series, axis=-1):
+    """One series from a list of series of one shape, along a new leading axis.
 
-
-def read_values(tree):
-    """Values of a nested list of series sharing a context.
-
-    The result has the batch axes of the series followed by the nesting's
-    shape; a bare series gives its batch-shaped value.
+    `axis` counts the leading axes as in `np.stack`; the default puts the
+    list's index last among them.  The result is trusted to the lowest
+    trust of the entries.
     """
-    leaves = []
-    shape = _leaves(tree, leaves)
-    vals = np.stack([s.coef[..., 0] for s in leaves], axis=-1)
-    return vals.reshape(vals.shape[:-1] + shape)
+    coef = np.stack([s.coef for s in series], axis=axis - 1 if axis < 0 else axis)
+    return TaylorSeries(series[0].ctx, coef, min(s.trust for s in series))
 
 
-def read_jet1(tree):
-    """Values and first partials of a nested list of series sharing a context.
+def read_values(series):
+    """Values of a series: an array of its leading (batch and tensor) shape."""
+    return np.array(series.coef[..., 0])
+
+
+def read_jet1(series):
+    """Values and first partials of a series trusted to order 1.
 
     Returns (values, grad) with values shaped as in `read_values` and
     grad[v] = d/dx_v of the values, so grad has one leading axis over the
-    context's variables.  Every series must be trusted to order 1.
+    context's variables.
     """
-    leaves = []
-    shape = _leaves(tree, leaves)
-    trust = min(s.trust for s in leaves)
-    if trust < 1:
-        raise ValueError(f"requested order-1 derivative from a series trusted to order {trust}")
-    ctx = leaves[0].ctx
-    coef = np.stack([s.coef for s in leaves], axis=-2)
-    batch = coef.shape[:-2]
+    if series.trust < 1:
+        raise ValueError(
+            f"requested order-1 derivative from a series trusted to order {series.trust}")
+    coef = series.coef
     # contiguous results: einsum's summation order depends on the layout
-    vals = np.ascontiguousarray(coef[..., 0]).reshape(batch + shape)
+    vals = np.array(coef[..., 0])
     # the unit monomials' factorials are 1: their coefficients are the partials
-    grad = np.ascontiguousarray(np.moveaxis(coef[..., ctx.units], -1, 0))
-    return vals, grad.reshape((ctx.nvars,) + batch + shape)
+    grad = np.ascontiguousarray(np.moveaxis(coef[..., series.ctx.units], -1, 0))
+    return vals, grad
 
 
 def atan2_series(y, x):
@@ -428,29 +445,25 @@ def atan2_series(y, x):
 
 
 def series_matrix_inverse(m):
-    """Invert a square matrix of TaylorSeries by Gauss-Jordan elimination.
+    """Invert a (..., n, n) matrix series by Gauss-Jordan elimination.
 
-    Pivoting uses the constant terms; the leading matrix must be
-    invertible (checked by the caller via its determinant).
+    Each column's pivot row is the one whose smallest constant term over the
+    batch is largest; the leading matrix must be invertible (checked by the
+    caller via its determinant).
     """
-    n = len(m)
-    ctx = m[0][0].ctx
-    shape = m[0][0].coef.shape[:-1]
-    a = [[m[i][j] for j in range(n)] for i in range(n)]
-    e = [[ctx.constant(np.full(shape, 1.0 if i == j else 0.0)) for j in range(n)]
-         for i in range(n)]
+    n = m.shape[-1]
+    a = m
+    e = m.ctx.constant(np.broadcast_to(np.eye(n), m.shape))
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: np.min(np.abs(a[r][col].value())))
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            e[col], e[piv] = e[piv], e[col]
-        inv = a[col][col]._reciprocal()
-        a[col] = [x * inv for x in a[col]]
-        e[col] = [x * inv for x in e[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            e[r] = [x - f * y for x, y in zip(e[r], e[col])]
+        size = np.abs(a[..., col:, col].value()).reshape(-1, n - col)
+        piv = col + int(np.argmax(size.min(axis=0)))
+        rows = np.arange(n)
+        rows[[col, piv]] = piv, col
+        a, e = a[..., rows, :], e[..., rows, :]
+        inv = a[..., col, col]._reciprocal()[..., None]
+        a_col, e_col = a[..., col, :] * inv, e[..., col, :] * inv
+        f = a[..., :, col, None]
+        a_new, e_new = a - f * a_col[..., None, :], e - f * e_col[..., None, :]
+        a = stack([a_col if r == col else a_new[..., r, :] for r in range(n)], axis=-2)
+        e = stack([e_col if r == col else e_new[..., r, :] for r in range(n)], axis=-2)
     return e

@@ -153,3 +153,34 @@ class TestOutputContract:
              "--out-dir", str(outdir)], capsys)
         text = (outdir / "shift.csv").read_text()
         assert text.splitlines()[0] == "y1,t,x1,x2,p1,p2,phi_1"
+
+
+class TestCrossCheck:
+    def cross_check(self, tmp_path, capsys, V):
+        cfg = tmp_path / "system.json"
+        cfg.write_text(json.dumps({"n": 2, "kind": "explicit", "V": V,
+                                   "Theta": ["0", "0"]}))
+        return run(["cross-check", "--system", str(cfg),
+                    "--out-dir", str(tmp_path / "out")], capsys)
+
+    def test_identity_system_passes(self, tmp_path, capsys):
+        code, out = self.cross_check(tmp_path, capsys, ["p1", "p2"])
+        assert code == 0
+        assert out.strip().splitlines()[-1].startswith("RESULT cross-check PASS")
+
+    def test_nan_oracle_rows_fail(self, tmp_path, capsys):
+        # exp(exp(p1^2)) overflows, so its cancelling pair leaves NaN
+        # coefficients in the canonical connection
+        code, out = self.cross_check(
+            tmp_path, capsys, ["p1 + exp(exp(p1^2)) - exp(exp(p1^2))", "p2"])
+        rows = (tmp_path / "out" / "crosscheck.csv").read_text().splitlines()
+        assert "connection_oracle,nan" in rows
+        assert code == 1
+        assert out.strip().splitlines()[-1] == "RESULT cross-check FAIL max_residual=nan"
+
+    def test_all_oracle_points_skipped_fails(self, tmp_path, capsys):
+        code, out = self.cross_check(tmp_path, capsys, ["0*p1", "0*p2"])
+        assert "skipped 20 oracle points" in out
+        assert "no connection-oracle point was evaluated" in out
+        assert code == 1
+        assert out.strip().splitlines()[-1].startswith("RESULT cross-check FAIL")

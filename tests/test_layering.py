@@ -1,6 +1,8 @@
-"""The nslab modules reach each other only through public names."""
+"""The nslab modules reach each other only through public names, and the
+package imports nothing but the standard library, numpy and itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import nslab
@@ -18,4 +20,20 @@ def test_no_private_names_imported_across_modules():
                 continue
             found += [f"{path.name}: {alias.name}" for alias in node.names
                       if alias.name.startswith("_")]
+    assert found == []
+
+
+def test_only_stdlib_numpy_and_nslab_imported():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "nslab"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names
+                      if name.split(".")[0] not in allowed]
     assert found == []

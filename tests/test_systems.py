@@ -160,6 +160,15 @@ class TestEuclideanBuilder:
         with pytest.raises(ZeroWv):
             sysm.rhs(np.zeros(2), np.array([1.0, 0.0]))
 
+    def test_w_v_cutoff_is_scale_free(self):
+        # |W_v| = 1e-13 sits below an absolute cutoff of 1e-12, but it is
+        # the size of d_x W; only the ratio may decide
+        sampler = PointSampler(n=2, count=5, seed=0)
+        for scale in ("1", "1e-13"):
+            sysm = build_riemannian_euclidean(f"{scale}*(v + x1)", "w", 2)
+            report = normality_report(sysm, ZeroConnection(2), sampler, 1e-7)
+            assert report.verdict == "PASS", [r.error for r in report.rows]
+
     def test_trajectories_match_rescaled_hamiltonian(self):
         # h = 0 member versus the rescaled Hamiltonian flow of the same W;
         # the fibers are related by momentum inversion p -> p/|p|^2
@@ -216,6 +225,17 @@ class TestRegularity:
         report = check_regularity(sysm, PointSampler(2, 10, seed=6))
         assert not report.verdict
         assert all("singular" in s.failure for s in report.failures)
+
+    def test_evaluation_errors_become_entries(self):
+        # sqrt(x1) leaves its domain at the samples with x1 < 0
+        sysm = ExplicitSystem(2, ["sqrt(x1)*p1", "p2"], ["0", "0"])
+        report = check_regularity(sysm, PointSampler(n=2, count=10, seed=0))
+        assert not report.verdict
+        assert report.failures
+        for s in report.failures:
+            assert s.q.x[0] < 0
+            assert s.failure.startswith("EvaluationDomainError: ")
+        assert all(s.ok for s in report.samples if s.q.x[0] > 0)
 
 
 class TestConfig:

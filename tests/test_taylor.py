@@ -106,20 +106,45 @@ class TestElementaryFunctions:
         assert s.partial((1, 0)) == pytest.approx(1.5 * 2.0 ** 0.5, rel=1e-12)
 
 
+def matrix(rows):
+    """A matrix series from nested rows of series."""
+    return taylor.stack([taylor.stack(row) for row in rows], axis=-2)
+
+
 class TestMatrixInverse:
     def test_inverse_of_series_matrix(self):
         c = ctx(nvars=2, order=3)
         x = c.variable(0, 0.3)
         y = c.variable(1, -0.2)
-        m = [[1.0 + x * y, y], [x, 2.0 + x]]
+        m = matrix([[1.0 + x * y, y], [x, 2.0 + x]])
         inv = taylor.series_matrix_inverse(m)
+        assert inv.shape == (2, 2)
         for i in range(2):
             for j in range(2):
-                acc = m[i][0] * inv[0][j] + m[i][1] * inv[1][j]
+                acc = m[i, 0] * inv[0, j] + m[i, 1] * inv[1, j]
                 expect = 1.0 if i == j else 0.0
                 assert acc.value() == pytest.approx(expect, abs=1e-14)
                 assert abs(acc.partial((1, 0))) < 1e-13
                 assert abs(acc.partial((1, 1))) < 1e-13
+
+    def test_batched_inverse_matches_each_point(self):
+        # a (2, 3) batch of 3 x 3 matrices; the first column needs a pivot swap
+        c = ctx(nvars=2, order=3)
+        rng = np.random.default_rng(5)
+        x0, y0 = rng.uniform(-0.5, 0.5, size=(2, 2, 3))
+        x, y = c.variable(0, x0), c.variable(1, y0)
+        m = matrix([[0.1 * x * y, 2.0 + y, x],
+                     [3.0 + x * x, y, 1.0 - y],
+                     [x, 1.0 + x * y, 4.0 + y]])
+        inv = taylor.series_matrix_inverse(m)
+        assert inv.shape == (2, 3, 3, 3)
+        eye = (m[..., :, :, None] * inv[..., None, :, :]).sum(-2)
+        assert np.max(np.abs(taylor.read_values(eye) - np.eye(3))) < 1e-14
+        assert np.max(np.abs(eye.coef[..., 1:])) < 1e-12
+        for b in np.ndindex(2, 3):
+            # every point pivots on the same rows, so it matches its own
+            # inverse bit for bit
+            assert np.array_equal(taylor.series_matrix_inverse(m[b]).coef, inv[b].coef)
 
 
 def dense_product(c, a, b, t):
@@ -192,12 +217,11 @@ class TestTruncatedProduct:
             assert c._pair_count[t] == np.count_nonzero(pair_deg <= t)
             assert c.sizes[t] == np.count_nonzero(c.degrees <= t)
         for v in range(nvars):
-            for src, dst, scale in zip(c._shift_src[v], c._shift_dst[v],
-                                       c._shift_scale[v]):
+            for src, dst, scale in zip(c._shift_src[v], c._shift_dst, c._shift_scale[v]):
                 up = list(mons[dst])
                 up[v] += 1
                 assert mons[src] == tuple(up) and scale == up[v]
-            assert len(c._shift_dst[v]) == np.count_nonzero(c.degrees < order)
+        assert len(c._shift_dst) == np.count_nonzero(c.degrees < order)
 
 
 class TestReader:
@@ -207,7 +231,7 @@ class TestReader:
         c = ctx(nvars=3, order=3)
         x, y, z = (c.variable(v, val) for v, val in enumerate((0.3, -1.2, 0.8)))
         tree = [[x * y.exp(), z.sin() * x], [y * y * z, (x + z).sqrt()]]
-        vals, grad = taylor.read_jet1(tree)
+        vals, grad = taylor.read_jet1(matrix(tree))
         assert vals.shape == (2, 2) and grad.shape == (3, 2, 2)
         units = np.eye(3, dtype=int)
         for i in range(2):
@@ -215,13 +239,13 @@ class TestReader:
                 assert vals[i, j] == tree[i][j].value()
                 for v in range(3):
                     assert grad[v, i, j] == tree[i][j].partial(tuple(units[v]))
-        assert np.array_equal(taylor.read_values(tree), vals)
+        assert np.array_equal(taylor.read_values(matrix(tree)), vals)
 
     def test_batch_axes_lead_the_values(self):
         c = ctx(nvars=2, order=2)
         x = c.variable(0, np.array([1.0, 2.0, 3.0]))
         y = c.variable(1, np.array([0.5, 0.25, -1.0]))
-        vals, grad = taylor.read_jet1([x * y, x + y])
+        vals, grad = taylor.read_jet1(taylor.stack([x * y, x + y]))
         assert vals.shape == (3, 2) and grad.shape == (2, 3, 2)
         assert np.array_equal(vals[:, 0], x.value() * y.value())
         assert np.array_equal(grad[0, :, 0], y.value())
@@ -239,6 +263,88 @@ class TestReader:
         c = ctx(nvars=2, order=2)
         x = c.variable(0, 1.0)
         flat = x.partial_series(0).partial_series(0)
-        assert taylor.read_values([x, flat]).tolist() == [1.0, 0.0]
+        assert taylor.read_values(taylor.stack([x, flat])).tolist() == [1.0, 0.0]
         with pytest.raises(ValueError):
-            taylor.read_jet1([x, flat])
+            taylor.read_jet1(taylor.stack([x, flat]))
+
+
+def same(a, b):
+    """Equal coefficients bit for bit, signs of zero included, and equal trust."""
+    return (a.trust == b.trust and a.coef.shape == b.coef.shape
+            and np.array_equal(a.coef, b.coef)
+            and np.array_equal(np.signbit(a.coef), np.signbit(b.coef)))
+
+
+class TestTensorSeries:
+    """A series with tensor axes behaves as the tensor of its entries."""
+
+    @staticmethod
+    def entries(batch):
+        c = ctx(nvars=3, order=3)
+        rng = np.random.default_rng(len(batch))
+        x, y, z = (c.variable(v, rng.uniform(0.2, 1.0, size=batch)) for v in range(3))
+        zero = c.constant(np.zeros(batch))
+        return [x * y.exp(), z.sin() * x, y * y * z, (x + z).sqrt(), x - z, zero]
+
+    @pytest.mark.parametrize("batch", [(), (4,), (2, 3)])
+    def test_stacked_products_are_entry_products(self, batch):
+        e = self.entries(batch)
+        u = taylor.stack(e[:3])                       # (..., 3)
+        w = taylor.stack(e[3:])                       # (..., 3)
+        outer = u[..., :, None] * w[..., None, :]     # (..., 3, 3)
+        assert outer.shape == batch + (3, 3)
+        for i in range(3):
+            for j in range(3):
+                assert same(outer[..., i, j], e[i] * e[3 + j])
+        # one entry trusted lower lowers the trust of the whole tensor, and
+        # every entry of a product is then truncated there
+        low = taylor.stack([e[0], e[1].partial_series(0)])
+        prod = low * u[..., :2]
+        assert prod.trust == 2
+        for i, f in enumerate((e[0], e[1].partial_series(0))):
+            ref = e[0].ctx.multiply(f.coef, e[i].coef, 2)
+            assert np.array_equal(prod[..., i].coef, ref)
+
+    @pytest.mark.parametrize("batch", [(), (4,)])
+    def test_index_rules(self, batch):
+        e = self.entries(batch)
+        m = matrix([e[:3], e[3:]])                    # (..., 2, 3)
+        assert m.shape == batch + (2, 3)
+        assert same(m[..., 1, 2], e[5])
+        assert same(m[..., 1], taylor.stack([e[1], e[4]]))
+        assert same(m[..., 1, :], taylor.stack(e[3:]))
+        assert m[..., None, :].shape == batch + (2, 1, 3)
+        assert same(m[..., None, :][..., 1, 0, 2], e[5])
+        if batch:
+            # s[i] indexes the first leading axis, here the batch
+            assert same(m[1], matrix([[s[1] for s in e[:3]], [s[1] for s in e[3:]]]))
+        else:
+            assert same(m[1], taylor.stack(e[3:]))
+        # the monomial axis is never indexed
+        assert m[..., 0, 0].coef.shape[-1] == e[0].ctx.size
+        with pytest.raises(IndexError):
+            m[(0,) * (len(batch) + 3)]
+
+    def test_sum_adds_entries_in_order(self):
+        e = self.entries((4,))
+        m = matrix([e[:3], e[3:]])
+        assert same(m.sum(-1)[..., 0], e[0] + e[1] + e[2])
+        assert same(m.sum(-2)[..., 1], e[1] + e[4])
+
+    def test_partials_along_a_new_axis(self):
+        e = self.entries((4,))
+        u = taylor.stack(e[:3])
+        d = u.partials(1, 3)
+        assert d.shape == (4, 3, 2) and d.trust == 2
+        units = np.eye(3, dtype=int)
+        for i in range(3):
+            for j, v in enumerate((1, 2)):
+                assert same(d[..., i, j], e[i].partial_series(v))
+                assert np.array_equal(d[..., i, j].value(), e[i].partial(tuple(units[v])))
+
+    def test_stack_trust_is_the_lowest(self):
+        e = self.entries(())
+        low = e[0].partial_series(0).partial_series(1)
+        s = taylor.stack([e[0], low, e[1]])
+        assert (e[0].trust, low.trust, s.trust) == (3, 1, 1)
+        assert np.array_equal(s[1].coef, low.coef)
