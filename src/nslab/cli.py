@@ -7,7 +7,8 @@ reports and finish with one machine-readable summary line::
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 bad
 configuration or arguments, 3 numerical failure (non-finite state,
-singular metric, degenerate Omega).  All floats are printed with 17
+singular metric, degenerate Omega, an expression evaluated outside its
+domain, dependent surface tangents).  All floats are printed with 17
 significant digits so reruns with the same seed are byte-identical.
 """
 
@@ -27,10 +28,12 @@ from .dynamics import ExtendedState, IntegratorConfig, integrate_family
 from .errors import (
     ConfigError,
     DegenerateOmega,
+    EvaluationDomainError,
     ExpressionSyntaxError,
     NonFiniteResidual,
     NonFiniteState,
     NuVanished,
+    RankDeficientTangents,
     SingularMetric,
     ZeroWv,
 )
@@ -41,7 +44,7 @@ from .expressions import (
     phase_variables,
     substitute,
 )
-from .engine import PointCalculus
+from .engine import PointCalculus, stack_points
 from .normality import normality_report, residual_from_calc
 from .sampling import PointSampler
 from .surfaces import load_surface, simulate_shift, solve_nu, verify_orthogonality
@@ -149,7 +152,7 @@ def cmd_gauge_test(args):
     sampler = PointSampler(n=sys.n, count=3, seed=args.seed + 1,
                            pmin=args.pmin, pmax=args.pmax, xbox=args.xbox)
     points = sampler.points()
-    batch = PhasePoint(np.stack([q.x for q in points]), np.stack([q.p for q in points]))
+    batch = stack_points(points)
 
     def evaluate(c):
         calc = PointCalculus(sys, c, batch)
@@ -215,7 +218,7 @@ def cmd_cross_check(args):
     for q in sampler.points():
         try:
             r = _connection_oracle_residual(sys, q)
-        except (ZeroWv, SingularMetric, DegenerateOmega):
+        except (ZeroWv, SingularMetric, DegenerateOmega, EvaluationDomainError):
             skipped += 1
             continue
         rows.append(("connection_oracle", r))
@@ -341,7 +344,7 @@ def main(argv=None):
         print(f"configuration error: {err}")
         return EXIT_CONFIG
     except (NonFiniteState, NonFiniteResidual, SingularMetric, DegenerateOmega,
-            NuVanished, ZeroWv) as err:
+            NuVanished, ZeroWv, EvaluationDomainError, RankDeficientTangents) as err:
         print(f"numerical failure: {type(err).__name__}: {err}")
         return EXIT_NUMERICAL
 

@@ -30,19 +30,42 @@ from functools import cached_property
 import numpy as np
 
 from . import taylor
-from .errors import DegenerateOmega, SingularMetric
-from .systems import DEFAULT_TOL
+from .errors import DegenerateOmega, NslabError, SingularMetric
+from .systems import DEFAULT_TOL, PhasePoint
 
 # Points per batched evaluation.  On the pfaff-sphere benchmark (2-core
-# x86-64, numpy 2.4), against one point at a time (53.5 MB peak RSS), chunks
-# of 8 / 16 / 32 points cost +1.8 / +3.5 / +7.5 MB and solved in 0.65 /
-# 0.50 / 0.37 s; 32 would break the benchmark's 10% peak-RSS bound.
+# x86-64, numpy 2.4, medians of 5 runs), against one point at a time
+# (39.1 MB peak RSS, 0.90 s), chunks of 8 / 16 / 32 points cost +0.3 / +0.5 /
+# +1.5 MB and solved in 0.20 / 0.19 / 0.18 s.
 _MAX_POINTS = 16
 
 
-def point_chunks(count):
-    """Slices that split `count` points into batches of at most 16."""
-    return [slice(i, i + _MAX_POINTS) for i in range(0, count, _MAX_POINTS)]
+def point_chunks(count, size=_MAX_POINTS):
+    """Slices that split `count` points into batches of at most `size`."""
+    return [slice(i, i + size) for i in range(0, count, size)]
+
+
+def stack_points(points):
+    """One batched PhasePoint from a list of points, in list order."""
+    return PhasePoint(np.stack([q.x for q in points]), np.stack([q.p for q in points]))
+
+
+def chunked(points, batched, single, size=_MAX_POINTS):
+    """One result per point of a list, from batched evaluations of `size` points.
+
+    `batched(part)` evaluates the points of one chunk together and returns
+    their results in order.  A chunk where it raises an NslabError is
+    evaluated again point by point with `single(q)`, so a failure is
+    reported by, and only by, the point that has it.
+    """
+    out = []
+    for chunk in point_chunks(len(points), size):
+        part = points[chunk]
+        try:
+            out += batched(part)
+        except NslabError:
+            out += [single(q) for q in part]
+    return out
 
 
 def phase_jet1(series, batch=0):

@@ -333,12 +333,10 @@ class _SeriesAlgebra:
     @staticmethod
     def pow(a, b):
         if isinstance(b, taylor.TaylorSeries):
-            # only the trusted coefficients decide whether b is constant
-            if not np.any(b.coef[..., 1:b.ctx.sizes[b.trust]] != 0.0):
+            if not np.any(b.coef[..., 1:] != 0.0):
                 b0 = b.value()
                 if np.ndim(b0) == 0 or np.all(b0 == b0.flat[0]):
-                    out = a.powc(float(b0.flat[0]))
-                    return taylor.TaylorSeries(out.ctx, out.coef, min(out.trust, b.trust))
+                    return a.powc(float(b0.flat[0])).truncate(b.trust)
             return (b * a.log()).exp()
         return a.powc(float(b))
 
@@ -410,9 +408,7 @@ _SERIES.update((fn, getattr(_SeriesAlgebra, fn)) for fn in FUNCTIONS if fn != "p
 
 def _lift(c, template):
     """A folded constant as a series with the template's batch shape and trust."""
-    s = template.ctx.constant(np.broadcast_to(c, template.coef.shape[:-1]))
-    s.trust = template.trust
-    return s
+    return template.ctx.constant(np.broadcast_to(c, template.shape), template.trust)
 
 
 def _scale(s, c):

@@ -298,37 +298,52 @@ class RegularityReport:
         return [s for s in self.samples if not s.ok]
 
 
+def _regularity_sample(q, g, V, omega, tol):
+    """The sample of q from its metric pair g, velocity V and Omega."""
+    det, v_norm = float(np.linalg.det(g)), float(np.linalg.norm(V))
+    if v_norm <= tol.singular * np.linalg.norm(g) * np.linalg.norm(q.p):
+        return RegularitySample(q, det, v_norm, omega, False,
+                                "velocity field vanished at nonzero momentum")
+    return RegularitySample(q, det, v_norm, omega, True, "")
+
+
 def check_regularity(sys, sampler, tol=DEFAULT_TOL):
     """Sample-based regularity screen for the Legendre map of a system.
 
     Checks, per sample: det dV/dp != 0 (local diffeomorphism proxy),
     |V| > 0 away from p = 0, and Omega != 0.  Failures, and any other
     NslabError a sample raises, become report entries rather than
-    exceptions; `failure` names the error's class.
+    exceptions; `failure` names the error's class.  The samples are
+    evaluated in batches; a batch that raises is evaluated again point by
+    point, so every sample is the one its point gives alone.
     """
     # engine and connections import this module
     from .connections import ZeroConnection
-    from .engine import PointCalculus
+    from .engine import PointCalculus, chunked, stack_points
 
     conn = ZeroConnection(sys.n)
-    samples = []
-    for q in sampler.points():
-        det = v_norm = omega = np.nan
-        ok, failure = True, ""
+
+    def batched(part):
+        calc = PointCalculus(sys, conn, stack_points(part), depth=0, tol=tol)
+        g, V, omega = calc.g_up, calc.V, calc.Omega
+        return [_regularity_sample(q, g[i], V[i], omega[i], tol) for i, q in enumerate(part)]
+
+    def single(q):
+        det = v_norm = np.nan
         try:
             calc = PointCalculus(sys, conn, q, depth=0, tol=tol)
-            det = float(np.linalg.det(calc.g_up))
-            v_norm = float(np.linalg.norm(calc.V))
-            omega = calc.Omega
-            if v_norm <= tol.singular * np.linalg.norm(calc.g_up) * np.linalg.norm(q.p):
-                ok, failure = False, "velocity field vanished at nonzero momentum"
+            # a degenerate Omega still reports the metric and velocity
+            det, v_norm = float(np.linalg.det(calc.g_up)), float(np.linalg.norm(calc.V))
+            return _regularity_sample(q, calc.g_up, calc.V, calc.Omega, tol)
         except SingularMetric as err:
-            ok, failure = False, f"singular metric: {err}"
+            failure = f"singular metric: {err}"
         except DegenerateOmega as err:
-            ok, failure = False, f"degenerate Omega: {err}"
+            failure = f"degenerate Omega: {err}"
         except NslabError as err:
-            ok, failure = False, f"{type(err).__name__}: {err}"
-        samples.append(RegularitySample(q, det, v_norm, omega, ok, failure))
+            failure = f"{type(err).__name__}: {err}"
+        return RegularitySample(q, det, v_norm, np.nan, False, failure)
+
+    samples = chunked(list(sampler.points()), batched, single)
     return RegularityReport(samples=samples, verdict=all(s.ok for s in samples))
 
 

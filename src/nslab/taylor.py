@@ -17,19 +17,22 @@ act on the leading axes only; `stack` builds a tensor from entries and
 tensor axis.
 
 Each series tracks a `trust` level, one for the whole tensor: the highest
-total degree whose coefficients are exact given the inputs.  Extracting a
-derivative above the trust level is a bug and raises immediately.
+total degree whose coefficients are exact given the inputs.  Monomials are
+sorted by degree, so the trusted coefficients are a prefix of the monomial
+axis, and a series stores exactly that prefix: `coef.shape[-1]` is always
+`ctx.sizes[trust]` (truncated Taylor propagation; Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., ch. 13).  Extracting a derivative above
+the trust level is a bug and raises immediately.
 
 The package turns series into numbers with `read_values` and `read_jet1`
 (`partial` serves the oracles and tests): they take the constant and
 unit-monomial columns, since the first partial along x_v is the
 coefficient of x_v.
 
-A product is trusted to the lower trust of its factors, and it pays only
-for the monomial pairs up to that degree: its coefficients above its
-trust are exactly zero, so untrusted coefficients are never propagated
-through a product (truncated Taylor propagation; Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., ch. 13).
+A sum, a product or a stack is trusted to the lowest trust of its
+operands and cuts each operand to that prefix.  A product pays only for
+the monomial pairs up to its trust, so untrusted coefficients are never
+formed, stored or propagated.
 """
 
 from __future__ import annotations
@@ -112,23 +115,27 @@ class TaylorContext:
         self.units = np.array([self.index[tuple(int(k == v) for k in range(nvars))]
                                for v in range(nvars)] if order else [], dtype=np.int64)
 
-        # d/dx_v maps coeff[m + e_v] -> coeff[m] * (m_v + 1); row v of the
-        # source and scale tables serves variable v
-        self._shift_dst = np.flatnonzero(self.degrees < order)
+        # d/dx_v maps coeff[m + e_v] -> coeff[m] * (m_v + 1) for every m of
+        # degree < order; column m of the source and scale tables serves
+        # monomial m, so a derivative trusted to t reads the first sizes[t]
+        # columns, and row v serves variable v
+        below = self.sizes[order - 1] if order else 0
         self._shift_src = np.array(
-            [lookup(key[self._shift_dst] + base ** v) for v in range(nvars)],
-            dtype=np.int64).reshape(nvars, len(self._shift_dst))
-        self._shift_scale = mono[self._shift_dst].T + 1.0
+            [lookup(key[:below] + base ** v) for v in range(nvars)],
+            dtype=np.int64).reshape(nvars, below)
+        self._shift_scale = mono[:below].T + 1.0
 
     def multiply(self, a, b, trust):
         """Product of two coefficient arrays, exact through degree `trust`.
 
-        Only the monomial pairs of total degree <= trust are formed, so the
-        coefficients above `trust` come out zero.
+        Only the monomial pairs of total degree <= trust are formed.  They
+        read the first sizes[trust] coefficients of each factor, which may
+        store more, and the product stores exactly that many.
         """
+        size = self.sizes[trust]
         # zero factors are common (sparse connections, x-independent fields)
         if not a.any() or not b.any():
-            return np.zeros(np.broadcast_shapes(a.shape, b.shape))
+            return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (size,))
         ia, ib, ik = self._pairs[trust]
         prod = a.take(ia, axis=-1) * b.take(ib, axis=-1)
         lead = prod.shape[:-1]
@@ -136,15 +143,17 @@ class TaylorContext:
         # one bincount over all leading axes: row r sums into r * size + ik
         # (a single row needs no offset, and building one costs a third of
         # a small product)
-        index = ik if rows == 1 else (np.arange(rows)[:, None] * self.size + ik).ravel()
-        out = np.bincount(index, weights=prod.ravel(), minlength=rows * self.size)
-        return out.reshape(lead + (self.size,))
+        index = ik if rows == 1 else (np.arange(rows)[:, None] * size + ik).ravel()
+        out = np.bincount(index, weights=prod.ravel(), minlength=rows * size)
+        return out.reshape(lead + (size,))
 
-    def constant(self, value):
+    def constant(self, value, trust=None):
+        """A constant series of value's shape, trusted to `trust` (default: the order)."""
+        trust = self.order if trust is None else trust
         value = np.asarray(value, dtype=float)
-        coef = np.zeros(value.shape + (self.size,))
+        coef = np.zeros(value.shape + (self.sizes[trust],))
         coef[..., 0] = value
-        return TaylorSeries(self, coef, self.order)
+        return TaylorSeries(self, coef, trust)
 
     def variable(self, v, value):
         s = self.constant(value)
@@ -177,6 +186,11 @@ class TaylorSeries:
             key = (key,)
         return TaylorSeries(self.ctx, self.coef[key + (slice(None),)], self.trust)
 
+    def truncate(self, trust):
+        """This series trusted only to `trust` (at most its own): its coefficient prefix."""
+        trust = min(trust, self.trust)
+        return TaylorSeries(self.ctx, self.coef[..., :self.ctx.sizes[trust]], trust)
+
     def sum(self, axis):
         """Sum over one leading axis, entry by entry in index order."""
         return TaylorSeries(self.ctx, self.coef.sum(axis=axis - 1 if axis < 0 else axis),
@@ -189,21 +203,28 @@ class TaylorSeries:
     def _coerce(self, other):
         if isinstance(other, TaylorSeries):
             return other
-        return self.ctx.constant(np.broadcast_to(other, self.coef.shape[:-1]))
+        return self.ctx.constant(np.broadcast_to(other, self.shape), self.trust)
+
+    def _prefixes(self, other):
+        """(self's coefficients, other's, trust), both cut to their lower trust."""
+        o = self._coerce(other)
+        trust = min(self.trust, o.trust)
+        size = self.ctx.sizes[trust]
+        return self.coef[..., :size], o.coef[..., :size], trust
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return TaylorSeries(self.ctx, self.coef + o.coef, min(self.trust, o.trust))
+        a, b, trust = self._prefixes(other)
+        return TaylorSeries(self.ctx, a + b, trust)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return TaylorSeries(self.ctx, self.coef - o.coef, min(self.trust, o.trust))
+        a, b, trust = self._prefixes(other)
+        return TaylorSeries(self.ctx, a - b, trust)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        return TaylorSeries(self.ctx, o.coef - self.coef, min(self.trust, o.trust))
+        a, b, trust = self._prefixes(other)
+        return TaylorSeries(self.ctx, b - a, trust)
 
     def __neg__(self):
         return TaylorSeries(self.ctx, -self.coef, self.trust)
@@ -240,9 +261,7 @@ class TaylorSeries:
         if k < 0:
             return self.ipow(-k)._reciprocal()
         if k == 0:
-            out = self.ctx.constant(np.ones(self.coef.shape[:-1]))
-            out.trust = self.trust
-            return out
+            return self.ctx.constant(np.ones(self.shape), self.trust)
         out, base = None, self
         while k:
             if k & 1:
@@ -280,10 +299,11 @@ class TaylorSeries:
         if self.trust < 1:
             raise ValueError("cannot differentiate a series with no trusted derivatives")
         ctx = self.ctx
-        coef = np.zeros(self.shape + (stop - start, ctx.size))
-        coef[..., ctx._shift_dst] = (self.coef[..., ctx._shift_src[start:stop]]
-                                     * ctx._shift_scale[start:stop])
-        return TaylorSeries(ctx, coef, self.trust - 1)
+        size = ctx.sizes[self.trust - 1]
+        coef = (self.coef[..., ctx._shift_src[start:stop, :size]]
+                * ctx._shift_scale[start:stop, :size])
+        # contiguous: einsum's summation order downstream depends on the layout
+        return TaylorSeries(ctx, np.ascontiguousarray(coef), self.trust - 1)
 
     def partial_series(self, v):
         """d/dx_v as a series; costs one trust level."""
@@ -301,8 +321,7 @@ class TaylorSeries:
         """
         hat = TaylorSeries(self.ctx, self.coef.copy(), self.trust)
         hat.coef[..., 0] = 0.0
-        out = self.ctx.constant(np.broadcast_to(outer_coeffs[0], self.coef.shape[:-1]).copy())
-        out.trust = self.trust
+        out = self.ctx.constant(np.broadcast_to(outer_coeffs[0], self.shape), self.trust)
         acc = None
         for k in range(1, min(self.ctx.order, self.trust) + 1):
             if k >= len(outer_coeffs):
@@ -400,8 +419,10 @@ def stack(series, axis=-1):
     list's index last among them.  The result is trusted to the lowest
     trust of the entries.
     """
-    coef = np.stack([s.coef for s in series], axis=axis - 1 if axis < 0 else axis)
-    return TaylorSeries(series[0].ctx, coef, min(s.trust for s in series))
+    trust = min(s.trust for s in series)
+    size = series[0].ctx.sizes[trust]
+    coef = np.stack([s.coef[..., :size] for s in series], axis=axis - 1 if axis < 0 else axis)
+    return TaylorSeries(series[0].ctx, coef, trust)
 
 
 def read_values(series):
@@ -453,7 +474,7 @@ def series_matrix_inverse(m):
     """
     n = m.shape[-1]
     a = m
-    e = m.ctx.constant(np.broadcast_to(np.eye(n), m.shape))
+    e = m.ctx.constant(np.broadcast_to(np.eye(n), m.shape), m.trust)
     for col in range(n):
         size = np.abs(a[..., col:, col].value()).reshape(-1, n - col)
         piv = col + int(np.argmax(size.min(axis=0)))

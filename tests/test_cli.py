@@ -104,6 +104,33 @@ class TestExitCodes:
         assert "violations 7" in out
         assert out.strip().splitlines()[-1].startswith("RESULT check-normality FAIL")
 
+    def test_domain_errors_are_numerical_failures(self, tmp_path, configs, capsys):
+        # sqrt(x1) leaves its domain at the samples with x1 < 0
+        cfg = tmp_path / "sqrt.json"
+        cfg.write_text(json.dumps({"n": 2, "kind": "explicit",
+                                   "V": ["sqrt(x1)*p1", "p2"], "Theta": ["0", "0"]}))
+        code, out = run(["gauge-test", "--system", str(cfg), "--count", "2",
+                         "--out-dir", configs["out"]], capsys)
+        assert code == 3
+        assert out.strip().splitlines()[-1].startswith(
+            "numerical failure: EvaluationDomainError: sqrt of negative value")
+        # the oracle points outside the domain are skipped; the others agree
+        code, out = run(["cross-check", "--system", str(cfg),
+                         "--out-dir", configs["out"]], capsys)
+        assert "skipped 10 oracle points outside the system's domain" in out
+        assert code == 0
+        assert out.strip().splitlines()[-1].startswith("RESULT cross-check PASS")
+
+    def test_dependent_tangents_are_exit_3(self, tmp_path, configs, capsys):
+        # the cusp's tangent vanishes at y1 = 0, the default base point
+        cusp = tmp_path / "cusp.json"
+        cusp.write_text(json.dumps({"params": 1, "embedding": ["y1^2", "y1^3"],
+                                    "domain": [[-1, 1]], "grid": [3]}))
+        code, out = run(["solve-nu", "--system", configs["geo"], "--surface", str(cusp),
+                         "--out-dir", configs["out"]], capsys)
+        assert code == 3
+        assert "numerical failure: RankDeficientTangents" in out
+
     def test_zero_points_is_exit_2(self, configs, capsys):
         code, out = run(["check-normality", "--system", configs["geo"],
                          "--points", "0", "--out-dir", configs["out"]], capsys)

@@ -1,10 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from nslab import (
     DegenerateOmega,
+    ExplicitSystem,
     PhasePoint,
     PointSampler,
+    ZeroConnection,
     gauge_transform,
     normality_report,
     random_gauge_tensor,
@@ -148,6 +152,75 @@ class TestReport:
             sys_geox2, conn_geox2,
             PointSampler(2, 60, seed=7, pmin=0.1, pmax=100.0), 1e-8)
         assert report.verdict == "PASS"
+
+
+BLOCKS = ("weak1", "weak2", "addA", "addB", "addC")
+
+
+def _assert_rows_match(rows, points, sysm, conn, tolerance=1e-7):
+    """Sweep rows equal per-point residual_at to 1e-14 of each point's scale.
+
+    A compliant system's residuals are rounding left over from cancelling
+    terms, so the scale is the largest field the residuals are assembled
+    from (at least 1), as in test_batch.
+    """
+    for row, point in zip(rows, points, strict=True):
+        ref = residual_at(sysm, conn, point)
+        calc = PointCalculus(sysm, conn, point)
+        scale = max([1.0] + [float(np.max(np.abs(getattr(calc, name))))
+                             for name in ("P", "alpha", "beta", "eta", "U",
+                                          "A_tensor", "B_tensor", "C_tensor")])
+        assert np.array_equal(row.q.x, point.x) and np.array_equal(row.q.p, point.p)
+        for name in BLOCKS:
+            got, want = getattr(row, name), getattr(ref, name)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * scale
+        assert (row.max_abs <= tolerance) == (ref.max_abs <= tolerance)
+
+
+class TestChunkedSweep:
+    @pytest.fixture()
+    def calcs(self, monkeypatch):
+        built = []
+        init = PointCalculus.__init__
+
+        def counted(self, sys, conn, point, *args, **kwargs):
+            built.append(point.x.shape[:-1])
+            init(self, sys, conn, point, *args, **kwargs)
+
+        monkeypatch.setattr(PointCalculus, "__init__", counted)
+        return built
+
+    def test_rows_match_point_by_point(self, calcs, sys_geox3, conn_geox3, sys_bad3,
+                                       conn_bad3):
+        for sysm, conn in ((sys_geox3, conn_geox3), (sys_bad3, conn_bad3)):
+            sampler = PointSampler(3, 20, seed=8)
+            calcs.clear()
+            report = normality_report(sysm, conn, sampler, 1e-7)
+            # 8 points per calc
+            assert calcs == [(8,), (8,), (4,)]
+            _assert_rows_match(report.rows, sampler.points(), sysm, conn)
+            assert not any(r.error or r.error_class for r in report.rows)
+
+    def test_failing_point_is_one_error_row(self, calcs):
+        # Omega = x1 p1^2 + p2^2 vanishes at point 3 only, in the first chunk
+        sysm, conn = ExplicitSystem(2, ["x1*p1", "p2"], ["0", "0"]), ZeroConnection(2)
+        rng = np.random.default_rng(9)
+        points = [q(rng.uniform(0.5, 2.0, 2), rng.uniform(-2.0, 2.0, 2)) for _ in range(10)]
+        points[3] = q([-1.0, 0.0], [1.0, 1.0])
+        report = normality_report(sysm, conn, SimpleNamespace(points=lambda: points), 1e-7)
+        # the first chunk fails as a batch and is evaluated point by point
+        assert calcs == [(8,)] + [()] * 8 + [(2,)]
+        assert [i for i, r in enumerate(report.rows) if r.error] == [3]
+        with pytest.raises(DegenerateOmega) as err:
+            residual_at(sysm, conn, points[3])
+        bad = report.rows[3]
+        assert bad.q is points[3]
+        assert bad.error == f"DegenerateOmega: {err.value}"
+        assert bad.error_class == "DegenerateOmega"
+        others = [i for i in range(10) if i != 3]
+        _assert_rows_match([report.rows[i] for i in others], [points[i] for i in others],
+                           sysm, conn)
 
 
 class TestGaugeInvariance:

@@ -1,10 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from nslab import (
     ConfigError,
+    DEFAULT_TOL,
     DegenerateOmega,
     ExplicitSystem,
+    NslabError,
     PhasePoint,
     PointSampler,
     SingularMetric,
@@ -236,6 +240,69 @@ class TestRegularity:
             assert s.q.x[0] < 0
             assert s.failure.startswith("EvaluationDomainError: ")
         assert all(s.ok for s in report.samples if s.q.x[0] > 0)
+
+
+def _regularity_reference(sysm, point, tol=DEFAULT_TOL):
+    """(det, v_norm, omega, ok, failure) of one point, evaluated on its own."""
+    det = v_norm = omega = np.nan
+    ok, failure = True, ""
+    try:
+        calc = frame(sysm, point)
+        det = float(np.linalg.det(calc.g_up))
+        v_norm = float(np.linalg.norm(calc.V))
+        omega = calc.Omega
+        if v_norm <= tol.singular * np.linalg.norm(calc.g_up) * np.linalg.norm(point.p):
+            ok, failure = False, "velocity field vanished at nonzero momentum"
+    except SingularMetric as err:
+        ok, failure = False, f"singular metric: {err}"
+    except DegenerateOmega as err:
+        ok, failure = False, f"degenerate Omega: {err}"
+    except NslabError as err:
+        ok, failure = False, f"{type(err).__name__}: {err}"
+    return det, v_norm, omega, ok, failure
+
+
+class TestBatchedRegularity:
+    # g = diag(x1, sqrt(x2)) and Omega = x1 p1^2 + sqrt(x2) p2^2
+    SYSTEM = ExplicitSystem(2, ["x1*p1", "sqrt(x2)*p2"], ["0", "0"])
+
+    @staticmethod
+    def points(count):
+        rng = np.random.default_rng(3)
+        return [q(rng.uniform(0.5, 2.0, 2), rng.uniform(-2.0, 2.0, 2)) for _ in range(count)]
+
+    def test_samples_match_point_by_point(self):
+        # 20 points: a batch of 16 with a singular metric at 5 and a
+        # degenerate Omega at 9 in its middle, and a batch of 4 that leaves
+        # the domain of sqrt at 17
+        points = self.points(20)
+        points[5] = q([0.0, 1.0], [1.0, 1.0])
+        points[9] = q([-1.0, 1.0], [1.0, 1.0])
+        points[17] = q([1.0, -1.0], [1.0, 1.0])
+        report = check_regularity(self.SYSTEM, SimpleNamespace(points=lambda: points))
+        assert [i for i, s in enumerate(report.samples) if not s.ok] == [5, 9, 17]
+        assert report.samples[5].failure.startswith("singular metric: ")
+        assert report.samples[9].failure.startswith("degenerate Omega: ")
+        assert report.samples[17].failure.startswith("EvaluationDomainError: ")
+        for point, s in zip(points, report.samples):
+            det, v_norm, omega, ok, failure = _regularity_reference(self.SYSTEM, point)
+            assert s.q is point
+            assert np.array_equal([s.det_g, s.v_norm, s.omega], [det, v_norm, omega],
+                                  equal_nan=True)
+            assert (s.ok, s.failure) == (ok, failure)
+
+    def test_one_calc_per_batch(self, monkeypatch):
+        built = []
+        init = PointCalculus.__init__
+
+        def counted(self, sys, conn, point, *args, **kwargs):
+            built.append(point.x.shape[:-1])
+            init(self, sys, conn, point, *args, **kwargs)
+
+        monkeypatch.setattr(PointCalculus, "__init__", counted)
+        points = self.points(20)
+        assert check_regularity(self.SYSTEM, SimpleNamespace(points=lambda: points)).verdict
+        assert built == [(16,), (4,)]
 
 
 class TestConfig:

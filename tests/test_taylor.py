@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from nslab import taylor
+from nslab import (
+    Hypersurface,
+    PhasePoint,
+    PointSampler,
+    build_modified_hamiltonian,
+    canonical_connection,
+    residual_from_calc,
+    taylor,
+)
+from nslab.engine import PointCalculus
 from nslab.errors import EvaluationDomainError
 
 
@@ -166,33 +175,43 @@ class TestTruncatedProduct:
     def test_matches_dense_reference_at_every_trust(self, nvars, order):
         c = taylor.TaylorContext(nvars, order)
         rng = np.random.default_rng(nvars * 10 + order)
-        above = c.degrees > np.arange(order + 1)[:, None]
         for t in range(order + 1):
+            w = c.sizes[t]
             a, b = rng.normal(size=(2, c.size))
             got = c.multiply(a, b, t)
             ref = dense_product(c, a, b, t)
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-            assert np.all(got[above[t]] == 0.0)
+            # the product stores its trusted prefix, and nothing else
+            assert got.shape == (w,)
+            assert np.max(np.abs(got - ref[:w])) <= 1e-12 * np.max(np.abs(ref))
+            # it reads only the factors' prefixes: stored at trust t, they
+            # give the same product
+            assert np.array_equal(c.multiply(a[:w], b[:w], t), got)
+            assert c.multiply(np.zeros(w), b, t).shape == (w,)
             # a leading batch axis on one or both factors
             batch = rng.normal(size=(3, c.size))
             for x, y in ((batch, b), (a, batch), (batch, batch[::-1])):
                 got = c.multiply(x, y, t)
                 ref = dense_product(c, x, y, t)
-                assert got.shape == (3, c.size)
-                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-                assert np.all(got[:, above[t]] == 0.0)
+                assert got.shape == (3, w)
+                assert np.max(np.abs(got - ref[:, :w])) <= 1e-12 * np.max(np.abs(ref))
+                assert np.array_equal(c.multiply(x[..., :w], y[..., :w], t), got)
+            assert c.multiply(np.zeros((3, w)), b, t).shape == (3, w)
 
     def test_series_product_is_zero_above_trust(self):
+        # nothing above the trust is stored: the product is the dense
+        # reference's trusted prefix
         c = ctx(nvars=2, order=4)
         x = c.variable(0, 0.5)
-        y = c.variable(1, -1.5)
-        y.trust = 2
-        f = (x + y).ipow(3) * x.exp()
-        assert f.trust == 2
-        assert np.all(f.coef[c.degrees > 2] == 0.0)
-        assert f.partial((1, 1)) == pytest.approx(
-            dense_product(c, (x + y).ipow(3).coef, x.exp().coef, 2)[c.index[(1, 1)]],
-            rel=1e-12)
+        y = c.variable(1, -1.5).truncate(2)
+        cube = (x + y).ipow(3)
+        f = cube * x.exp()
+        assert (cube.trust, f.trust) == (2, 2)
+        assert cube.coef.shape == f.coef.shape == (c.sizes[2],)
+        padded = np.zeros(c.size)
+        padded[:c.sizes[2]] = cube.coef
+        ref = dense_product(c, padded, x.exp().coef, 2)
+        assert np.max(np.abs(f.coef - ref[:c.sizes[2]])) <= 1e-12 * np.max(np.abs(ref))
+        assert f.partial((1, 1)) == pytest.approx(ref[c.index[(1, 1)]], rel=1e-12)
 
     @pytest.mark.parametrize("nvars,order", PRODUCT_CONTEXTS + [(3, 0), (1, 3)])
     def test_tables_match_brute_force(self, nvars, order):
@@ -216,12 +235,14 @@ class TestTruncatedProduct:
         for t in range(order + 1):
             assert c._pair_count[t] == np.count_nonzero(pair_deg <= t)
             assert c.sizes[t] == np.count_nonzero(c.degrees <= t)
+        # column dst of the shift tables serves monomial dst
         for v in range(nvars):
-            for src, dst, scale in zip(c._shift_src[v], c._shift_dst, c._shift_scale[v]):
+            for dst, (src, scale) in enumerate(zip(c._shift_src[v], c._shift_scale[v])):
                 up = list(mons[dst])
                 up[v] += 1
                 assert mons[src] == tuple(up) and scale == up[v]
-        assert len(c._shift_dst) == np.count_nonzero(c.degrees < order)
+        assert c._shift_src.shape == c._shift_scale.shape == (
+            nvars, np.count_nonzero(c.degrees < order))
 
 
 class TestReader:
@@ -348,3 +369,49 @@ class TestTensorSeries:
         s = taylor.stack([e[0], low, e[1]])
         assert (e[0].trust, low.trust, s.trust) == (3, 1, 1)
         assert np.array_equal(s[1].coef, low.coef)
+
+
+class TestTrustSizedStorage:
+    """Every series stores exactly its trusted prefix: ctx.sizes[trust] coefficients."""
+
+    @pytest.fixture
+    def created(self, monkeypatch):
+        made = []
+        init = taylor.TaylorSeries.__init__
+
+        def record(self, ctx, coef, trust):
+            init(self, ctx, coef, trust)
+            made.append(self)
+
+        monkeypatch.setattr(taylor.TaylorSeries, "__init__", record)
+        return made
+
+    @staticmethod
+    def check(series):
+        assert series
+        for s in series:
+            assert 0 <= s.trust <= s.ctx.order
+            assert s.coef.shape[-1] == s.ctx.sizes[s.trust]
+
+    def test_point_calculus(self, created):
+        sysm = build_modified_hamiltonian("(p1^2 + p2^2 + p3^2)/2 + x1*p2^2/5", 3)
+        points = PointSampler(3, 2, seed=3).points()
+        batch = PhasePoint([q.x for q in points], [q.p for q in points])
+        calc = PointCalculus(sysm, canonical_connection(sysm), batch, depth=1)
+        residual_from_calc(calc)
+        cached = {name: v for name, v in vars(calc).items()
+                  if isinstance(v, taylor.TaylorSeries)}
+        assert {"V_s", "T_s", "dV_s", "gamma_s", "U_s", "W_s", "Q_s"} <= cached.keys()
+        self.check(cached.values())
+        self.check(created)
+
+    def test_rhs_jacobian_and_geometry(self, created):
+        sysm = build_modified_hamiltonian("(p1^2 + p2^2 + p3^2)/2 + x1*p2^2/5", 3)
+        rng = np.random.default_rng(4)
+        sysm.rhs_jacobian_batch(rng.uniform(-1, 1, (4, 3)), rng.uniform(0.5, 2, (4, 3)))
+        self.check(created)
+        created.clear()
+        sphere = Hypersurface(3, ["sin(y1)*cos(y2)", "sin(y1)*sin(y2)", "cos(y1)"],
+                              [[0.3, 1.2], [-0.6, 0.6]])
+        sphere.geometry(np.array([[0.5, 0.1], [0.9, -0.3]]))
+        self.check(created)
