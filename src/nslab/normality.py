@@ -25,12 +25,13 @@ from .engine import PointCalculus, chunked, stack_points
 from .errors import NonFiniteResidual, NslabError
 from .systems import DEFAULT_TOL
 
-# Points per calc in a sweep.  On the sweep-n3 benchmark (2-core x86-64,
-# numpy 2.4, medians of 5 runs), against one point at a time (39.9 MB peak
-# RSS, 0.35 s), chunks of 8 / 16 points cost +1.6 / +3.5 MB and solved in
-# 0.16 / 0.11 s; +3.5 MB is 9% of the one-point sweep's peak, close to the
-# benchmark's 10% bound.
-_SWEEP_POINTS = 8
+# Points per calc in a sweep.  On the sweep-n3 benchmark (perfbench/run.py,
+# 15 s runs, 2-core x86-64, numpy 2.4), chunks of 4 / 5 / 6 / 8 points
+# solved in 0.23-0.28 / 0.20-0.23 / 0.18-0.19 / 0.15-0.17 s at a peak RSS of
+# 40.2-40.4 / 40.4-40.5 / 41.1-41.3 / 41.5-41.7 MB.  One point per calc,
+# with every series stored at full width, took 0.47-0.50 s at 40.4 MB; 4 is
+# the largest chunk that keeps that peak.
+_SWEEP_POINTS = 4
 
 
 @dataclass
@@ -40,8 +41,7 @@ class NormalityResidual:
     Each array leads with the batch axes of `q`; `max_abs` is the largest
     entry over all of them, the raw form the acceptance thresholds apply
     to, and `r[i]` is the residual of the point at batch index i.  An
-    error row of a sweep has empty arrays, `error` reads "Class: message"
-    and `error_class` names the exception class.
+    error row of a sweep has empty arrays and `error` reads "Class: message".
     """
 
     q: object
@@ -51,7 +51,6 @@ class NormalityResidual:
     addB: np.ndarray
     addC: np.ndarray
     error: str = ""
-    error_class: str = ""
 
     @property
     def max_abs(self):
@@ -169,10 +168,9 @@ def normality_report(sys, conn, sampler, tolerance, tol=DEFAULT_TOL):
             return residual_at(sys, conn, q, tol)
         except NslabError as err:
             empty = np.zeros((0, 0))
-            name = type(err).__name__
             return NormalityResidual(q=q, weak1=np.zeros(0), weak2=np.zeros(0),
                                      addA=empty, addB=empty, addC=empty,
-                                     error=f"{name}: {err}", error_class=name)
+                                     error=f"{type(err).__name__}: {err}")
 
     rows = chunked(points, batched, single, _SWEEP_POINTS)
     return BatchReport(rows=rows, tolerance=tolerance, n=sys.n,

@@ -426,8 +426,13 @@ def stack(series, axis=-1):
 
 
 def read_values(series):
-    """Values of a series: an array of its leading (batch and tensor) shape."""
-    return np.array(series.coef[..., 0])
+    """Values of a series: an array of its leading (batch and tensor) shape.
+
+    The array is C-contiguous whatever the layout of `coef`: einsum's
+    summation order follows its operands' layout, so a point then sums in
+    the same order alone and within a batch.
+    """
+    return np.array(series.coef[..., 0], order="C")
 
 
 def read_jet1(series):
@@ -468,19 +473,20 @@ def atan2_series(y, x):
 def series_matrix_inverse(m):
     """Invert a (..., n, n) matrix series by Gauss-Jordan elimination.
 
-    Each column's pivot row is the one whose smallest constant term over the
-    batch is largest; the leading matrix must be invertible (checked by the
-    caller via its determinant).
+    Each matrix of the batch pivots on its own rows: a column's pivot is the
+    entry of largest constant term at or below the diagonal, so a batched
+    inverse equals each point's own.  The leading matrix must be invertible
+    (checked by the caller via its determinant).
     """
     n = m.shape[-1]
     a = m
     e = m.ctx.constant(np.broadcast_to(np.eye(n), m.shape), m.trust)
     for col in range(n):
-        size = np.abs(a[..., col:, col].value()).reshape(-1, n - col)
-        piv = col + int(np.argmax(size.min(axis=0)))
-        rows = np.arange(n)
-        rows[[col, piv]] = piv, col
-        a, e = a[..., rows, :], e[..., rows, :]
+        piv = col + np.argmax(np.abs(a[..., col:, col].value()), axis=-1)
+        rows = np.broadcast_to(np.arange(n), piv.shape + (n,)).copy()
+        rows[..., col] = piv
+        np.put_along_axis(rows, piv[..., None], col, axis=-1)
+        a, e = _permute_rows(a, rows), _permute_rows(e, rows)
         inv = a[..., col, col]._reciprocal()[..., None]
         a_col, e_col = a[..., col, :] * inv, e[..., col, :] * inv
         f = a[..., :, col, None]
@@ -488,3 +494,9 @@ def series_matrix_inverse(m):
         a = stack([a_col if r == col else a_new[..., r, :] for r in range(n)], axis=-2)
         e = stack([e_col if r == col else e_new[..., r, :] for r in range(n)], axis=-2)
     return e
+
+
+def _permute_rows(m, rows):
+    """Rows of the (..., n, n) series m in the order `rows` (..., n), per matrix."""
+    coef = np.take_along_axis(m.coef, rows[..., None, None], axis=-3)
+    return TaylorSeries(m.ctx, coef, m.trust)

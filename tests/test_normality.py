@@ -157,25 +157,13 @@ class TestReport:
 BLOCKS = ("weak1", "weak2", "addA", "addB", "addC")
 
 
-def _assert_rows_match(rows, points, sysm, conn, tolerance=1e-7):
-    """Sweep rows equal per-point residual_at to 1e-14 of each point's scale.
-
-    A compliant system's residuals are rounding left over from cancelling
-    terms, so the scale is the largest field the residuals are assembled
-    from (at least 1), as in test_batch.
-    """
+def _assert_rows_match(rows, points, sysm, conn):
+    """Sweep rows equal per-point residual_at bit for bit."""
     for row, point in zip(rows, points, strict=True):
         ref = residual_at(sysm, conn, point)
-        calc = PointCalculus(sysm, conn, point)
-        scale = max([1.0] + [float(np.max(np.abs(getattr(calc, name))))
-                             for name in ("P", "alpha", "beta", "eta", "U",
-                                          "A_tensor", "B_tensor", "C_tensor")])
         assert np.array_equal(row.q.x, point.x) and np.array_equal(row.q.p, point.p)
         for name in BLOCKS:
-            got, want = getattr(row, name), getattr(ref, name)
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * scale
-        assert (row.max_abs <= tolerance) == (ref.max_abs <= tolerance)
+            assert np.array_equal(getattr(row, name), getattr(ref, name))
 
 
 class TestChunkedSweep:
@@ -197,10 +185,10 @@ class TestChunkedSweep:
             sampler = PointSampler(3, 20, seed=8)
             calcs.clear()
             report = normality_report(sysm, conn, sampler, 1e-7)
-            # 8 points per calc
-            assert calcs == [(8,), (8,), (4,)]
+            # 4 points per calc
+            assert calcs == [(4,)] * 5
             _assert_rows_match(report.rows, sampler.points(), sysm, conn)
-            assert not any(r.error or r.error_class for r in report.rows)
+            assert not any(r.error for r in report.rows)
 
     def test_failing_point_is_one_error_row(self, calcs):
         # Omega = x1 p1^2 + p2^2 vanishes at point 3 only, in the first chunk
@@ -210,14 +198,13 @@ class TestChunkedSweep:
         points[3] = q([-1.0, 0.0], [1.0, 1.0])
         report = normality_report(sysm, conn, SimpleNamespace(points=lambda: points), 1e-7)
         # the first chunk fails as a batch and is evaluated point by point
-        assert calcs == [(8,)] + [()] * 8 + [(2,)]
+        assert calcs == [(4,)] + [()] * 4 + [(4,), (2,)]
         assert [i for i, r in enumerate(report.rows) if r.error] == [3]
         with pytest.raises(DegenerateOmega) as err:
             residual_at(sysm, conn, points[3])
         bad = report.rows[3]
         assert bad.q is points[3]
         assert bad.error == f"DegenerateOmega: {err.value}"
-        assert bad.error_class == "DegenerateOmega"
         others = [i for i in range(10) if i != 3]
         _assert_rows_match([report.rows[i] for i in others], [points[i] for i in others],
                            sysm, conn)

@@ -151,8 +151,23 @@ class TestMatrixInverse:
         assert np.max(np.abs(taylor.read_values(eye) - np.eye(3))) < 1e-14
         assert np.max(np.abs(eye.coef[..., 1:])) < 1e-12
         for b in np.ndindex(2, 3):
-            # every point pivots on the same rows, so it matches its own
-            # inverse bit for bit
+            assert np.array_equal(taylor.series_matrix_inverse(m[b]).coef, inv[b].coef)
+
+    def test_each_matrix_of_a_batch_pivots_on_its_own_rows(self):
+        # the first column is tiny in row 0 of matrix 0 and in row 1 of
+        # matrix 1: one pivot row shared by the batch would divide one of
+        # them by 1e-12
+        c = ctx(nvars=2, order=3)
+        x, y = c.variable(0, np.array([0.3, -0.2])), c.variable(1, np.array([0.1, 0.4]))
+        tiny = np.array([1e-12, 1.0])
+        m = matrix([[(1.0 + x) * tiny, 1.0 + y, x],
+                    [(2.0 + y) * tiny[::-1], x, 1.0 - y],
+                    [0.5 * x, 1.0 + x * y, 3.0 + y]])
+        inv = taylor.series_matrix_inverse(m)
+        eye = (m[..., :, :, None] * inv[..., None, :, :]).sum(-2)
+        assert np.max(np.abs(taylor.read_values(eye) - np.eye(3))) < 1e-15
+        assert np.max(np.abs(eye.coef[..., 1:])) < 1e-13
+        for b in range(2):
             assert np.array_equal(taylor.series_matrix_inverse(m[b]).coef, inv[b].coef)
 
 
