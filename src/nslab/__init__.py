@@ -85,14 +85,12 @@ from .surfaces import (
     verify_orthogonality,
 )
 from .systems import (
-    DEFAULT_TOL,
     EuclideanNewtonianSystem,
     ExplicitSystem,
     ModifiedHamiltonianSystem,
     PhasePoint,
     RegularityReport,
     SystemDefinition,
-    Tolerances,
     build_modified_hamiltonian,
     build_riemannian_euclidean,
     check_regularity,

@@ -6,10 +6,12 @@ reports and finish with one machine-readable summary line::
     RESULT <command> <PASS|FAIL> max_residual=<r>
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 bad
-configuration or arguments, 3 numerical failure (non-finite state,
-singular metric, degenerate Omega, an expression evaluated outside its
-domain, dependent surface tangents).  All floats are printed with 17
-significant digits so reruns with the same seed are byte-identical.
+configuration or arguments, 3 numerical failure (non-finite state or
+residual, singular metric, degenerate Omega, vanishing nu, vanishing
+dW/dv, an expression evaluated outside its domain, dependent surface
+tangents).  Each subcommand accepts only the flags it reads.  All
+floats are printed with 17 significant digits so reruns with the same
+seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -84,6 +86,12 @@ def _load_system_conn(path):
     return sys, connection_from_config(cfg, sys)
 
 
+def _surface_grid(args):
+    """The surface of --surface, and --grid or else the surface config's grid."""
+    surf = load_surface(args.surface)
+    return surf, args.grid or surf.default_grid
+
+
 def _sampler(sys, args):
     return PointSampler(n=sys.n, count=args.points, seed=args.seed,
                         pmin=args.pmin, pmax=args.pmax, xbox=args.xbox)
@@ -109,8 +117,7 @@ def cmd_check_normality(args):
 
 def cmd_solve_nu(args):
     sys, conn = _load_system_conn(args.system)
-    surf = load_surface(args.surface)
-    grid = args.grid or getattr(surf, "default_grid", None) or [9] * surf.m
+    surf, grid = _surface_grid(args)
     y0 = _default_y0(surf) if args.y0 is None else args.y0
     result = solve_nu(sys, conn, surf, y0, args.nu0, grid)
     out = _outdir(args)
@@ -126,8 +133,7 @@ def cmd_solve_nu(args):
 
 def cmd_simulate_shift(args):
     sys, conn = _load_system_conn(args.system)
-    surf = load_surface(args.surface)
-    grid = args.grid or getattr(surf, "default_grid", None) or [9] * surf.m
+    surf, grid = _surface_grid(args)
     cfg = IntegratorConfig(t_end=args.t_end, step=args.step)
     if args.solve_nu:
         y0 = _default_y0(surf) if args.y0 is None else args.y0
@@ -280,55 +286,57 @@ def cmd_cross_check(args):
     return _result("cross-check", oracle_points > 0 and worst <= args.tol, worst)
 
 
+# every flag of the command line; each subcommand registers the ones it reads
+_FLAGS = {
+    "--system": dict(required=True, help="system config JSON"),
+    "--surface": dict(required=True, help="surface config JSON"),
+    "--points": dict(type=int, default=100),
+    "--seed": dict(type=int, default=42),
+    "--tol": dict(type=float, default=1e-7),
+    "--step": dict(type=float, default=1e-3),
+    "--t-end": dict(type=float, default=1.0),
+    "--nu0": dict(type=float, default=1.0),
+    "--grid": dict(type=lambda s: [int(v) for v in s.split(",")], default=None),
+    "--y0": dict(type=lambda s: [float(v) for v in s.split(",")], default=None),
+    "--pmin": dict(type=float, default=0.1),
+    "--pmax": dict(type=float, default=10.0),
+    "--xbox": dict(type=float, default=1.0),
+    "--out-dir": dict(default="out"),
+    "--solve-nu": dict(action="store_true",
+                       help="solve for nu instead of using the constant --nu0"),
+    "--count": dict(type=int, default=50),
+}
+
+# the sampler's momentum range and position box
+_SAMPLER_BOX = ("--pmin", "--pmax", "--xbox")
+
+# (name, help, function, flags)
+_COMMANDS = [
+    ("check-normality", "residual sweep over a point cloud", cmd_check_normality,
+     ("--system", "--points", "--seed", *_SAMPLER_BOX, "--tol", "--out-dir")),
+    ("solve-nu", "integrate the Pfaff system over a grid", cmd_solve_nu,
+     ("--system", "--surface", "--nu0", "--grid", "--y0", "--tol", "--out-dir")),
+    ("simulate-shift", "shift a surface patch and verify orthogonality", cmd_simulate_shift,
+     ("--system", "--surface", "--nu0", "--grid", "--y0", "--solve-nu", "--t-end",
+      "--step", "--tol", "--out-dir")),
+    ("gauge-test", "random gauge invariance suite", cmd_gauge_test,
+     ("--system", "--count", "--seed", *_SAMPLER_BOX, "--out-dir")),
+    ("cross-check", "internal oracles and equivalences", cmd_cross_check,
+     ("--system", "--seed", *_SAMPLER_BOX, "--step", "--tol", "--out-dir")),
+]
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="nslab",
         description="normal-shift laboratory for momentum-space Newtonian systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, surface=False):
-        p.add_argument("--system", required=True, help="system config JSON")
-        if surface:
-            p.add_argument("--surface", required=True, help="surface config JSON")
-        p.add_argument("--points", type=int, default=100)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--tol", type=float, default=1e-7)
-        p.add_argument("--step", type=float, default=1e-3)
-        p.add_argument("--t-end", type=float, default=1.0)
-        p.add_argument("--nu0", type=float, default=1.0)
-        p.add_argument("--grid", type=lambda s: [int(v) for v in s.split(",")],
-                       default=None)
-        p.add_argument("--y0", type=lambda s: [float(v) for v in s.split(",")],
-                       default=None)
-        p.add_argument("--pmin", type=float, default=0.1)
-        p.add_argument("--pmax", type=float, default=10.0)
-        p.add_argument("--xbox", type=float, default=1.0)
-        p.add_argument("--out-dir", default="out")
-
-    p = sub.add_parser("check-normality", help="residual sweep over a point cloud")
-    common(p)
-    p.set_defaults(fn=cmd_check_normality)
-
-    p = sub.add_parser("solve-nu", help="integrate the Pfaff system over a grid")
-    common(p, surface=True)
-    p.set_defaults(fn=cmd_solve_nu)
-
-    p = sub.add_parser("simulate-shift",
-                       help="shift a surface patch and verify orthogonality")
-    common(p, surface=True)
-    p.add_argument("--solve-nu", action="store_true",
-                   help="solve for nu instead of using the constant --nu0")
-    p.set_defaults(fn=cmd_simulate_shift)
-
-    p = sub.add_parser("gauge-test", help="random gauge invariance suite")
-    common(p)
-    p.add_argument("--count", type=int, default=50)
-    p.set_defaults(fn=cmd_gauge_test)
-
-    p = sub.add_parser("cross-check", help="internal oracles and equivalences")
-    common(p)
-    p.set_defaults(fn=cmd_cross_check)
+    for name, text, fn, flags in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(fn=fn)
     return parser
 
 

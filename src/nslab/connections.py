@@ -15,7 +15,7 @@ from . import taylor
 from .engine import PointCalculus, curvature_tensors, phase_jet1
 from .errors import AsymmetricGauge, ConfigError
 from .expressions import Expression, evaluate_series, parse, phase_variables
-from .systems import DEFAULT_TOL, phase_env, seed_phase
+from .systems import phase_env, seed_phase
 
 __all__ = [
     "ConnectionField",
@@ -148,10 +148,9 @@ class CanonicalConnection(ConnectionField):
 
     source = "canonical"
 
-    def __init__(self, sys, tol=DEFAULT_TOL):
+    def __init__(self, sys):
         super().__init__(sys.n)
         self.sys = sys
-        self.tol = tol
 
     def v_trust_needed(self, depth):
         return depth + 3
@@ -179,7 +178,7 @@ class CanonicalConnection(ConnectionField):
         return gamma[..., lo, hi] * (-0.5)
 
     def _series_point(self, q, depth):
-        return PointCalculus(self.sys, self, q, depth=depth, tol=self.tol)
+        return PointCalculus(self.sys, self, q, depth=depth)
 
 
 class GaugeTensor:
@@ -214,9 +213,9 @@ class GaugedConnection(ConnectionField):
         return self.base._series_point(q, depth)
 
 
-def canonical_connection(sys, tol=DEFAULT_TOL):
+def canonical_connection(sys):
     """The canonical connection of a system."""
-    return CanonicalConnection(sys, tol)
+    return CanonicalConnection(sys)
 
 
 def connection_from_config(cfg, sys):

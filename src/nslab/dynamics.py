@@ -20,7 +20,7 @@ import numpy as np
 
 from .engine import PointCalculus, point_chunks
 from .errors import NonFiniteState
-from .systems import DEFAULT_TOL, PhasePoint
+from .systems import PhasePoint
 
 
 @dataclass
@@ -78,7 +78,7 @@ def _dp_to_xi(gamma, p, taus, dps):
     return dps - np.einsum("...kij,...k,...mj->...mi", gamma, p, taus)
 
 
-def variational_rhs(sys, conn, state, tol=DEFAULT_TOL):
+def variational_rhs(sys, conn, state):
     """Time derivatives of (q, taus, xis) from the covariant variational system.
 
     xi is formed from the state's (tau, dp) with the connection at q; the
@@ -95,7 +95,7 @@ def variational_rhs(sys, conn, state, tol=DEFAULT_TOL):
         nabla_t tau^i = dtau^i/dt + sum_{j,k} gamma[i,j,k] V^j tau^k
         nabla_t xi_i  = dxi_i/dt  - sum_{j,b} gamma[b,j,i] xi_b V^j
     """
-    calc = PointCalculus(sys, conn, state.q, depth=1, tol=tol)
+    calc = PointCalculus(sys, conn, state.q, depth=1)
     p = state.q.p
     V, Theta, Q = calc.V, calc.Theta, calc.Q
     R, D = calc.R, calc.D

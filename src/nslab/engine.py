@@ -31,12 +31,15 @@ import numpy as np
 
 from . import taylor
 from .errors import DegenerateOmega, NslabError, SingularMetric
-from .systems import DEFAULT_TOL, PhasePoint
+from .systems import OMEGA_RATIO, SINGULAR_RATIO, PhasePoint
 
 # Points per batched evaluation.  On the pfaff-sphere benchmark (2-core
 # x86-64, numpy 2.4, medians of 5 runs), against one point at a time
 # (39.1 MB peak RSS, 0.90 s), chunks of 8 / 16 / 32 points cost +0.3 / +0.5 /
-# +1.5 MB and solved in 0.20 / 0.19 / 0.18 s.
+# +1.5 MB and solved in 0.20 / 0.19 / 0.18 s.  The 200-point regularity
+# screen of demos/02 (same machine, BLAS at one thread, two runs of 5
+# alternating) takes 16-21 ms in chunks of 16 against 91-115 ms with one
+# calc per point.
 _MAX_POINTS = 16
 
 
@@ -111,12 +114,11 @@ class PointCalculus:
     batched `q` every field leads with q's batch axes.
     """
 
-    def __init__(self, sys, conn, q, depth=1, tol=DEFAULT_TOL):
+    def __init__(self, sys, conn, q, depth=1):
         self.sys = sys
         self.conn = conn
         self.q = q
         self.depth = depth
-        self.tol = tol
         self.n = sys.n
         self.batch_ndim = q.x.ndim - 1
         v_trust = max(depth + 1, conn.v_trust_needed(depth))
@@ -170,14 +172,14 @@ class PointCalculus:
     def g_up(self):
         """g_up[i, r] = dV^i/dp_r, checked for singularity relative to its size.
 
-        The metric is singular when |det g| <= tol.singular * ||g||_F^n with
-        ||g||_F the Frobenius norm.  By Hadamard's inequality the ratio
+        The metric is singular when |det g| <= SINGULAR_RATIO * ||g||_F^n
+        with ||g||_F the Frobenius norm.  By Hadamard's inequality the ratio
         |det g| / ||g||_F^n is at most 1, and it does not change when V is
         rescaled.
         """
         g = taylor.read_values(self.Vp_s)
         det = np.linalg.det(g)
-        bound = self.tol.singular * np.linalg.norm(g, axis=(-2, -1)) ** self.n
+        bound = SINGULAR_RATIO * np.linalg.norm(g, axis=(-2, -1)) ** self.n
         self._check(np.abs(det) <= bound, SingularMetric, "det dV/dp", det)
         return g
 
@@ -196,10 +198,10 @@ class PointCalculus:
 
     @cached_property
     def Omega(self):
-        """<p|W>; degenerate when |<p|W>| <= tol.omega * |p| * |W|, so at p = 0 too."""
+        """<p|W>; degenerate when |<p|W>| <= OMEGA_RATIO * |p| * |W|, so at p = 0 too."""
         p, W = self.q.p, self.W
         omega = _dot(p, W)
-        bound = self.tol.omega * np.linalg.norm(p, axis=-1) * np.linalg.norm(W, axis=-1)
+        bound = OMEGA_RATIO * np.linalg.norm(p, axis=-1) * np.linalg.norm(W, axis=-1)
         self._check(np.abs(omega) <= bound, DegenerateOmega, "<p|W>", omega)
         return omega
 

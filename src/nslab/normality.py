@@ -23,7 +23,6 @@ import numpy as np
 
 from .engine import PointCalculus, chunked, stack_points
 from .errors import NonFiniteResidual, NslabError
-from .systems import DEFAULT_TOL
 
 # Points per calc in a sweep.  On the sweep-n3 benchmark (perfbench/run.py,
 # 15 s runs, 2-core x86-64, numpy 2.4), chunks of 4 / 5 / 6 / 8 points
@@ -88,9 +87,9 @@ def residual_from_calc(calc):
                              addA=addA, addB=addB, addC=addC)
 
 
-def residual_at(sys, conn, q, tol=DEFAULT_TOL):
+def residual_at(sys, conn, q):
     """All residuals at q (a point or a batch) from one depth-1 PointCalculus."""
-    return residual_from_calc(PointCalculus(sys, conn, q, depth=1, tol=tol))
+    return residual_from_calc(PointCalculus(sys, conn, q, depth=1))
 
 
 @dataclass
@@ -145,7 +144,7 @@ class BatchReport:
                              block(r.addB), block(r.addC), verdict]) + "\n")
 
 
-def normality_report(sys, conn, sampler, tolerance, tol=DEFAULT_TOL):
+def normality_report(sys, conn, sampler, tolerance):
     """Residual sweep over a point cloud with a PASS/FAIL verdict.
 
     The points are evaluated `_SWEEP_POINTS` at a time in one calc each.
@@ -160,12 +159,12 @@ def normality_report(sys, conn, sampler, tolerance, tol=DEFAULT_TOL):
         raise ValueError("sampler produced no points")
 
     def batched(part):
-        r = residual_at(sys, conn, stack_points(part), tol)
+        r = residual_at(sys, conn, stack_points(part))
         return [r[i] for i in range(len(part))]
 
     def single(q):
         try:
-            return residual_at(sys, conn, q, tol)
+            return residual_at(sys, conn, q)
         except NslabError as err:
             empty = np.zeros((0, 0))
             return NormalityResidual(q=q, weak1=np.zeros(0), weak2=np.zeros(0),

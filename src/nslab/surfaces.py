@@ -15,7 +15,6 @@ test suite holds the code to that.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .dynamics import ExtendedState, integrate_family
 from .engine import PointCalculus, point_chunks
 from .errors import ConfigError, NuVanished, RankDeficientTangents
 from .expressions import Expression, evaluate_series, parse
-from .systems import DEFAULT_TOL, PhasePoint
+from .systems import NU_FLOOR, SINGULAR_RATIO, PhasePoint, load_config
 
 
 def _levi_civita(n):
@@ -83,7 +82,7 @@ class Hypersurface:
         norm = np.linalg.norm(raw_pt, axis=-1)
         # |raw| is the volume spanned by the tangents, at most the product of
         # their lengths (Hadamard), so the ratio is free of the surface's scale
-        bad = norm <= 1e-12 * np.prod(np.linalg.norm(taus, axis=-1), axis=-1)
+        bad = norm <= SINGULAR_RATIO * np.prod(np.linalg.norm(taus, axis=-1), axis=-1)
         if np.any(bad):
             i = np.unravel_index(np.argmax(bad), bad.shape)
             raise RankDeficientTangents(f"tangent vectors are dependent at y={y[i].tolist()}")
@@ -118,7 +117,7 @@ class SurfaceFrame:
     b: np.ndarray           # (m, m): second fundamental form components
 
 
-def _surface_calc(sys, conn, surf, y, nu, depth, tol):
+def _surface_calc(sys, conn, surf, y, nu, depth):
     """(calc, taus, normal, dn) at the surface points y with momentum p = nu * n.
 
     y[..., i] and nu share leading batch axes (a scalar nu broadcasts);
@@ -127,13 +126,12 @@ def _surface_calc(sys, conn, surf, y, nu, depth, tol):
     """
     x, taus, normal, dn_dy = surf.geometry(y)
     nu = np.asarray(nu, dtype=float)
-    calc = PointCalculus(sys, conn, PhasePoint(x, nu[..., None] * normal),
-                         depth=depth, tol=tol)
+    calc = PointCalculus(sys, conn, PhasePoint(x, nu[..., None] * normal), depth=depth)
     dn = dn_dy - np.einsum("...ksr,...k,...ir->...is", calc.gamma, normal, taus)
     return calc, taus, normal, dn
 
 
-def surface_frame(sys, conn, surf, y, nu, tol=DEFAULT_TOL):
+def surface_frame(sys, conn, surf, y, nu):
     """Tangents, normal, covariant dn and second fundamental form at y.
 
     The momentum entering the connection and the projector is p = nu * n.
@@ -142,13 +140,13 @@ def surface_frame(sys, conn, surf, y, nu, tol=DEFAULT_TOL):
     """
     if np.any(np.asarray(nu) == 0):
         raise ValueError("nu must be nonzero")
-    calc, taus, normal, dn = _surface_calc(sys, conn, surf, y, nu, 0, tol)
+    calc, taus, normal, dn = _surface_calc(sys, conn, surf, y, nu, 0)
     b = -np.einsum("...ir,...qr,...jq->...ij", taus, calc.P, dn)
     return SurfaceFrame(y=np.asarray(y, float), x=calc.q.x, taus=taus, normal=normal,
                         dn=dn, b=b)
 
 
-def pfaff_rhs(sys, conn, surf, y, nu, tol=DEFAULT_TOL):
+def pfaff_rhs(sys, conn, surf, y, nu):
     """Right-hand side psi_i of dnu/dy^i for the shift-initialization field.
 
         psi_i = -(nu^2 / Omega) sum_s W^s dn[i, s]
@@ -163,14 +161,14 @@ def pfaff_rhs(sys, conn, surf, y, nu, tol=DEFAULT_TOL):
     batch = np.broadcast_shapes(y.shape[:-1], nu.shape)
     ys = np.broadcast_to(y, batch + (surf.m,)).reshape(-1, surf.m)
     nus = np.broadcast_to(nu, batch).reshape(-1)
-    psi = [_pfaff_points(sys, conn, surf, ys[c], nus[c], tol)
+    psi = [_pfaff_points(sys, conn, surf, ys[c], nus[c])
            for c in point_chunks(len(nus))]
     return np.concatenate(psi).reshape(batch + (surf.m,))
 
 
-def _pfaff_points(sys, conn, surf, y, nu, tol):
+def _pfaff_points(sys, conn, surf, y, nu):
     """pfaff_rhs on a batch of points y[b] with speeds nu[b] in one PointCalculus."""
-    calc, taus, _, dn = _surface_calc(sys, conn, surf, y, nu, 0, tol)
+    calc, taus, _, dn = _surface_calc(sys, conn, surf, y, nu, 0)
     omega = calc.Omega[:, None, None]
     nu = nu[:, None, None]
     return (np.matmul(-(nu * nu / omega) * dn, calc.W[:, :, None])[:, :, 0]
@@ -195,7 +193,7 @@ class NuGrid:
             yield idx, y, float(self.values[idx])
 
 
-def _edge_rk4(sys, conn, surf, y_from, y_to, nu, substeps, tol):
+def _edge_rk4(sys, conn, surf, y_from, y_to, nu, substeps):
     """RK4 for nu along straight parameter segments, all in lockstep.
 
     Edge e runs from y_from[e] to y_to[e] starting at nu[e]; each RK4 stage
@@ -210,7 +208,7 @@ def _edge_rk4(sys, conn, surf, y_from, y_to, nu, substeps, tol):
     h = 1.0 / substeps
 
     def f(s, v):
-        psi = pfaff_rhs(sys, conn, surf, y_from + s * delta, v, tol)
+        psi = pfaff_rhs(sys, conn, surf, y_from + s * delta, v)
         return np.matmul(psi[:, None, :], delta[:, :, None])[:, 0, 0]
 
     v = nu
@@ -222,7 +220,7 @@ def _edge_rk4(sys, conn, surf, y_from, y_to, nu, substeps, tol):
         k4 = f(s + h, v + h * k3)
         prev = v
         v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        bad = ~np.isfinite(v) | (np.abs(v) < tol.nu_floor) | (v * prev <= 0.0)
+        bad = ~np.isfinite(v) | (np.abs(v) < NU_FLOOR) | (v * prev <= 0.0)
         if np.any(bad):
             e = int(np.argmax(bad))
             raise NuVanished(
@@ -243,7 +241,7 @@ def _ray(idx, d, direction, size):
     return out
 
 
-def solve_nu(sys, conn, surf, y0, nu0, grid, substeps=4, tol=DEFAULT_TOL):
+def solve_nu(sys, conn, surf, y0, nu0, grid, substeps=4):
     """Integrate the Pfaff system over an axis-parallel grid.
 
     nu is propagated from the node nearest to y0 along axis-parallel
@@ -272,7 +270,7 @@ def solve_nu(sys, conn, surf, y0, nu0, grid, substeps=4, tol=DEFAULT_TOL):
         return np.array([[ax[i] for ax, i in zip(axes, idx)] for idx in idxs])
 
     def edges(starts, ends, nu):
-        return _edge_rk4(sys, conn, surf, nodes(starts), nodes(ends), nu, substeps, tol)
+        return _edge_rk4(sys, conn, surf, nodes(starts), nodes(ends), nu, substeps)
 
     def ix(idxs):
         return tuple(np.array(idxs).T)
@@ -316,7 +314,7 @@ def solve_nu(sys, conn, surf, y0, nu0, grid, substeps=4, tol=DEFAULT_TOL):
                   residual=residual)
 
 
-def compatibility_residual(sys, conn, surf, y, nu, tol=DEFAULT_TOL):
+def compatibility_residual(sys, conn, surf, y, nu):
     """Antisymmetric mixed-partial defect of the Pfaff system, (..., m, m).
 
     Assembled from the A/B/C tensors and the projected dn map; vanishes
@@ -325,7 +323,7 @@ def compatibility_residual(sys, conn, surf, y, nu, tol=DEFAULT_TOL):
     leading batch axes (a scalar nu broadcasts), and all points are
     evaluated in one PointCalculus.
     """
-    calc, taus, _, dn = _surface_calc(sys, conn, surf, y, nu, 1, tol)
+    calc, taus, _, dn = _surface_calc(sys, conn, surf, y, nu, 1)
     pdn = np.einsum("...qr,...iq->...ir", calc.P, dn)
     omega = calc.Omega[..., None, None]
     nu = np.asarray(nu, dtype=float)[..., None, None]
@@ -372,7 +370,7 @@ class ShiftRun:
                     fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def simulate_shift(sys, conn, surf, nu_source, cfg, grid=None, tol=DEFAULT_TOL):
+def simulate_shift(sys, conn, surf, nu_source, cfg, grid=None):
     """Shift a gridded surface patch along the system's trajectories.
 
     Initial data per grid node: x from the embedding, p = nu * n, tau_i
@@ -400,13 +398,13 @@ def simulate_shift(sys, conn, surf, nu_source, cfg, grid=None, tol=DEFAULT_TOL):
         solved = False
 
     for y, nu in items:
-        if abs(nu) < tol.nu_floor:
+        if abs(nu) < NU_FLOOR:
             raise NuVanished(f"nu vanished at grid node y={y!r}")
     ys = [y for y, _ in items]
     nodes = np.array(ys)
     nus = np.array([nu for _, nu in items])
     x, taus, normal, dn_dy = surf.geometry(nodes)
-    dnu = (pfaff_rhs(sys, conn, surf, nodes, nus, tol) if solved
+    dnu = (pfaff_rhs(sys, conn, surf, nodes, nus) if solved
            else np.zeros((len(ys), surf.m)))
     dps = dnu[:, :, None] * normal[:, None, :] + nus[:, None, None] * dn_dy
     p = nus[:, None] * normal
@@ -462,11 +460,4 @@ def surface_from_config(cfg):
 
 
 def load_surface(path):
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as err:
-        raise ConfigError(f"cannot read surface config: {err}") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"invalid JSON in surface config: {err}") from None
-    return surface_from_config(cfg)
+    return surface_from_config(load_config(path, "surface"))

@@ -30,24 +30,26 @@ from .expressions import (
 )
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Cutoffs shared by the geometric layer; override per call if needed.
-
-    `singular`, `omega` and `w_v` are ratios, free of the scale of V, p
-    and W: the metric is singular when |det g| <= singular * ||g||_F^n, the
-    velocity vanishes when |V| <= singular * ||g||_F * |p|, Omega = <p|W>
-    is degenerate when |Omega| <= omega * |p| * |W|, and dW/dv of a
-    two-function force family vanishes when |W_v| <= w_v * |(d_x W, W_v)|.
-    """
-
-    singular: float = 1e-12
-    omega: float = 1e-12
-    w_v: float = 1e-12
-    nu_floor: float = 1e-10
-
-
-DEFAULT_TOL = Tolerances()
+# Degeneracy cutoffs, fixed for the whole package.  The first three are
+# ratios, free of the scale of V, p, W and the surface:
+#   - the metric g = dV/dp is singular when |det g| <= SINGULAR_RATIO *
+#     ||g||_F^n (Hadamard: |det g| / ||g||_F^n is at most 1 and does not
+#     change when V is rescaled), and the velocity vanishes when |V| <=
+#     SINGULAR_RATIO * ||g||_F * |p|; surface tangents are dependent when
+#     the volume they span is at most SINGULAR_RATIO times the product of
+#     their lengths, the same Hadamard bound;
+#   - Omega = <p|W> is degenerate when |Omega| <= OMEGA_RATIO * |p| * |W|,
+#     and the Hamiltonian denominator sum_s p_s dH/dp_s when it is at most
+#     OMEGA_RATIO * |p| * |dH/dp|;
+#   - dW/dv of a two-function force family vanishes when |W_v| <=
+#     W_V_RATIO * |(d_x W, W_v)|.
+# NU_FLOOR is absolute: the Pfaff right-hand side grows like 1/nu^3, so an
+# integrated |nu| below it has reached the singular set where the shift
+# construction ends.
+SINGULAR_RATIO = 1e-12
+OMEGA_RATIO = 1e-12
+W_V_RATIO = 1e-12
+NU_FLOOR = 1e-10
 
 
 class PhasePoint:
@@ -211,7 +213,7 @@ class ModifiedHamiltonianSystem(SystemDefinition):
         hx, hp = grad[..., :n], grad[..., n:]
         denom = (ps * hp).sum(-1)
         # relative to |p| |dH/dp|, so the cutoff ignores the scale of H
-        bound = (DEFAULT_TOL.omega * np.linalg.norm(taylor.read_values(ps), axis=-1)
+        bound = (OMEGA_RATIO * np.linalg.norm(taylor.read_values(ps), axis=-1)
                  * np.linalg.norm(taylor.read_values(hp), axis=-1))
         if np.any(np.abs(denom.value()) <= bound):
             raise DegenerateOmega(
@@ -253,7 +255,7 @@ class EuclideanNewtonianSystem(SystemDefinition):
         grad = taylor.stack([evaluate_series(e, env) for e in self.W_x])
         # relative to |(d_x W, W_v)|, so the cutoff ignores the scale of W
         scale = np.hypot(np.linalg.norm(taylor.read_values(grad), axis=-1), wv.value())
-        if np.any(np.abs(wv.value()) <= DEFAULT_TOL.w_v * scale):
+        if np.any(np.abs(wv.value()) <= W_V_RATIO * scale):
             raise ZeroWv("dW/dv vanished at an evaluation point")
         hw = evaluate_series(self.h, [evaluate_series(self.W, env)])
         # quad[k, i] = 2 p_k p_i - delta_ki v^2
@@ -298,16 +300,15 @@ class RegularityReport:
         return [s for s in self.samples if not s.ok]
 
 
-def _regularity_sample(q, g, V, omega, tol):
-    """The sample of q from its metric pair g, velocity V and Omega."""
-    det, v_norm = float(np.linalg.det(g)), float(np.linalg.norm(V))
-    if v_norm <= tol.singular * np.linalg.norm(g) * np.linalg.norm(q.p):
+def _regularity_sample(q, g, det, v_norm, omega):
+    """The sample of q from its metric pair g, det g, |V| and Omega."""
+    if v_norm <= SINGULAR_RATIO * np.linalg.norm(g) * np.linalg.norm(q.p):
         return RegularitySample(q, det, v_norm, omega, False,
                                 "velocity field vanished at nonzero momentum")
     return RegularitySample(q, det, v_norm, omega, True, "")
 
 
-def check_regularity(sys, sampler, tol=DEFAULT_TOL):
+def check_regularity(sys, sampler):
     """Sample-based regularity screen for the Legendre map of a system.
 
     Checks, per sample: det dV/dp != 0 (local diffeomorphism proxy),
@@ -324,17 +325,19 @@ def check_regularity(sys, sampler, tol=DEFAULT_TOL):
     conn = ZeroConnection(sys.n)
 
     def batched(part):
-        calc = PointCalculus(sys, conn, stack_points(part), depth=0, tol=tol)
+        calc = PointCalculus(sys, conn, stack_points(part), depth=0)
         g, V, omega = calc.g_up, calc.V, calc.Omega
-        return [_regularity_sample(q, g[i], V[i], omega[i], tol) for i, q in enumerate(part)]
+        return [_regularity_sample(q, g[i], float(np.linalg.det(g[i])),
+                                   float(np.linalg.norm(V[i])), omega[i])
+                for i, q in enumerate(part)]
 
     def single(q):
         det = v_norm = np.nan
         try:
-            calc = PointCalculus(sys, conn, q, depth=0, tol=tol)
+            calc = PointCalculus(sys, conn, q, depth=0)
             # a degenerate Omega still reports the metric and velocity
             det, v_norm = float(np.linalg.det(calc.g_up)), float(np.linalg.norm(calc.V))
-            return _regularity_sample(q, calc.g_up, calc.V, calc.Omega, tol)
+            return _regularity_sample(q, calc.g_up, det, v_norm, calc.Omega)
         except SingularMetric as err:
             failure = f"singular metric: {err}"
         except DegenerateOmega as err:

@@ -1,9 +1,10 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from nslab.cli import main
+from nslab.cli import build_parser, main
 from nslab.engine import PointCalculus
 
 
@@ -16,6 +17,8 @@ def configs(tmp_path):
                 "Theta": ["p2^2", "0"]},
         "circle": {"params": 1, "embedding": ["cos(y1)", "sin(y1)"],
                    "domain": [[-1.2, 1.2]], "grid": [7]},
+        "flat": {"n": 2, "kind": "riemannian_euclidean", "W": "v + x1*v^2/10",
+                 "h": "w/5"},
     }
     for name, cfg in specs.items():
         path = tmp_path / f"{name}.json"
@@ -53,6 +56,14 @@ class TestExitCodes:
 
     def test_bad_flag_is_exit_2(self, configs, capsys):
         assert main(["check-normality"]) == 2
+
+    def test_invalid_surface_json_is_exit_2(self, tmp_path, configs, capsys):
+        surf = tmp_path / "broken.json"
+        surf.write_text('{"params": 1,')
+        code, out = run(["solve-nu", "--system", configs["geo"], "--surface", str(surf),
+                         "--out-dir", configs["out"]], capsys)
+        assert code == 2
+        assert "invalid JSON in surface config" in out
 
     def test_simulate_shift(self, configs, capsys):
         code, out = run(["simulate-shift", "--system", configs["geo"],
@@ -211,3 +222,54 @@ class TestCrossCheck:
         assert "no connection-oracle point was evaluated" in out
         assert code == 1
         assert out.strip().splitlines()[-1].startswith("RESULT cross-check FAIL")
+
+
+class _Recorder(argparse.Namespace):
+    """A namespace that records the names of the attributes read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def _subparsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestFlags:
+    # argv that reaches every flag read of its command
+    ARGV = {
+        "check-normality": ["--system", "{geo}", "--points", "5"],
+        "solve-nu": ["--system", "{geo}", "--surface", "{circle}"],
+        "simulate-shift": ["--system", "{geo}", "--surface", "{circle}", "--solve-nu",
+                           "--t-end", "0.01", "--step", "0.005"],
+        "gauge-test": ["--system", "{geo}", "--count", "1"],
+        "cross-check": ["--system", "{flat}", "--step", "0.05"],
+    }
+
+    def test_every_command_is_covered(self):
+        assert set(_subparsers()) == set(self.ARGV)
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_accepted_flags_are_the_flags_read(self, command, configs, capsys):
+        accepted = {a.dest for a in _subparsers()[command]._actions
+                    if a.option_strings and a.dest != "help"}
+        argv = [command] + [arg.format(**configs) for arg in self.ARGV[command]]
+        args = _Recorder(_reads=set())
+        build_parser().parse_args(argv + ["--out-dir", configs["out"]], namespace=args)
+        fn = args.fn
+        args._reads.clear()
+        assert fn(args) == 0
+        assert args._reads == accepted
+
+    @pytest.mark.parametrize("argv", [["gauge-test", "--tol", "1e-12"],
+                                      ["solve-nu", "--surface", "{circle}", "--points", "5"],
+                                      ["cross-check", "--points", "500"],
+                                      ["check-normality", "--step", "0.1"]])
+    def test_a_flag_the_command_does_not_read_is_exit_2(self, argv, configs, capsys):
+        argv = argv[:1] + ["--system", configs["geo"]] + [a.format(**configs) for a in argv[1:]]
+        assert main(argv + ["--out-dir", configs["out"]]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -5,7 +5,6 @@ import pytest
 
 from nslab import (
     ConfigError,
-    DEFAULT_TOL,
     DegenerateOmega,
     ExplicitSystem,
     NslabError,
@@ -22,6 +21,7 @@ from nslab import (
     system_from_config,
 )
 from nslab.engine import PointCalculus
+from nslab.systems import SINGULAR_RATIO
 
 
 def q(x, p):
@@ -242,7 +242,7 @@ class TestRegularity:
         assert all(s.ok for s in report.samples if s.q.x[0] > 0)
 
 
-def _regularity_reference(sysm, point, tol=DEFAULT_TOL):
+def _regularity_reference(sysm, point):
     """(det, v_norm, omega, ok, failure) of one point, evaluated on its own."""
     det = v_norm = omega = np.nan
     ok, failure = True, ""
@@ -251,7 +251,7 @@ def _regularity_reference(sysm, point, tol=DEFAULT_TOL):
         det = float(np.linalg.det(calc.g_up))
         v_norm = float(np.linalg.norm(calc.V))
         omega = calc.Omega
-        if v_norm <= tol.singular * np.linalg.norm(calc.g_up) * np.linalg.norm(point.p):
+        if v_norm <= SINGULAR_RATIO * np.linalg.norm(calc.g_up) * np.linalg.norm(point.p):
             ok, failure = False, "velocity field vanished at nonzero momentum"
     except SingularMetric as err:
         ok, failure = False, f"singular metric: {err}"
