@@ -101,13 +101,23 @@ def seed_phase(ctx, x, p):
     """Phase variables (xs, ps) at x and p: variable i is x^i, variable n + i is p_i.
 
     x and p may carry leading batch axes; the last axis is the component,
-    and xs and ps are each one series of shape (..., n).
+    and xs and ps are each one series of shape (..., n), trusted to the
+    context's order.  Both are C-contiguous halves of one zero array:
+    value in the constant column and 1.0 in the column of the variable's
+    unit monomial (an order-0 context has none).
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    n = x.shape[-1]
-    return (taylor.stack([ctx.variable(i, x[..., i]) for i in range(n)]),
-            taylor.stack([ctx.variable(n + i, p[..., i]) for i in range(n)]))
+    shape = np.broadcast_shapes(x.shape, p.shape)
+    n = shape[-1]
+    coef = np.zeros((2,) + shape + (ctx.size,))
+    coef[0, ..., 0] = x
+    coef[1, ..., 0] = p
+    if ctx.order:
+        # component i of half k is variable k * n + i
+        coef[np.arange(2)[:, None], ..., np.arange(n), ctx.units.reshape(2, n)] = 1.0
+    return (taylor.TaylorSeries(ctx, coef[0], ctx.order),
+            taylor.TaylorSeries(ctx, coef[1], ctx.order))
 
 
 def phase_env(xs, ps):
@@ -147,14 +157,19 @@ class SystemDefinition:
         """(V, Theta) plus the full phase-space Jacobian, batched.
 
         Returns V (..., n), T (..., n), J (..., 2n, 2n) where J rows are
-        (V, Theta) components and columns are (x, p) directions.
+        (V, Theta) components and columns are (x, p) directions.  J is
+        read straight from the unit-monomial columns of V and Theta (their
+        first partials) into a fresh C-contiguous array: the integrator's
+        einsum sums in an order that follows its operands' layout, so a
+        batch row then steps exactly as the point does alone.
         """
         n = self.n
         ctx = taylor.context(2 * n, self.ctx_order(1))
         V, T = self.v_theta_series(ctx, *seed_phase(ctx, X, P))
-        vals, grad = taylor.read_jet1(taylor.stack([V, T], axis=-2))
-        J = np.moveaxis(grad, 0, -1).reshape(vals.shape[:-2] + (2 * n, 2 * n))
-        return vals[..., 0, :], vals[..., 1, :], np.ascontiguousarray(J)
+        J = np.empty(V.shape[:-1] + (2 * n, 2 * n))
+        J[..., :n, :] = V.coef[..., ctx.units]
+        J[..., n:, :] = T.coef[..., ctx.units]
+        return taylor.read_values(V), taylor.read_values(T), J
 
     def series_at(self, q, v_trust):
         """V and Theta series (each (..., n)) at a point with V exact to order `v_trust`."""
@@ -210,17 +225,18 @@ class ModifiedHamiltonianSystem(SystemDefinition):
     def v_theta_series(self, ctx, xs, ps):
         n = self.n
         grad = evaluate_series(self.H, phase_env(xs, ps)).partials(0, 2 * n)
-        hx, hp = grad[..., :n], grad[..., n:]
+        hp = grad[..., n:]
         denom = (ps * hp).sum(-1)
         # relative to |p| |dH/dp|, so the cutoff ignores the scale of H
-        bound = (OMEGA_RATIO * np.linalg.norm(taylor.read_values(ps), axis=-1)
-                 * np.linalg.norm(taylor.read_values(hp), axis=-1))
+        p0, hp0 = ps.coef[..., 0], hp.coef[..., 0]
+        bound = OMEGA_RATIO * np.sqrt((p0 * p0).sum(-1)) * np.sqrt((hp0 * hp0).sum(-1))
         if np.any(np.abs(denom.value()) <= bound):
             raise DegenerateOmega(
                 "sum_s p_s dH/dp_s vanished; the rescaled Hamiltonian flow is undefined"
             )
-        inv = denom._reciprocal()[..., None]
-        return hp * inv, -(hx * inv)
+        # one product divides the whole gradient: (dH/dx, dH/dp) / denom
+        quotient = grad * denom._reciprocal()[..., None]
+        return quotient[..., n:], -quotient[..., :n]
 
 
 class EuclideanNewtonianSystem(SystemDefinition):

@@ -33,6 +33,13 @@ A sum, a product or a stack is trusted to the lowest trust of its
 operands and cuts each operand to that prefix.  A product pays only for
 the monomial pairs up to its trust, so untrusted coefficients are never
 formed, stored or propagated.
+
+A context is built once per (nvars, order) and shared.  Besides its fixed
+tables it caches one thing that grows with use: per trust, the bincount
+row-offset index of the largest batched product seen so far, which every
+product of fewer rows reads a prefix of.  An index is kept only while it
+has at most OFFSET_CACHE_LIMIT entries, so a context holds at most
+(order + 1) * OFFSET_CACHE_LIMIT of them.
 """
 
 from __future__ import annotations
@@ -62,6 +69,18 @@ def _monomials(nvars, order):
         level.sort()
         out.extend(level)
     return out
+
+
+# most entries of a kept bincount offset index, 48 KiB of int64 per trust.
+# The products of a 64-point RK4 stage at order 2 in six variables fit
+# (64 x 91 pairs); the residual sweep ran no faster with larger indices
+# kept, only bigger
+OFFSET_CACHE_LIMIT = 6144
+
+
+def _nonzero(a):
+    """Whether the array has a nonzero entry; its first entry often settles it."""
+    return a.size and (a.item(0) != 0 or a.any())
 
 
 class TaylorContext:
@@ -108,7 +127,11 @@ class TaylorContext:
         self._ib = ib[by_deg]
         self._ik = lookup(key[self._ia] + key[self._ib])
         self._pair_count = np.searchsorted(pair_deg[by_deg], levels, side="right")
-        self._pairs = [(self._ia[:n], self._ib[:n], self._ik[:n]) for n in self._pair_count]
+        # per trust: the pairs and the number of monomials the product stores
+        self._pairs = [(self._ia[:n], self._ib[:n], self._ik[:n], int(self.sizes[t]))
+                       for t, n in enumerate(self._pair_count)]
+        # per trust: the kept bincount row offsets (see `multiply`)
+        self._offsets = [None] * (order + 1)
 
         # coefficient index of each unit monomial e_v; degree 1 is stored in
         # reverse variable order, so look it up
@@ -131,21 +154,40 @@ class TaylorContext:
         Only the monomial pairs of total degree <= trust are formed.  They
         read the first sizes[trust] coefficients of each factor, which may
         store more, and the product stores exactly that many.
+
+        The bincount that sums the pairs shifts row r's pairs by
+        r * sizes[trust].  The offsets of r rows are a prefix of those of
+        more rows, so the context keeps one offset index per trust, for
+        the most rows a product of that trust has had, and serves fewer
+        rows from its prefix.  An index of more than OFFSET_CACHE_LIMIT
+        entries serves its own product only and is not kept.
         """
-        size = self.sizes[trust]
-        # zero factors are common (sparse connections, x-independent fields)
-        if not a.any() or not b.any():
+        ia, ib, _, size = self._pairs[trust]
+        # zero factors are common (sparse connections, x-independent fields);
+        # a nonzero first coefficient settles most other factors at once
+        if not (_nonzero(a) and _nonzero(b)):
             return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (size,))
-        ia, ib, ik = self._pairs[trust]
         prod = a.take(ia, axis=-1) * b.take(ib, axis=-1)
         lead = prod.shape[:-1]
         rows = math.prod(lead)
         # one bincount over all leading axes: row r sums into r * size + ik
-        # (a single row needs no offset, and building one costs a third of
-        # a small product)
-        index = ik if rows == 1 else (np.arange(rows)[:, None] * size + ik).ravel()
-        out = np.bincount(index, weights=prod.ravel(), minlength=rows * size)
+        out = np.bincount(self._row_offsets(trust, rows), weights=prod.ravel(),
+                          minlength=rows * size)
         return out.reshape(lead + (size,))
+
+    def _row_offsets(self, trust, rows):
+        """The bincount index of `rows` rows: entry (r, j) is r * sizes[trust] + ik[j]."""
+        ik, size = self._pairs[trust][2:]
+        if rows == 1:
+            return ik
+        need = rows * len(ik)
+        kept = self._offsets[trust]
+        if kept is not None and len(kept) >= need:
+            return kept[:need]
+        index = (np.arange(rows)[:, None] * size + ik).ravel()
+        if need <= OFFSET_CACHE_LIMIT:
+            self._offsets[trust] = index
+        return index
 
     def constant(self, value, trust=None):
         """A constant series of value's shape, trusted to `trust` (default: the order)."""

@@ -80,6 +80,19 @@ class TestExitCodes:
         assert code == 0
         assert "RESULT solve-nu PASS" in out
 
+    @pytest.mark.parametrize("command", ["solve-nu", "simulate-shift"])
+    def test_dimension_mismatch_is_exit_2(self, command, tmp_path, configs, capsys):
+        # an n = 2 system with a surface in three coordinates
+        sphere = tmp_path / "sphere.json"
+        sphere.write_text(json.dumps({
+            "params": 2, "embedding": ["sin(y1)*cos(y2)", "sin(y1)*sin(y2)", "cos(y1)"],
+            "domain": [[0.3, 1.2], [-0.6, 0.6]], "grid": [3, 3]}))
+        code, out = run([command, "--system", configs["geo"], "--surface", str(sphere),
+                         "--out-dir", configs["out"]], capsys)
+        assert code == 2
+        assert "configuration error" in out
+        assert "3 ambient coordinates but the system has dimension 2" in out
+
     def test_runaway_system_is_exit_3(self, tmp_path, configs, capsys):
         import json
         cfg = {"n": 2, "kind": "explicit", "V": ["p1^3", "p2"],

@@ -156,13 +156,19 @@ class TestIntegrate:
 
     def test_family_matches_single(self, sys_geox2, conn_geox2):
         cfg = IntegratorConfig(t_end=0.5, step=1e-3)
-        states = [ExtendedState(0, q([0.1, 0.0], [1.0, 0.2])),
-                  ExtendedState(0, q([0.0, 0.2], [0.8, -0.4]))]
+        # two variation pairs per state, none of them zero
+        states = [ExtendedState(0, q([0.1, 0.0], [1.0, 0.2]),
+                                [[0.0, 1.0], [0.3, -0.2]], [[0.5, 0.1], [-0.2, 0.4]]),
+                  ExtendedState(0, q([0.0, 0.2], [0.8, -0.4]),
+                                [[1.0, 0.5], [-0.1, 0.7]], [[0.0, -0.3], [0.6, 0.2]])]
         fam = integrate_family(sys_geox2, conn_geox2, states, cfg)
         for st, tr in zip(states, fam):
             single = integrate(sys_geox2, conn_geox2, st, cfg)
             assert np.array_equal(single.x, tr.x)
             assert np.array_equal(single.p, tr.p)
+            assert np.array_equal(single.taus, tr.taus)
+            assert np.array_equal(single.dps, tr.dps)
+            assert np.abs(tr.taus[-1] - tr.taus[0]).max() > 0
 
     def test_csv_roundtrip(self, sys_geo2, conn_geo2, tmp_path):
         cfg = IntegratorConfig(t_end=0.01, step=1e-3)

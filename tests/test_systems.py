@@ -147,6 +147,43 @@ class TestModifiedHamiltonianBuilder:
             sysm.rhs(np.zeros(2), np.zeros(2))
 
 
+class TestRhsJacobian:
+    SYSTEMS = {
+        "hamiltonian": lambda: build_modified_hamiltonian(
+            "(p1^2 + p2^2 + p3^2)/2 + x1*p2^2/5", 3),
+        "explicit": lambda: ExplicitSystem(3, ["p1*x2", "p2", "p3 + x1^2"],
+                                           ["p2^2", "x3*p1", "0"]),
+        "euclidean": lambda: build_riemannian_euclidean("v + x1*v^2/10", "w/5", 3),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SYSTEMS))
+    def test_batch_rows_are_single_points(self, kind):
+        sysm = self.SYSTEMS[kind]()
+        rng = np.random.default_rng(5)
+        X, P = rng.uniform(-0.5, 0.5, (6, 3)), rng.uniform(0.5, 1.5, (6, 3))
+        V, T, J = sysm.rhs_jacobian_batch(X, P)
+        assert (V.shape, T.shape, J.shape) == ((6, 3), (6, 3), (6, 6, 6))
+        # the integrator's einsum sums in an order that follows J's layout
+        assert J.flags.c_contiguous
+        for b in range(6):
+            Vb, Tb, Jb = sysm.rhs_jacobian_batch(X[b], P[b])
+            assert Jb.flags.c_contiguous
+            assert np.array_equal(Vb, V[b]) and np.array_equal(Tb, T[b])
+            assert np.array_equal(Jb, J[b])
+
+    @pytest.mark.parametrize("kind", sorted(SYSTEMS))
+    def test_rows_are_components_and_columns_are_directions(self, kind):
+        sysm = self.SYSTEMS[kind]()
+        point = q([0.2, -0.1, 0.3], [0.9, 0.4, -0.7])
+        V, T, J = sysm.rhs_jacobian_batch(point.x, point.p)
+        _, _, _, Vs, Ts = sysm.series_at(point, 1)
+        units = [tuple(int(k == v) for k in range(6)) for v in range(6)]
+        for i in range(3):
+            assert V[i] == Vs[i].value() and T[i] == Ts[i].value()
+            assert J[i].tolist() == [Vs[i].partial(u) for u in units]
+            assert J[3 + i].tolist() == [Ts[i].partial(u) for u in units]
+
+
 class TestEuclideanBuilder:
     def test_geodesic_case(self):
         sysm = build_riemannian_euclidean("v", "0", 2)

@@ -212,6 +212,33 @@ class TestTruncatedProduct:
                 assert np.array_equal(c.multiply(x[..., :w], y[..., :w], t), got)
             assert c.multiply(np.zeros((3, w)), b, t).shape == (3, w)
 
+    def test_row_counts_share_the_kept_offsets(self):
+        # products of one trust keep one bincount index; a product of fewer
+        # rows reads its prefix and one of more rows rebuilds it, so each
+        # product sums exactly as the dense reference does
+        c = taylor.TaylorContext(6, 2)
+        rng = np.random.default_rng(7)
+        for t in (1, 2):
+            w = c.sizes[t]
+            for rows in (1, 64, 192, 64, 1, 192):
+                a, b = rng.normal(size=(2, rows, c.size))
+                assert np.array_equal(c.multiply(a, b, t), dense_product(c, a, b, t)[:, :w])
+
+    def test_kept_offsets_are_bounded(self):
+        limit = taylor.OFFSET_CACHE_LIMIT
+        rng = np.random.default_rng(8)
+        # residual-sweep products: 4 points of up to 27 tensor entries at order 5
+        c = taylor.TaylorContext(6, 5)
+        for t in range(c.order + 1):
+            for lead in ((4,), (4, 3, 3), (4, 3, 3, 3)):
+                a, b = rng.normal(size=(2,) + lead + (c.size,))
+                c.multiply(a, b, t)
+        assert all(k is None or k.size <= limit for k in c._offsets)
+        # the shift's largest product, 64 points at order 2, is kept
+        s = taylor.TaylorContext(6, 2)
+        s.multiply(*rng.normal(size=(2, 64, s.size)), 2)
+        assert s._offsets[2].size == 64 * s._pair_count[2] <= limit
+
     def test_series_product_is_zero_above_trust(self):
         # nothing above the trust is stored: the product is the dense
         # reference's trusted prefix
