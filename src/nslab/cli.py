@@ -86,16 +86,9 @@ def _load_system_conn(path):
     return sys, connection_from_config(cfg, sys)
 
 
-def _surface_grid(sys, args):
-    """The surface of --surface, and --grid or else the surface config's grid.
-
-    The surface must sit in the system's configuration space: its
-    embedding has one coordinate per system dimension.
-    """
+def _surface_grid(args):
+    """The surface of --surface, and --grid or else the surface config's grid."""
     surf = load_surface(args.surface)
-    if surf.n != sys.n:
-        raise ConfigError(f"the surface has {surf.n} ambient coordinates "
-                          f"but the system has dimension {sys.n}")
     return surf, args.grid or surf.default_grid
 
 
@@ -124,7 +117,7 @@ def cmd_check_normality(args):
 
 def cmd_solve_nu(args):
     sys, conn = _load_system_conn(args.system)
-    surf, grid = _surface_grid(sys, args)
+    surf, grid = _surface_grid(args)
     y0 = _default_y0(surf) if args.y0 is None else args.y0
     result = solve_nu(sys, conn, surf, y0, args.nu0, grid)
     out = _outdir(args)
@@ -140,7 +133,7 @@ def cmd_solve_nu(args):
 
 def cmd_simulate_shift(args):
     sys, conn = _load_system_conn(args.system)
-    surf, grid = _surface_grid(sys, args)
+    surf, grid = _surface_grid(args)
     cfg = IntegratorConfig(t_end=args.t_end, step=args.step)
     if args.solve_nu:
         y0 = _default_y0(surf) if args.y0 is None else args.y0

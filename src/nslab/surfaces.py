@@ -117,6 +117,14 @@ class SurfaceFrame:
     b: np.ndarray           # (m, m): second fundamental form components
 
 
+def _require_same_space(sys, surf):
+    """A surface must sit in the system's configuration space: one
+    embedding coordinate per system dimension."""
+    if surf.n != sys.n:
+        raise ConfigError(f"the surface has {surf.n} ambient coordinates "
+                          f"but the system has dimension {sys.n}")
+
+
 def _surface_calc(sys, conn, surf, y, nu, depth):
     """(calc, taus, normal, dn) at the surface points y with momentum p = nu * n.
 
@@ -124,6 +132,7 @@ def _surface_calc(sys, conn, surf, y, nu, depth):
     calc is the PointCalculus at those points and dn[..., i, s] the
     covariant derivative of the normal covector along tau_i.
     """
+    _require_same_space(sys, surf)
     x, taus, normal, dn_dy = surf.geometry(y)
     nu = np.asarray(nu, dtype=float)
     calc = PointCalculus(sys, conn, PhasePoint(x, nu[..., None] * normal), depth=depth)
@@ -256,6 +265,7 @@ def solve_nu(sys, conn, surf, y0, nu0, grid, substeps=4):
     edge batches, the first and the second edges of both paths of every
     cell.
     """
+    _require_same_space(sys, surf)
     if nu0 == 0:
         raise ValueError("nu0 must be nonzero")
     axes = surf.grid_axes(grid)
@@ -381,6 +391,7 @@ def simulate_shift(sys, conn, surf, nu_source, cfg, grid=None):
     The deviation functions phi_i then start at zero and stay zero
     exactly when the shift is normal.
     """
+    _require_same_space(sys, surf)
     if isinstance(nu_source, NuGrid):
         items = [(y, val) for _, y, val in nu_source.nodes()]
         solved = True

@@ -71,11 +71,14 @@ def _monomials(nvars, order):
     return out
 
 
-# most entries of a kept bincount offset index, 48 KiB of int64 per trust.
-# The products of a 64-point RK4 stage at order 2 in six variables fit
-# (64 x 91 pairs); the residual sweep ran no faster with larger indices
-# kept, only bigger
-OFFSET_CACHE_LIMIT = 6144
+# most entries of a kept bincount offset index, 64 KiB of int64 per trust.
+# Chosen from the grids the package documents and defaults to, nine nodes
+# per surface axis: an RK4 stage of a shift in n = 3 multiplies 91 pairs
+# per node at trust 2 and 6 x 13 per node in its trust-1 quotient, so a
+# batch of B nodes keeps both indices while 91 * B <= 8192, that is up to
+# 90 nodes (a 9 x 9 grid has 81).  A larger batch rebuilds its index in
+# every product, about a fifth of the product's time
+OFFSET_CACHE_LIMIT = 8192
 
 
 def _nonzero(a):

@@ -360,6 +360,21 @@ class TestConfig:
         })
         assert surf.n == 2 and surf.default_grid == [7]
 
+    def test_surface_outside_the_configuration_space(self, sys_geo2, sphere):
+        # an n = 2 system with a surface in three coordinates: every entry
+        # point names the mismatch before it evaluates anything
+        from nslab import canonical_connection
+        conn = canonical_connection(sys_geo2)
+        calls = [lambda: solve_nu(sys_geo2, conn, sphere, [0.75, 0.0], 1.0, [3, 3]),
+                 lambda: simulate_shift(sys_geo2, conn, sphere, 1.0,
+                                        IntegratorConfig(t_end=0.01, step=0.01), grid=[2, 2]),
+                 lambda: pfaff_rhs(sys_geo2, conn, sphere, [0.75, 0.0], 1.0),
+                 lambda: surface_frame(sys_geo2, conn, sphere, [0.75, 0.0], 1.0)]
+        for call in calls:
+            with pytest.raises(ConfigError, match="3 ambient coordinates but the "
+                                                  "system has dimension 2"):
+                call()
+
     def test_param_count_mismatch(self):
         with pytest.raises(ConfigError):
             surface_from_config({"params": 2,

@@ -234,10 +234,13 @@ class TestTruncatedProduct:
                 a, b = rng.normal(size=(2,) + lead + (c.size,))
                 c.multiply(a, b, t)
         assert all(k is None or k.size <= limit for k in c._offsets)
-        # the shift's largest product, 64 points at order 2, is kept
+        # an RK4 stage of a shift in n = 3 at the default 9 x 9 grid keeps
+        # both its indices: 81 nodes at trust 2 and its (81, 6) quotient at trust 1
         s = taylor.TaylorContext(6, 2)
-        s.multiply(*rng.normal(size=(2, 64, s.size)), 2)
-        assert s._offsets[2].size == 64 * s._pair_count[2] <= limit
+        s.multiply(*rng.normal(size=(2, 81, s.size)), 2)
+        s.multiply(*rng.normal(size=(2, 81, 6, s.size)), 1)
+        assert s._offsets[2].size == 81 * s._pair_count[2] <= limit
+        assert s._offsets[1].size == 81 * 6 * s._pair_count[1] <= limit
 
     def test_series_product_is_zero_above_trust(self):
         # nothing above the trust is stored: the product is the dense
