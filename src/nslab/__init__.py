@@ -12,15 +12,12 @@ from .connections import (
     ExplicitConnection,
     GaugedConnection,
     GaugeTensor,
-    TensorField,
     ZeroConnection,
     canonical_connection,
     connection_from_config,
-    covariant_derivative,
     curvatures,
     force_covector,
     gauge_transform,
-    momentum_gradient,
     random_gauge_tensor,
 )
 from .dynamics import (

@@ -25,13 +25,11 @@ __all__ = [
     "GaugedConnection",
     "GaugeTensor",
     "canonical_connection",
-    "covariant_derivative",
-    "momentum_gradient",
+    "connection_from_config",
     "curvatures",
     "force_covector",
     "gauge_transform",
     "random_gauge_tensor",
-    "TensorField",
 ]
 
 
@@ -232,70 +230,13 @@ def connection_from_config(cfg, sys):
 
 
 # ----------------------------------------------------------------------
-# curvature and covariant differentiation
+# curvature
 # ----------------------------------------------------------------------
 
 def curvatures(conn, q):
     """(R, D) at q; R[k,r,i,j] antisymmetric in (i,j), D = -d gamma/dp."""
     gamma, dgdx, dgdp = phase_jet1(conn.gamma_series(conn._series_point(q, 1)))
     return curvature_tensors(q.p, gamma, dgdx, dgdp)
-
-
-class TensorField:
-    """Extended tensor field given componentwise by expressions.
-
-    `index_types` is a string of 'u'/'d' characters, one per axis, e.g.
-    'u' for a vector field, 'd' for a covector, '' for a scalar.
-    """
-
-    def __init__(self, n, index_types, components):
-        self.n = n
-        self.index_types = index_types
-        comps = np.empty((n,) * len(index_types), dtype=object)
-        pv = phase_variables(n)
-        for idx in np.ndindex(comps.shape):
-            entry = components[idx] if comps.ndim else components
-            comps[idx] = entry if isinstance(entry, Expression) else parse(str(entry), pv)
-        self.components = comps
-
-    def jet(self, q):
-        """(values, d/dx^m, d/dp_m) at q with leading m axes on the partials."""
-        seeds = _PhaseSeeds(q, 1)
-        env = phase_env(seeds.xs, seeds.ps)
-        flat = taylor.stack([evaluate_series(e, env) for e in self.components.flat])
-        return phase_jet1(flat[..., np.arange(flat.shape[-1]).reshape(self.components.shape)])
-
-
-def covariant_derivative(conn, field, q):
-    """Horizontal covariant derivative of an extended tensor field.
-
-    Returns an array with a new leading axis m:
-
-        nabla_m X = dX/dx^m + sum_b Gamma_{mb} dX/dp_b
-                    + (one connection term per upper index)
-                    - (one connection term per lower index),
-
-    with Gamma_{mb} = sum_c p_c gamma[c, m, b].  The companion momentum
-    gradient is the plain dX/dp_m (see momentum_gradient).
-    """
-    n = conn.n
-    gamma = conn.gamma(q)
-    glow = np.einsum("c,cmb->mb", q.p, gamma)
-    vals, ddx, ddp = field.jet(q)
-    out = ddx + np.einsum("mb,b...->m...", glow, ddp)
-    for axis, kind in enumerate(field.index_types):
-        moved = np.moveaxis(vals, axis, 0)  # contracted index first
-        if kind == "u":
-            corr = np.einsum("ima,a...->mi...", gamma, moved)
-        else:
-            corr = -np.einsum("bmi,b...->mi...", gamma, moved)
-        out = out + np.moveaxis(corr, 1, axis + 1)
-    return out
-
-
-def momentum_gradient(field, q):
-    _, _, ddp = field.jet(q)
-    return ddp
 
 
 def force_covector(sys, conn, q):

@@ -19,8 +19,13 @@ the batch.
     glow[m, b]            sum_c p_c gamma[c, m, b]
     R[k, r, i, j]         curvature, antisymmetric in (i, j)
     D[k, r, i, j]         dynamic curvature -d gamma[k, i, j] / dp_r
-    nabla_<f>[m, ...]     horizontal covariant derivative, first index m
+    nabla_<f>[m, ...]     horizontal covariant derivative, first index m:
+                          dX/dx^m + sum_b glow[m, b] dX/dp_b, plus
+                          + gamma[i, m, a] X^a for an upper index or
+                          - gamma[b, m, i] X_b for a lower one; every
+                          field has no index or one (`PointCalculus.nabla`)
     mgrad_<f>[m, ...]     momentum gradient d/dp_m, first index m
+                          (`PointCalculus.mgrad`)
 """
 
 from __future__ import annotations
@@ -272,45 +277,58 @@ class PointCalculus:
 
     # -- first covariant / momentum derivatives --------------------------
 
+    def nabla(self, series, index=None):
+        """Horizontal covariant derivative [m, ...] = nabla_m of a scalar or one-index field.
+
+        nabla_m X = dX/dx^m + sum_b glow[m, b] dX/dp_b, plus
+        + sum_a gamma[i, m, a] X^a for an upper index ("u") or
+        - sum_b gamma[b, m, i] X_b for a lower index ("d").
+        """
+        vals, ddx, ddp = self._jet1(series)
+        if index is None:
+            return ddx + np.einsum("...mb,...b->...m", self.glow, ddp)
+        hor = ddx + np.einsum("...mb,...bi->...mi", self.glow, ddp)
+        if index == "u":
+            return hor + np.einsum("...ima,...a->...mi", self.gamma, vals)
+        if index == "d":
+            return hor - np.einsum("...bmi,...b->...mi", self.gamma, vals)
+        raise ValueError(f"index must be None, 'u' or 'd', not {index!r}")
+
+    def mgrad(self, series):
+        """Momentum gradient [m, ...] = d/dp_m of a field series."""
+        return self._jet1(series)[2]
+
     @cached_property
     def nabla_V(self):
         """nabla_V[m, i] = nabla_m V^i."""
-        vals, ddx, ddp = self._jet1(self.V_s)
-        return (ddx + np.einsum("...mb,...ib->...mi", self.glow, self.g_up)
-                + np.einsum("...ima,...a->...mi", self.gamma, vals))
+        return self.nabla(self.V_s, "u")
 
     @cached_property
     def nabla_W(self):
         """nabla_W[m, s] = nabla_m W^s."""
-        vals, ddx, ddp = self._jet1(self.W_s)
-        return (ddx + np.einsum("...mb,...bs->...ms", self.glow, ddp)
-                + np.einsum("...sma,...a->...ms", self.gamma, vals))
+        return self.nabla(self.W_s, "u")
 
     @cached_property
     def mgrad_W(self):
         """mgrad_W[r, s] = dW^s/dp_r; this is the compatibility tensor A."""
-        return self._jet1(self.W_s)[2]
+        return self.mgrad(self.W_s)
 
     @cached_property
     def nabla_Q(self):
         """nabla_Q[m, i] = nabla_m Q_i."""
-        vals, ddx, ddp = self._jet1(self.Q_s)
-        return (ddx + np.einsum("...mb,...bi->...mi", self.glow, ddp)
-                - np.einsum("...bmi,...b->...mi", self.gamma, vals))
+        return self.nabla(self.Q_s, "d")
 
     @cached_property
     def mgrad_Q(self):
-        return self._jet1(self.Q_s)[2]
+        return self.mgrad(self.Q_s)
 
     @cached_property
     def nabla_U(self):
-        vals, ddx, ddp = self._jet1(self.U_s)
-        return (ddx + np.einsum("...mb,...bi->...mi", self.glow, ddp)
-                - np.einsum("...bmi,...b->...mi", self.gamma, vals))
+        return self.nabla(self.U_s, "d")
 
     @cached_property
     def mgrad_U(self):
-        return self._jet1(self.U_s)[2]
+        return self.mgrad(self.U_s)
 
     # -- deviation-equation fields ---------------------------------------
 

@@ -106,6 +106,30 @@ class TestBatchedFields:
         assert repr(batch[1]) == repr(points[1])
 
 
+class TestCovariantProductRule:
+    """nabla of a contraction is the product rule over its factors' index types."""
+
+    @pytest.mark.parametrize("shape", [(), (2, 3)])
+    @pytest.mark.parametrize("n,label", CASES)
+    def test_contractions(self, n, label, shape):
+        _, sysm, conn = next(c for c in _connections(n) if c[0] == label)
+        points = PointSampler(n, 6, seed=20 + n).points()
+        q = points[0] if shape == () else _stack(points, shape)
+        calc = PointCalculus(sysm, conn, q, depth=1)
+        p, V, Q = q.p, calc.V, calc.Q
+        cases = [((calc.ps * calc.V_s).sum(-1), [("...i,...mi->...m", p, calc.nabla_V)]),
+                 ((calc.Q_s * calc.V_s).sum(-1), [("...mi,...i->...m", calc.nabla_Q, V),
+                                                  ("...i,...mi->...m", Q, calc.nabla_V)])]
+        for series, terms in cases:
+            got = calc.nabla(series)
+            want = sum(np.einsum(sub, a, b) for sub, a, b in terms)
+            # the size of the products before they cancel
+            scale = max(1.0, max(float(np.max(np.einsum(sub, np.abs(a), np.abs(b))))
+                                 for sub, a, b in terms))
+            assert got.shape == shape + (n,)
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
 class TestBatchedGeometry:
     @pytest.mark.parametrize("scale", [1.0, -2.5])
     def test_circle_signs(self, scale):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nslab
 from nslab import (
     AsymmetricGauge,
     ConfigError,
@@ -8,19 +9,19 @@ from nslab import (
     ExplicitSystem,
     GaugeTensor,
     PhasePoint,
-    TensorField,
     ZeroConnection,
     canonical_connection,
-    covariant_derivative,
     curvatures,
     force_covector,
     gauge_transform,
-    momentum_gradient,
     parse_expression,
     random_gauge_tensor,
 )
+from nslab import connections, taylor
 from nslab.engine import PointCalculus
+from nslab.expressions import evaluate_series
 from nslab.oracles import canonical_connection_oracle
+from nslab.systems import phase_env
 
 
 def q(x, p):
@@ -31,30 +32,29 @@ QQ = q([0.3, -0.2], [1.1, 0.7])
 
 
 class TestCovariantDerivative:
-    def test_constant_scalar(self):
+    def test_constant_scalar(self, sys_id2):
         conn = ExplicitConnection(2, {"1,1,2": "x1*p2", "2,2,2": "p1"})
-        f = TensorField(2, "", parse_expression("4.25", 2))
-        assert np.allclose(covariant_derivative(conn, f, QQ), 0.0)
+        calc = PointCalculus(sys_id2, conn, QQ)
+        assert np.allclose(calc.nabla(calc.ctx.constant(4.25)), 0.0)
 
-    def test_momentum_field_is_parallel(self):
+    def test_momentum_field_is_parallel(self, sys_id2):
         # nabla_i p_j = 0 identically, whatever the symmetric connection
         conn = ExplicitConnection(2, {"1,1,1": "p1+x2", "1,2,2": "sin(x1)",
                                       "2,1,2": "p2^2"})
-        field = TensorField(2, "d", np.array(
-            [parse_expression("p1", 2), parse_expression("p2", 2)], dtype=object))
-        cd = covariant_derivative(conn, field, QQ)
+        calc = PointCalculus(sys_id2, conn, QQ)
+        cd = calc.nabla(calc.ps, "d")
         assert np.allclose(cd, 0.0, atol=1e-15)
 
     def test_identity_velocity_flat(self, sys_id2):
-        field = TensorField(2, "u", np.array(
-            [parse_expression("p1", 2), parse_expression("p2", 2)], dtype=object))
-        cd = covariant_derivative(ZeroConnection(2), field, QQ)
+        cd = PointCalculus(sys_id2, ZeroConnection(2), QQ).nabla_V
         assert np.allclose(cd, 0.0)
 
-    def test_momentum_gradient_is_plain_partial(self):
-        field = TensorField(2, "u", np.array(
-            [parse_expression("p1^2", 2), parse_expression("x1", 2)], dtype=object))
-        mg = momentum_gradient(field, QQ)
+    def test_mgrad_is_plain_partial(self, sys_id2):
+        calc = PointCalculus(sys_id2, ZeroConnection(2), QQ)
+        env = phase_env(calc.xs, calc.ps)
+        field = taylor.stack([evaluate_series(parse_expression(e, 2), env)
+                              for e in ("p1^2", "x1")])
+        mg = calc.mgrad(field)
         assert mg[0, 0] == pytest.approx(2 * QQ.p[0])
         assert np.allclose(mg[:, 1], 0.0)
 
@@ -235,3 +235,13 @@ class TestExplicitConnectionConfig:
     def test_bad_index(self):
         with pytest.raises(ConfigError):
             ExplicitConnection(2, {"3,1,1": "p1"})
+
+
+def test_public_names_match_the_package_exports():
+    # every name in __all__ exists and is re-exported by nslab, and nslab
+    # re-exports nothing else of this module
+    assert all(getattr(nslab, name) is getattr(connections, name)
+               for name in connections.__all__)
+    exported = {name for name, obj in vars(nslab).items()
+                if getattr(obj, "__module__", None) == connections.__name__}
+    assert exported == set(connections.__all__)
