@@ -158,8 +158,9 @@ class CanonicalConnection(ConnectionField):
             raise ValueError("canonical connection evaluated against a foreign system")
         n = self.n
         calc.g_up  # raises SingularMetric early if dV/dp degenerates
-        g_down = taylor.series_matrix_inverse(calc.Vp_s)         # [m, a]
         dphi = calc.phi_s.partials(n, 2 * n)                     # [k, r] = dphi^k/dp_r
+        # g_down meets only dphi and terms trusted lower still: invert to that trust
+        g_down = taylor.series_matrix_inverse(calc.Vp_s.truncate(dphi.trust))  # [m, a]
         # psi[k, a]: first velocity-derivative of the acceleration field
         psi = (g_down[..., None, :, :] * dphi[..., :, :, None]).sum(-2)
         # second p-derivatives and gamma are symmetric in their last two

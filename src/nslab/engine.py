@@ -128,6 +128,8 @@ class PointCalculus:
         self.batch_ndim = q.x.ndim - 1
         v_trust = max(depth + 1, conn.v_trust_needed(depth))
         self.ctx, self.xs, self.ps, self.V_s, self.T_s = sys.series_at(q, v_trust)
+        # first-order jets by series object (see `_jet1`)
+        self._jets = {}
 
     # -- base fields ----------------------------------------------------
 
@@ -165,7 +167,11 @@ class PointCalculus:
         return taylor.read_values(self.phi_s)
 
     def _jet1(self, series):
-        return phase_jet1(series, self.batch_ndim)
+        """phase_jet1 of a series, read once per series and kept."""
+        jet = self._jets.get(series)
+        if jet is None:
+            jet = self._jets[series] = phase_jet1(series, self.batch_ndim)
+        return jet
 
     def _check(self, bad, error, label, value):
         """Raise `error` naming the first point of the batch where `bad` holds."""

@@ -32,14 +32,18 @@ coefficient of x_v.
 A sum, a product or a stack is trusted to the lowest trust of its
 operands and cuts each operand to that prefix.  A product pays only for
 the monomial pairs up to its trust, so untrusted coefficients are never
-formed, stored or propagated.
+formed, stored or propagated.  From trust AFFINE_MIN_TRUST on it also
+skips the pairs that read an exactly zero coefficient above degree 1 of
+an affine factor (a seeded variable or a scaling of one).  The inverse of
+a matrix series is likewise formed only through its trust, as a Neumann
+series around the inverse of its constant matrix.
 
 A context is built once per (nvars, order) and shared.  Besides its fixed
-tables it caches one thing that grows with use: per trust, the bincount
-row-offset index of the largest batched product seen so far, which every
-product of fewer rows reads a prefix of.  An index is kept only while it
-has at most OFFSET_CACHE_LIMIT entries, so a context holds at most
-(order + 1) * OFFSET_CACHE_LIMIT of them.
+tables it builds, on first use, the pair subsets of products with an
+affine factor, and caches one thing that grows with use: per pair table,
+the bincount row-offset index of the largest batched product seen so
+far, which every product of fewer rows reads a prefix of.  An index is
+kept only while it has at most OFFSET_CACHE_LIMIT entries.
 """
 
 from __future__ import annotations
@@ -79,6 +83,12 @@ def _monomials(nvars, order):
 # 90 nodes (a 9 x 9 grid has 81).  A larger batch rebuilds its index in
 # every product, about a fifth of the product's time
 OFFSET_CACHE_LIMIT = 8192
+
+# lowest trust at which a product with an affine factor forms only the pairs
+# whose affine side has degree <= 1.  In 6 variables that keeps 252 of 455
+# pairs at trust 3 and 714 of 1820 at trust 4, but 70 of 91 at trust 2,
+# where it bought no time measurable against run-to-run noise
+AFFINE_MIN_TRUST = 3
 
 
 def _nonzero(a):
@@ -130,11 +140,13 @@ class TaylorContext:
         self._ib = ib[by_deg]
         self._ik = lookup(key[self._ia] + key[self._ib])
         self._pair_count = np.searchsorted(pair_deg[by_deg], levels, side="right")
-        # per trust: the pairs and the number of monomials the product stores
-        self._pairs = [(self._ia[:n], self._ib[:n], self._ik[:n], int(self.sizes[t]))
-                       for t, n in enumerate(self._pair_count)]
-        # per trust: the kept bincount row offsets (see `multiply`)
-        self._offsets = [None] * (order + 1)
+        # per (trust, side): the pairs a product reads and the number of
+        # monomials it stores; side 0 holds every pair and the affine sides
+        # are built on first use (see `_table`)
+        self._pairs = {(t, 0): (self._ia[:n], self._ib[:n], self._ik[:n], int(self.sizes[t]))
+                       for t, n in enumerate(self._pair_count)}
+        # per (trust, side): the kept bincount row offsets (see `multiply`)
+        self._offsets = {}
 
         # coefficient index of each unit monomial e_v; degree 1 is stored in
         # reverse variable order, so look it up
@@ -158,38 +170,71 @@ class TaylorContext:
         read the first sizes[trust] coefficients of each factor, which may
         store more, and the product stores exactly that many.
 
+        From trust AFFINE_MIN_TRUST on, a factor is affine when all its
+        coefficients above degree 1 are exactly zero (a seeded variable, a
+        scaling of one); the product then forms only the pairs whose affine
+        side has degree <= 1, in the same relative order.  With a finite
+        other factor the pairs it drops are exact zeros, so the bincount
+        sums the same nonzero terms in the same order and the result is
+        bit-identical; an infinite coefficient there no longer meets a zero
+        to make a NaN.
+
         The bincount that sums the pairs shifts row r's pairs by
         r * sizes[trust].  The offsets of r rows are a prefix of those of
-        more rows, so the context keeps one offset index per trust, for
-        the most rows a product of that trust has had, and serves fewer
+        more rows, so the context keeps one offset index per pair table, for
+        the most rows a product with that table has had, and serves fewer
         rows from its prefix.  An index of more than OFFSET_CACHE_LIMIT
         entries serves its own product only and is not kept.
         """
-        ia, ib, _, size = self._pairs[trust]
         # zero factors are common (sparse connections, x-independent fields);
         # a nonzero first coefficient settles most other factors at once
         if not (_nonzero(a) and _nonzero(b)):
+            size = self.sizes[trust]
             return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (size,))
+        side = 0
+        if trust >= AFFINE_MIN_TRUST:
+            cut = slice(self.sizes[1], self.sizes[trust])
+            side = (not _nonzero(a[..., cut])) + 2 * (not _nonzero(b[..., cut]))
+        key = (trust, side)
+        ia, ib, _, size = self._table(key)
         prod = a.take(ia, axis=-1) * b.take(ib, axis=-1)
         lead = prod.shape[:-1]
         rows = math.prod(lead)
         # one bincount over all leading axes: row r sums into r * size + ik
-        out = np.bincount(self._row_offsets(trust, rows), weights=prod.ravel(),
+        out = np.bincount(self._row_offsets(key, rows), weights=prod.ravel(),
                           minlength=rows * size)
         return out.reshape(lead + (size,))
 
-    def _row_offsets(self, trust, rows):
+    def _table(self, key):
+        """(ia, ib, ik, sizes[trust]) of a product with pair table key = (trust, side).
+
+        Side 0 is every pair of degree <= trust; side 1, 2 or 3 keeps those
+        whose a, b or both factors have degree <= 1, in the same order.
+        """
+        table = self._pairs.get(key)
+        if table is None:
+            trust, side = key
+            ia, ib, ik, size = self._pairs[trust, 0]
+            keep = np.ones(len(ia), dtype=bool)
+            if side & 1:
+                keep &= self.degrees[ia] <= 1
+            if side & 2:
+                keep &= self.degrees[ib] <= 1
+            table = self._pairs[key] = (ia[keep], ib[keep], ik[keep], size)
+        return table
+
+    def _row_offsets(self, key, rows):
         """The bincount index of `rows` rows: entry (r, j) is r * sizes[trust] + ik[j]."""
-        ik, size = self._pairs[trust][2:]
+        ik, size = self._pairs[key][2:]
         if rows == 1:
             return ik
         need = rows * len(ik)
-        kept = self._offsets[trust]
+        kept = self._offsets.get(key)
         if kept is not None and len(kept) >= need:
             return kept[:need]
         index = (np.arange(rows)[:, None] * size + ik).ravel()
         if need <= OFFSET_CACHE_LIMIT:
-            self._offsets[trust] = index
+            self._offsets[key] = index
         return index
 
     def constant(self, value, trust=None):
@@ -516,32 +561,26 @@ def atan2_series(y, x):
 
 
 def series_matrix_inverse(m):
-    """Invert a (..., n, n) matrix series by Gauss-Jordan elimination.
+    """Invert a (..., n, n) matrix series through its trust.
 
-    Each matrix of the batch pivots on its own rows: a column's pivot is the
-    entry of largest constant term at or below the diagonal, so a batched
-    inverse equals each point's own.  The leading matrix must be invertible
+    With m0 the constant matrix, m = m0 (1 + N) for N = m0^-1 (m - m0),
+    which has no constant term, so N^k starts at degree k and
+
+        m^-1 = (1 - N + N^2 - ... + (-N)^trust) m0^-1
+
+    is exact through the trust.  The sum is taken in Horner form, trust - 1
+    matrix products of series (none at trust <= 1).  m0^-1 is LAPACK's LU
+    inverse, which pivots each matrix of a batch on its own rows, so a
+    batched inverse equals each point's own.  m0 must be invertible
     (checked by the caller via its determinant).
     """
     n = m.shape[-1]
-    a = m
-    e = m.ctx.constant(np.broadcast_to(np.eye(n), m.shape), m.trust)
-    for col in range(n):
-        piv = col + np.argmax(np.abs(a[..., col:, col].value()), axis=-1)
-        rows = np.broadcast_to(np.arange(n), piv.shape + (n,)).copy()
-        rows[..., col] = piv
-        np.put_along_axis(rows, piv[..., None], col, axis=-1)
-        a, e = _permute_rows(a, rows), _permute_rows(e, rows)
-        inv = a[..., col, col]._reciprocal()[..., None]
-        a_col, e_col = a[..., col, :] * inv, e[..., col, :] * inv
-        f = a[..., :, col, None]
-        a_new, e_new = a - f * a_col[..., None, :], e - f * e_col[..., None, :]
-        a = stack([a_col if r == col else a_new[..., r, :] for r in range(n)], axis=-2)
-        e = stack([e_col if r == col else e_new[..., r, :] for r in range(n)], axis=-2)
-    return e
-
-
-def _permute_rows(m, rows):
-    """Rows of the (..., n, n) series m in the order `rows` (..., n), per matrix."""
-    coef = np.take_along_axis(m.coef, rows[..., None, None], axis=-3)
-    return TaylorSeries(m.ctx, coef, m.trust)
+    m0_inv = np.linalg.inv(m.value())
+    hat = TaylorSeries(m.ctx, m.coef.copy(), m.trust)
+    hat.coef[..., 0] = 0.0
+    neg = (hat[..., None, :, :] * -m0_inv[..., :, :, None]).sum(-2)      # -N
+    eye = np.broadcast_to(np.eye(n), m.shape)
+    s = neg + eye
+    for _ in range(m.trust - 1):
+        s = (neg[..., :, :, None] * s[..., None, :, :]).sum(-2) + eye
+    return (s[..., :, :, None] * m0_inv[..., None, :, :]).sum(-2)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -120,38 +121,60 @@ def matrix(rows):
     return taylor.stack([taylor.stack(row) for row in rows], axis=-2)
 
 
+def assert_inverse(m, inv):
+    """m inv = 1 in every trusted coefficient, to 1e-13 of the size of the terms summed.
+
+    Returns m inv - 1, constant column first.
+    """
+    c, t = m.ctx, inv.trust
+    w = c.sizes[t]
+    assert inv.shape == m.shape and inv.coef.shape[-1] == w
+    eye = (m[..., :, :, None] * inv[..., None, :, :]).sum(-2)
+    # the same contraction of absolute values bounds the rounding of each sum
+    terms = c.multiply(np.abs(m.coef[..., :, :, None, :w]),
+                       np.abs(inv.coef[..., None, :, :, :]), t).sum(-3)
+    defect = eye.coef.copy()
+    defect[..., 0] -= np.eye(m.shape[-1])
+    assert np.max(np.abs(defect)) <= 1e-13 * np.max(terms)
+    return defect
+
+
 class TestMatrixInverse:
     def test_inverse_of_series_matrix(self):
-        c = ctx(nvars=2, order=3)
-        x = c.variable(0, 0.3)
-        y = c.variable(1, -0.2)
-        m = matrix([[1.0 + x * y, y], [x, 2.0 + x]])
-        inv = taylor.series_matrix_inverse(m)
-        assert inv.shape == (2, 2)
-        for i in range(2):
-            for j in range(2):
-                acc = m[i, 0] * inv[0, j] + m[i, 1] * inv[1, j]
-                expect = 1.0 if i == j else 0.0
-                assert acc.value() == pytest.approx(expect, abs=1e-14)
-                assert abs(acc.partial((1, 0))) < 1e-13
-                assert abs(acc.partial((1, 1))) < 1e-13
+        c = ctx(nvars=2, order=4)
+        for trust, batch in itertools.product(range(5), [(), (2, 3)]):
+            x0, y0 = np.random.default_rng(trust).uniform(-0.5, 0.5, size=(2,) + batch)
+            if not batch:
+                x0, y0 = 0.3, -0.2
+            x, y = c.variable(0, x0), c.variable(1, y0)
+            m = matrix([[1.0 + x * y, y], [x, 2.0 + x]]).truncate(trust)
+            inv = taylor.series_matrix_inverse(m)
+            assert inv.trust == trust and inv.shape == batch + (2, 2)
+            defect = assert_inverse(m, inv)
+            assert np.max(np.abs(defect[..., 0])) < 1e-14
+            assert np.max(np.abs(defect)) < 1e-13
+            for b in np.ndindex(*batch):
+                assert np.array_equal(taylor.series_matrix_inverse(m[b]).coef, inv[b].coef)
 
     def test_batched_inverse_matches_each_point(self):
         # a (2, 3) batch of 3 x 3 matrices; the first column needs a pivot swap
-        c = ctx(nvars=2, order=3)
+        c = ctx(nvars=2, order=4)
         rng = np.random.default_rng(5)
         x0, y0 = rng.uniform(-0.5, 0.5, size=(2, 2, 3))
         x, y = c.variable(0, x0), c.variable(1, y0)
-        m = matrix([[0.1 * x * y, 2.0 + y, x],
-                     [3.0 + x * x, y, 1.0 - y],
-                     [x, 1.0 + x * y, 4.0 + y]])
-        inv = taylor.series_matrix_inverse(m)
-        assert inv.shape == (2, 3, 3, 3)
-        eye = (m[..., :, :, None] * inv[..., None, :, :]).sum(-2)
-        assert np.max(np.abs(taylor.read_values(eye) - np.eye(3))) < 1e-14
-        assert np.max(np.abs(eye.coef[..., 1:])) < 1e-12
-        for b in np.ndindex(2, 3):
-            assert np.array_equal(taylor.series_matrix_inverse(m[b]).coef, inv[b].coef)
+        full = matrix([[0.1 * x * y, 2.0 + y, x],
+                       [3.0 + x * x, y, 1.0 - y],
+                       [x, 1.0 + x * y, 4.0 + y]])
+        for trust in range(5):
+            m = full.truncate(trust)
+            inv = taylor.series_matrix_inverse(m)
+            assert inv.shape == (2, 3, 3, 3)
+            defect = assert_inverse(m, inv)
+            assert np.max(np.abs(defect[..., 0])) < 1e-14
+            assert np.max(np.abs(defect)) < 1e-12
+            for b in np.ndindex(2, 3):
+                assert_inverse(m[b], inv[b])
+                assert np.array_equal(taylor.series_matrix_inverse(m[b]).coef, inv[b].coef)
 
     def test_each_matrix_of_a_batch_pivots_on_its_own_rows(self):
         # the first column is tiny in row 0 of matrix 0 and in row 1 of
@@ -164,9 +187,9 @@ class TestMatrixInverse:
                     [(2.0 + y) * tiny[::-1], x, 1.0 - y],
                     [0.5 * x, 1.0 + x * y, 3.0 + y]])
         inv = taylor.series_matrix_inverse(m)
-        eye = (m[..., :, :, None] * inv[..., None, :, :]).sum(-2)
-        assert np.max(np.abs(taylor.read_values(eye) - np.eye(3))) < 1e-15
-        assert np.max(np.abs(eye.coef[..., 1:])) < 1e-13
+        defect = assert_inverse(m, inv)
+        assert np.max(np.abs(defect[..., 0])) < 1e-15
+        assert np.max(np.abs(defect)) < 1e-13
         for b in range(2):
             assert np.array_equal(taylor.series_matrix_inverse(m[b]).coef, inv[b].coef)
 
@@ -174,8 +197,10 @@ class TestMatrixInverse:
 def dense_product(c, a, b, t):
     """Brute-force truncated product over all monomial pairs, through degree t."""
     out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
-    for i, mi in enumerate(c.monomials):
-        for j, mj in enumerate(c.monomials):
+    # a pair of degree <= t reads only monomials of degree <= t, which come first
+    mons = c.monomials[:c.sizes[t]]
+    for i, mi in enumerate(mons):
+        for j, mj in enumerate(mons):
             m = tuple(u + v for u, v in zip(mi, mj))
             if sum(m) <= t:
                 out[..., c.index[m]] += a[..., i] * b[..., j]
@@ -233,14 +258,48 @@ class TestTruncatedProduct:
             for lead in ((4,), (4, 3, 3), (4, 3, 3, 3)):
                 a, b = rng.normal(size=(2,) + lead + (c.size,))
                 c.multiply(a, b, t)
-        assert all(k is None or k.size <= limit for k in c._offsets)
+        assert all(k.size <= limit for k in c._offsets.values())
         # an RK4 stage of a shift in n = 3 at the default 9 x 9 grid keeps
         # both its indices: 81 nodes at trust 2 and its (81, 6) quotient at trust 1
         s = taylor.TaylorContext(6, 2)
         s.multiply(*rng.normal(size=(2, 81, s.size)), 2)
         s.multiply(*rng.normal(size=(2, 81, 6, s.size)), 1)
-        assert s._offsets[2].size == 81 * s._pair_count[2] <= limit
-        assert s._offsets[1].size == 81 * 6 * s._pair_count[1] <= limit
+        assert s._offsets[2, 0].size == 81 * s._pair_count[2] <= limit
+        assert s._offsets[1, 0].size == 81 * 6 * s._pair_count[1] <= limit
+
+    @pytest.mark.parametrize("nvars", [6, 2])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_affine_factors_skip_exact_zero_pairs(self, nvars, lead):
+        # a factor whose coefficients above degree 1 are zero forms only the
+        # pairs whose affine side has degree <= 1: the same nonzero terms in
+        # the same order as the full pair list, so the same bits
+        c = taylor.TaylorContext(nvars, 5)
+        rng = np.random.default_rng(nvars + len(lead))
+
+        def full_pairs(a, b, t):
+            ia, ib, ik, size = c._pairs[t, 0]
+            prod = (a[..., ia] * b[..., ib]).reshape(-1, len(ia))
+            rows = [np.bincount(ik, weights=r, minlength=size) for r in prod]
+            return np.stack(rows).reshape(np.broadcast_shapes(a.shape, b.shape)[:-1] + (size,))
+
+        def affine(w):
+            f = np.zeros(lead + (w,))
+            f[..., :c.sizes[1]] = rng.normal(size=lead + (c.sizes[1],))
+            return f
+
+        for t in range(taylor.AFFINE_MIN_TRUST, c.order + 1):
+            w = c.sizes[t]
+            general, lin, lin2 = rng.normal(size=lead + (w,)), affine(w), affine(w)
+            # one nonzero degree-2 coefficient, in the last row only: the
+            # factor is not affine and takes the full pair list
+            near = lin.copy()
+            near.reshape(-1, w)[-1, c.sizes[1]] = 0.7
+            for a, b in ((lin, general), (general, lin), (lin, lin2),
+                         (near, general), (general, near), (near, lin)):
+                got = c.multiply(a, b, t)
+                assert np.array_equal(got, full_pairs(a, b, t))
+                ref = dense_product(c, a, b, t)
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_series_product_is_zero_above_trust(self):
         # nothing above the trust is stored: the product is the dense
