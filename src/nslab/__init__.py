@@ -61,6 +61,8 @@ from .expressions import (
 from .normality import (
     BatchReport,
     NormalityResidual,
+    RegularityReport,
+    check_regularity,
     normality_report,
     residual_at,
     residual_from_calc,
@@ -86,12 +88,9 @@ from .systems import (
     ExplicitSystem,
     ModifiedHamiltonianSystem,
     PhasePoint,
-    RegularityReport,
     SystemDefinition,
     build_modified_hamiltonian,
     build_riemannian_euclidean,
-    check_regularity,
-    load_system,
     system_from_config,
 )
 

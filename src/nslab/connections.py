@@ -46,8 +46,6 @@ class _PhaseSeeds:
 
 
 class ConnectionField:
-    source = "abstract"
-
     def __init__(self, n):
         self.n = n
 
@@ -73,8 +71,6 @@ class ConnectionField:
 
 
 class ZeroConnection(ConnectionField):
-    source = "zero"
-
     def gamma_series(self, calc):
         return calc.ctx.constant(np.zeros(calc.xs.shape[:-1] + (self.n,) * 3))
 
@@ -125,8 +121,6 @@ class ExplicitConnection(ConnectionField):
     symmetric partner is filled in automatically.
     """
 
-    source = "explicit"
-
     def __init__(self, n, entries):
         super().__init__(n)
         self._table = _ExpressionTable(n, entries, "connection")
@@ -143,8 +137,6 @@ class CanonicalConnection(ConnectionField):
     pair.  Its Taylor form consumes three derivative levels of V (and two
     of Theta), which fixes the jet orders requested from the system.
     """
-
-    source = "canonical"
 
     def __init__(self, sys):
         super().__init__(sys.n)
@@ -195,8 +187,6 @@ class GaugeTensor:
 
 
 class GaugedConnection(ConnectionField):
-    source = "gauged"
-
     def __init__(self, base, T):
         super().__init__(base.n)
         self.base = base
@@ -266,11 +256,11 @@ def gauge_transform(sys, conn, T):
     return gauged, q_field
 
 
-def random_gauge_tensor(n, rng, degree=2, scale=1.0):
+def random_gauge_tensor(n, rng):
     """Random symmetric gauge tensor, polynomial in x and p.
 
-    Coefficients are uniform in [-scale, scale]; each entry is a sum of
-    monomials of degree <= `degree` in every variable separately.
+    Each entry is a sum of three terms c * a^i * b^j with c uniform in
+    [-1, 1], a and b phase variables and i + j <= 2.
     """
     pv = phase_variables(n)
     names = list(pv)
@@ -280,11 +270,11 @@ def random_gauge_tensor(n, rng, degree=2, scale=1.0):
             for j in range(i, n):
                 terms = []
                 for _ in range(3):
-                    c = rng.uniform(-scale, scale)
+                    c = rng.uniform(-1.0, 1.0)
                     a = names[rng.integers(0, len(names))]
                     b = names[rng.integers(0, len(names))]
-                    da = int(rng.integers(0, degree + 1))
-                    db = int(rng.integers(0, degree + 1 - min(da, degree)))
+                    da = int(rng.integers(0, 3))
+                    db = int(rng.integers(0, 3 - da))
                     term = f"{c:.6f}"
                     if da:
                         term += f"*{a}^{da}"

@@ -58,21 +58,29 @@ def stack_points(points):
     return PhasePoint(np.stack([q.x for q in points]), np.stack([q.p for q in points]))
 
 
-def chunked(points, batched, single, size=_MAX_POINTS):
+def chunked(points, batched, failed, size=_MAX_POINTS):
     """One result per point of a list, from batched evaluations of `size` points.
 
     `batched(part)` evaluates the points of one chunk together and returns
     their results in order.  A chunk where it raises an NslabError is
-    evaluated again point by point with `single(q)`, so a failure is
-    reported by, and only by, the point that has it.
+    evaluated again one point at a time, through `batched([q])`, so a
+    failure is reported by, and only by, the point that has it:
+    `failed(q, err)` gives the result of a point that still raises.
+    Overflow and invalid operations evaluate without warnings; the
+    non-finite values they leave are for `batched` to report.
     """
     out = []
-    for chunk in point_chunks(len(points), size):
-        part = points[chunk]
-        try:
-            out += batched(part)
-        except NslabError:
-            out += [single(q) for q in part]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for chunk in point_chunks(len(points), size):
+            part = points[chunk]
+            try:
+                out += batched(part)
+            except NslabError:
+                for q in part:
+                    try:
+                        out += batched([q])
+                    except NslabError as err:
+                        out.append(failed(q, err))
     return out
 
 
@@ -107,6 +115,38 @@ def curvature_tensors(p, gamma, dgdx, dgdp):
 def _dot(a, b):
     """a @ b over the last axes, batch axes broadcast; rounds exactly as `a @ b`."""
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def singular_metric(g):
+    """(det g, where the metric pair g is singular); g may be a batch.
+
+    The metric is singular when |det g| <= SINGULAR_RATIO * ||g||_F^n with
+    ||g||_F the Frobenius norm.  By Hadamard's inequality the ratio
+    |det g| / ||g||_F^n is at most 1, and it does not change when V is
+    rescaled.
+    """
+    det = np.linalg.det(g)
+    return det, np.abs(det) <= SINGULAR_RATIO * np.linalg.norm(g, axis=(-2, -1)) ** g.shape[-1]
+
+
+def degenerate_omega(p, W):
+    """(<p|W>, where it is degenerate); p and W may be a batch.
+
+    Omega = <p|W> is degenerate when |<p|W>| <= OMEGA_RATIO * |p| * |W|, so
+    at p = 0 too.
+    """
+    omega = _dot(p, W)
+    bound = OMEGA_RATIO * np.linalg.norm(p, axis=-1) * np.linalg.norm(W, axis=-1)
+    return omega, np.abs(omega) <= bound
+
+
+# the value each degeneracy error reports
+_REPORTED = {SingularMetric: "det dV/dp", DegenerateOmega: "<p|W>"}
+
+
+def degeneracy(error, value, q):
+    """The SingularMetric or DegenerateOmega `error` for `value` at the point q."""
+    return error(f"{_REPORTED[error]} = {value:.3e} at {q!r}")
 
 
 class PointCalculus:
@@ -173,25 +213,18 @@ class PointCalculus:
             jet = self._jets[series] = phase_jet1(series, self.batch_ndim)
         return jet
 
-    def _check(self, bad, error, label, value):
-        """Raise `error` naming the first point of the batch where `bad` holds."""
+    def _check(self, bad, error, value):
+        """Raise the degeneracy `error` at the first point of the batch where `bad` holds."""
         if np.any(bad):
             i = np.unravel_index(np.argmax(bad), np.shape(bad))
-            raise error(f"{label} = {value[i]:.3e} at {self.q[i]!r}")
+            raise degeneracy(error, value[i], self.q[i])
 
     @cached_property
     def g_up(self):
-        """g_up[i, r] = dV^i/dp_r, checked for singularity relative to its size.
-
-        The metric is singular when |det g| <= SINGULAR_RATIO * ||g||_F^n
-        with ||g||_F the Frobenius norm.  By Hadamard's inequality the ratio
-        |det g| / ||g||_F^n is at most 1, and it does not change when V is
-        rescaled.
-        """
+        """g_up[i, r] = dV^i/dp_r; raises SingularMetric where it is singular."""
         g = taylor.read_values(self.Vp_s)
-        det = np.linalg.det(g)
-        bound = SINGULAR_RATIO * np.linalg.norm(g, axis=(-2, -1)) ** self.n
-        self._check(np.abs(det) <= bound, SingularMetric, "det dV/dp", det)
+        det, singular = singular_metric(g)
+        self._check(singular, SingularMetric, det)
         return g
 
     @cached_property
@@ -209,11 +242,9 @@ class PointCalculus:
 
     @cached_property
     def Omega(self):
-        """<p|W>; degenerate when |<p|W>| <= OMEGA_RATIO * |p| * |W|, so at p = 0 too."""
-        p, W = self.q.p, self.W
-        omega = _dot(p, W)
-        bound = OMEGA_RATIO * np.linalg.norm(p, axis=-1) * np.linalg.norm(W, axis=-1)
-        self._check(np.abs(omega) <= bound, DegenerateOmega, "<p|W>", omega)
+        """<p|W>; raises DegenerateOmega where it is degenerate."""
+        omega, degenerate = degenerate_omega(self.q.p, self.W)
+        self._check(degenerate, DegenerateOmega, omega)
         return omega
 
     @cached_property

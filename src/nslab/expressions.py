@@ -123,9 +123,6 @@ class Expression:
     def __repr__(self):
         return f"Expression({self.text!r}, vars={self.variables})"
 
-    def __call__(self, values):
-        return evaluate(self, values)
-
     def snippet(self, node):
         return self.text[node.span[0]:node.span[1]]
 

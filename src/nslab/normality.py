@@ -10,9 +10,10 @@ condition.
 
 `residual_from_calc` is the one assembly of the residuals, for a calc at a
 point or a batch; `residual_at` builds that calc, and `normality_report`
-sweeps a point cloud with it, `_SWEEP_POINTS` points per calc.  A chunk
-that raises is evaluated again point by point, so an error row names its
-own point and exception.
+sweeps a point cloud with it, `_SWEEP_POINTS` points per calc.
+`check_regularity` sweeps the kinematic frame the same way.  Both go
+through `engine.chunked`: a chunk that raises is evaluated again one point
+at a time, so an error row names its own point and exception.
 """
 
 from __future__ import annotations
@@ -21,8 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PointCalculus, chunked, stack_points
-from .errors import NonFiniteResidual, NslabError
+from . import taylor
+from .connections import ZeroConnection
+from .engine import (
+    PointCalculus,
+    chunked,
+    degeneracy,
+    degenerate_omega,
+    singular_metric,
+    stack_points,
+)
+from .errors import DegenerateOmega, NonFiniteResidual, SingularMetric
+from .systems import SINGULAR_RATIO, PhasePoint
 
 # Points per calc in a sweep.  On the sweep-n3 benchmark (perfbench/run.py,
 # 15 s runs, 2-core x86-64, numpy 2.4), chunks of 4 / 5 / 6 / 8 points
@@ -162,15 +173,90 @@ def normality_report(sys, conn, sampler, tolerance):
         r = residual_at(sys, conn, stack_points(part))
         return [r[i] for i in range(len(part))]
 
-    def single(q):
-        try:
-            return residual_at(sys, conn, q)
-        except NslabError as err:
-            empty = np.zeros((0, 0))
-            return NormalityResidual(q=q, weak1=np.zeros(0), weak2=np.zeros(0),
-                                     addA=empty, addB=empty, addC=empty,
-                                     error=f"{type(err).__name__}: {err}")
+    def failed(q, err):
+        empty = np.zeros((0, 0))
+        return NormalityResidual(q=q, weak1=np.zeros(0), weak2=np.zeros(0),
+                                 addA=empty, addB=empty, addC=empty,
+                                 error=f"{type(err).__name__}: {err}")
 
-    rows = chunked(points, batched, single, _SWEEP_POINTS)
+    rows = chunked(points, batched, failed, _SWEEP_POINTS)
     return BatchReport(rows=rows, tolerance=tolerance, n=sys.n,
                        additional_applicable=sys.n >= 3)
+
+
+# ----------------------------------------------------------------------
+# regularity sampling
+# ----------------------------------------------------------------------
+
+@dataclass
+class RegularitySample:
+    q: PhasePoint
+    det_g: float
+    v_norm: float
+    omega: float
+    ok: bool
+    failure: str
+
+
+@dataclass
+class RegularityReport:
+    samples: list
+    verdict: bool
+    note: str = (
+        "diffeomorphism check is local evidence only: nonvanishing det dV/dp "
+        "at sampled points cannot establish global injectivity"
+    )
+
+    @property
+    def failures(self):
+        return [s for s in self.samples if not s.ok]
+
+
+# failure labels of the two degeneracies; any other error is named by its class
+_LABELS = {SingularMetric: "singular metric", DegenerateOmega: "degenerate Omega"}
+
+
+def _failure_text(err):
+    return f"{_LABELS.get(type(err), type(err).__name__)}: {err}"
+
+
+def check_regularity(sys, sampler):
+    """Sample-based regularity screen for the Legendre map of a system.
+
+    Checks, per sample: det dV/dp != 0 (local diffeomorphism proxy),
+    |V| > 0 away from p = 0, and Omega != 0, with the cutoffs the field
+    stack raises on.  A sample reports det, |V| and Omega whichever check
+    it fails.  Failures, and any NslabError the evaluation of a sample
+    raises, become report entries rather than exceptions; `failure` names
+    the error's class.  The samples are evaluated in chunks of one
+    depth-0 calc each.
+    """
+    conn = ZeroConnection(sys.n)
+
+    def batched(part):
+        batch = stack_points(part)
+        calc = PointCalculus(sys, conn, batch, depth=0)
+        g, V = taylor.read_values(calc.Vp_s), calc.V
+        det, singular = singular_metric(g)
+        omega, degenerate = degenerate_omega(batch.p, calc.W)
+        samples = []
+        for i, q in enumerate(part):
+            # the first check a sample fails names it
+            v_norm = float(np.linalg.norm(V[i]))
+            if singular[i]:
+                failure = _failure_text(degeneracy(SingularMetric, det[i], q))
+            elif degenerate[i]:
+                failure = _failure_text(degeneracy(DegenerateOmega, omega[i], q))
+            elif v_norm <= SINGULAR_RATIO * np.linalg.norm(g[i]) * np.linalg.norm(q.p):
+                failure = "velocity field vanished at nonzero momentum"
+            else:
+                failure = ""
+            samples.append(RegularitySample(q, float(det[i]), v_norm, omega[i],
+                                            not failure, failure))
+        return samples
+
+    def failed(q, err):
+        return RegularitySample(q, np.nan, np.nan, np.nan, False, _failure_text(err))
+
+    samples = chunked(list(sampler.points()), batched, failed)
+    return RegularityReport(samples=samples, verdict=all(s.ok for s in samples))

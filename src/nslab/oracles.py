@@ -11,38 +11,33 @@ acceptance gates.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
 def canonical_connection_oracle(sys, q):
     """gamma[k,i,j] from the velocity-space generator, via plain jets."""
     n = sys.n
-    vj = [sys.component_jet("V", i, q, 3) for i in range(n)]
-    tj = [sys.component_jet("Theta", i, q, 2) for i in range(n)]
+    # V and Theta exact to order 3 (Theta needs 2)
+    _, _, _, Vs, Ts = sys.series_at(q, 3)
 
-    def mi(*pairs):
-        out = [0] * (2 * n)
-        for slot, k in pairs:
-            out[slot] += k
-        return tuple(out)
+    def table(series, *starts):
+        """t[k, a, b, ...] = d series^k / dz^(starts[0] + a) dz^(starts[1] + b) ..."""
+        entries = []
+        for idx in itertools.product(range(n), repeat=len(starts)):
+            mi = [0] * (2 * n)
+            for start, i in zip(starts, idx):
+                mi[start + i] += 1
+            entries.append(series.partial(tuple(mi)))
+        return np.ascontiguousarray(np.moveaxis(np.reshape(entries, (n,) * (len(starts) + 1)),
+                                                -1, 0))
 
-    V = np.array([j.value for j in vj])
-    T = np.array([j.value for j in tj])
-    Vx = np.array([[vj[k].partial(mi((m, 1))) for m in range(n)] for k in range(n)])
-    Vp = np.array([[vj[k].partial(mi((n + m, 1))) for m in range(n)] for k in range(n)])
-    Vxp = np.array([[[vj[k].partial(mi((m, 1), (n + r, 1))) for r in range(n)]
-                     for m in range(n)] for k in range(n)])
-    Vpp = np.array([[[vj[k].partial(mi((n + m, 1), (n + r, 1))) for r in range(n)]
-                     for m in range(n)] for k in range(n)])
-    Vxpp = np.array([[[[vj[k].partial(mi((m, 1), (n + r, 1), (n + s, 1)))
-                        for s in range(n)] for r in range(n)]
-                      for m in range(n)] for k in range(n)])
-    Vppp = np.array([[[[vj[k].partial(mi((n + m, 1), (n + r, 1), (n + s, 1)))
-                        for s in range(n)] for r in range(n)]
-                      for m in range(n)] for k in range(n)])
-    Tp = np.array([[tj[m].partial(mi((n + r, 1))) for r in range(n)] for m in range(n)])
-    Tpp = np.array([[[tj[m].partial(mi((n + r, 1), (n + s, 1))) for s in range(n)]
-                     for r in range(n)] for m in range(n)])
+    V, T = table(Vs), table(Ts)
+    Vx, Vp = table(Vs, 0), table(Vs, n)
+    Vxp, Vpp = table(Vs, 0, n), table(Vs, n, n)
+    Vxpp, Vppp = table(Vs, 0, n, n), table(Vs, n, n, n)
+    Tp, Tpp = table(Ts, n), table(Ts, n, n)
 
     # acceleration field and its first two momentum derivatives by Leibniz
     dphi = (np.einsum("kmr,m->kr", Vxp, V) + np.einsum("km,mr->kr", Vx, Vp)

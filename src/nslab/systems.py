@@ -14,17 +14,15 @@ survives the chain rule without truncation error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import taylor
-from .errors import ConfigError, DegenerateOmega, NslabError, SingularMetric, ZeroWv
+from .errors import ConfigError, DegenerateOmega, ZeroWv
 from .expressions import (
     Expression,
     derivative,
     evaluate_series,
-    jet_from_series,
     parse,
     phase_variables,
 )
@@ -129,8 +127,6 @@ def phase_env(xs, ps):
 class SystemDefinition:
     """Base class; concrete systems implement the series builders."""
 
-    kind = "abstract"
-
     def __init__(self, n):
         if n < 2:
             raise ConfigError("dimension must be at least 2")
@@ -178,17 +174,9 @@ class SystemDefinition:
         V, T = self.v_theta_series(ctx, xs, ps)
         return ctx, xs, ps, V, T
 
-    def component_jet(self, which, i, q, order):
-        """Jet of V^i or Theta_i at q; the test suites build oracles from these."""
-        ctx, _, _, V, T = self.series_at(q, order if which == "V" else order + 1)
-        series = V[..., i] if which == "V" else T[..., i]
-        return jet_from_series(series, phase_variables(self.n))
-
 
 class ExplicitSystem(SystemDefinition):
     """System given componentwise by expressions in x1..xn, p1..pn."""
-
-    kind = "explicit"
 
     def __init__(self, n, v_exprs, theta_exprs):
         super().__init__(n)
@@ -212,8 +200,6 @@ class ModifiedHamiltonianSystem(SystemDefinition):
     evaluated by jet arithmetic on H, never through generated expression
     text, so all orders of derivatives are exact.
     """
-
-    kind = "modified_hamiltonian"
 
     def __init__(self, H, n):
         super().__init__(n)
@@ -252,8 +238,6 @@ class EuclideanNewtonianSystem(SystemDefinition):
     with the same jet arithmetic as everything else.
     """
 
-    kind = "riemannian_euclidean"
-
     def __init__(self, W, h, n):
         super().__init__(n)
         wvars = tuple(f"x{i+1}" for i in range(n)) + ("v",)
@@ -289,84 +273,6 @@ def build_riemannian_euclidean(W, h, n):
 
 
 # ----------------------------------------------------------------------
-# regularity sampling
-# ----------------------------------------------------------------------
-
-@dataclass
-class RegularitySample:
-    q: PhasePoint
-    det_g: float
-    v_norm: float
-    omega: float
-    ok: bool
-    failure: str
-
-
-@dataclass
-class RegularityReport:
-    samples: list
-    verdict: bool
-    note: str = (
-        "diffeomorphism check is local evidence only: nonvanishing det dV/dp "
-        "at sampled points cannot establish global injectivity"
-    )
-
-    @property
-    def failures(self):
-        return [s for s in self.samples if not s.ok]
-
-
-def _regularity_sample(q, g, det, v_norm, omega):
-    """The sample of q from its metric pair g, det g, |V| and Omega."""
-    if v_norm <= SINGULAR_RATIO * np.linalg.norm(g) * np.linalg.norm(q.p):
-        return RegularitySample(q, det, v_norm, omega, False,
-                                "velocity field vanished at nonzero momentum")
-    return RegularitySample(q, det, v_norm, omega, True, "")
-
-
-def check_regularity(sys, sampler):
-    """Sample-based regularity screen for the Legendre map of a system.
-
-    Checks, per sample: det dV/dp != 0 (local diffeomorphism proxy),
-    |V| > 0 away from p = 0, and Omega != 0.  Failures, and any other
-    NslabError a sample raises, become report entries rather than
-    exceptions; `failure` names the error's class.  The samples are
-    evaluated in batches; a batch that raises is evaluated again point by
-    point, so every sample is the one its point gives alone.
-    """
-    # engine and connections import this module
-    from .connections import ZeroConnection
-    from .engine import PointCalculus, chunked, stack_points
-
-    conn = ZeroConnection(sys.n)
-
-    def batched(part):
-        calc = PointCalculus(sys, conn, stack_points(part), depth=0)
-        g, V, omega = calc.g_up, calc.V, calc.Omega
-        return [_regularity_sample(q, g[i], float(np.linalg.det(g[i])),
-                                   float(np.linalg.norm(V[i])), omega[i])
-                for i, q in enumerate(part)]
-
-    def single(q):
-        det = v_norm = np.nan
-        try:
-            calc = PointCalculus(sys, conn, q, depth=0)
-            # a degenerate Omega still reports the metric and velocity
-            det, v_norm = float(np.linalg.det(calc.g_up)), float(np.linalg.norm(calc.V))
-            return _regularity_sample(q, calc.g_up, det, v_norm, calc.Omega)
-        except SingularMetric as err:
-            failure = f"singular metric: {err}"
-        except DegenerateOmega as err:
-            failure = f"degenerate Omega: {err}"
-        except NslabError as err:
-            failure = f"{type(err).__name__}: {err}"
-        return RegularitySample(q, det, v_norm, np.nan, False, failure)
-
-    samples = chunked(list(sampler.points()), batched, single)
-    return RegularityReport(samples=samples, verdict=all(s.ok for s in samples))
-
-
-# ----------------------------------------------------------------------
 # configuration loading
 # ----------------------------------------------------------------------
 
@@ -394,7 +300,3 @@ def load_config(path, label="system"):
         raise ConfigError(f"cannot read {label} config: {err}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"invalid JSON in {label} config: {err}") from None
-
-
-def load_system(path):
-    return system_from_config(load_config(path))

@@ -502,16 +502,14 @@ class TaylorSeries:
         return self._compose(coeffs)
 
 
-def stack(series, axis=-1):
-    """One series from a list of series of one shape, along a new leading axis.
+def stack(series):
+    """One series from a list of series of one shape, along a new last leading axis.
 
-    `axis` counts the leading axes as in `np.stack`; the default puts the
-    list's index last among them.  The result is trusted to the lowest
-    trust of the entries.
+    The result is trusted to the lowest trust of the entries.
     """
     trust = min(s.trust for s in series)
     size = series[0].ctx.sizes[trust]
-    coef = np.stack([s.coef[..., :size] for s in series], axis=axis - 1 if axis < 0 else axis)
+    coef = np.stack([s.coef[..., :size] for s in series], axis=-2)
     return TaylorSeries(series[0].ctx, coef, trust)
 
 

@@ -138,12 +138,15 @@ class TestExitCodes:
         assert code == 3
         assert out.strip().splitlines()[-1].startswith(
             "numerical failure: EvaluationDomainError: sqrt of negative value")
-        # the oracle points outside the domain are skipped; the others agree
+        # an oracle point outside the domain is a NaN row, never agreement
         code, out = run(["cross-check", "--system", str(cfg),
                          "--out-dir", configs["out"]], capsys)
-        assert "skipped 10 oracle points outside the system's domain" in out
-        assert code == 0
-        assert out.strip().splitlines()[-1].startswith("RESULT cross-check PASS")
+        assert ("10 of 20 oracle points failed to evaluate "
+                "(first EvaluationDomainError: sqrt of negative value") in out
+        rows = (Path(configs["out"]) / "crosscheck.csv").read_text().splitlines()
+        assert rows.count("connection_oracle,nan") == 10
+        assert code == 1
+        assert out.strip().splitlines()[-1] == "RESULT cross-check FAIL max_residual=nan"
 
     def test_dependent_tangents_are_exit_3(self, tmp_path, configs, capsys):
         # the cusp's tangent vanishes at y1 = 0, the default base point
@@ -231,7 +234,7 @@ class TestCrossCheck:
 
     def test_all_oracle_points_skipped_fails(self, tmp_path, capsys):
         code, out = self.cross_check(tmp_path, capsys, ["0*p1", "0*p2"])
-        assert "skipped 20 oracle points" in out
+        assert "20 of 20 oracle points failed to evaluate (first SingularMetric: " in out
         assert "no connection-oracle point was evaluated" in out
         assert code == 1
         assert out.strip().splitlines()[-1].startswith("RESULT cross-check FAIL")

@@ -1,5 +1,6 @@
-"""The nslab modules reach each other only through public names, and the
-package imports nothing but the standard library, numpy and itself."""
+"""The nslab modules reach each other only through public names and only
+from the top of a module, and the package imports nothing but the standard
+library, numpy and itself."""
 
 import ast
 import sys
@@ -36,4 +37,23 @@ def test_only_stdlib_numpy_and_nslab_imported():
                 continue
             found += [f"{path.name}: {name}" for name in names
                       if name.split(".")[0] not in allowed]
+    assert found == []
+
+
+def test_no_function_imports_an_nslab_module():
+    # the import graph between the modules is the one their headers show
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = ["." * node.level + (node.module or "")]
+                else:
+                    continue
+                found += [f"{path.name}: {func.name}: {name}" for name in names
+                          if name.startswith(".") or name.split(".")[0] == "nslab"]
     assert found == []

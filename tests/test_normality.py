@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -197,8 +198,8 @@ class TestChunkedSweep:
         points = [q(rng.uniform(0.5, 2.0, 2), rng.uniform(-2.0, 2.0, 2)) for _ in range(10)]
         points[3] = q([-1.0, 0.0], [1.0, 1.0])
         report = normality_report(sysm, conn, SimpleNamespace(points=lambda: points), 1e-7)
-        # the first chunk fails as a batch and is evaluated point by point
-        assert calcs == [(4,)] + [()] * 4 + [(4,), (2,)]
+        # the first chunk fails as a batch and is evaluated one point at a time
+        assert calcs == [(4,)] + [(1,)] * 4 + [(4,), (2,)]
         assert [i for i, r in enumerate(report.rows) if r.error] == [3]
         with pytest.raises(DegenerateOmega) as err:
             residual_at(sysm, conn, points[3])
@@ -245,6 +246,15 @@ class TestNonFiniteResiduals:
         assert report.verdict == "FAIL"
         assert len(report.violations) == 7
         assert report.max_abs == 0.0
+
+    def test_sweep_raises_no_floating_point_warning(self, overflow3):
+        sys, conn = overflow3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = normality_report(sys, conn, PointSampler(n=3, count=100, seed=42), 1e-7)
+        errors = [r.error for r in report.rows if r.error]
+        assert len(errors) == 12
+        assert all(e == "NonFiniteResidual: non-finite normality residual" for e in errors)
 
     def test_residual_at_raises(self, overflow3):
         from nslab import NonFiniteResidual

@@ -19,6 +19,7 @@ from nslab import (
     check_regularity,
     normality_report,
     system_from_config,
+    taylor,
 )
 from nslab.engine import PointCalculus
 from nslab.systems import SINGULAR_RATIO
@@ -280,14 +281,19 @@ class TestRegularity:
 
 
 def _regularity_reference(sysm, point):
-    """(det, v_norm, omega, ok, failure) of one point, evaluated on its own."""
+    """(det, v_norm, omega, ok, failure) of one point, evaluated on its own.
+
+    det, v_norm and omega are reported whichever check fails; they are NaN
+    only when the point cannot be evaluated.
+    """
     det = v_norm = omega = np.nan
     ok, failure = True, ""
     try:
         calc = frame(sysm, point)
-        det = float(np.linalg.det(calc.g_up))
+        det = float(np.linalg.det(taylor.read_values(calc.Vp_s)))
         v_norm = float(np.linalg.norm(calc.V))
-        omega = calc.Omega
+        omega = point.p @ calc.W
+        calc.g_up, calc.Omega
         if v_norm <= SINGULAR_RATIO * np.linalg.norm(calc.g_up) * np.linalg.norm(point.p):
             ok, failure = False, "velocity field vanished at nonzero momentum"
     except SingularMetric as err:
@@ -308,7 +314,19 @@ class TestBatchedRegularity:
         rng = np.random.default_rng(3)
         return [q(rng.uniform(0.5, 2.0, 2), rng.uniform(-2.0, 2.0, 2)) for _ in range(count)]
 
-    def test_samples_match_point_by_point(self):
+    @pytest.fixture()
+    def calcs(self, monkeypatch):
+        built = []
+        init = PointCalculus.__init__
+
+        def counted(self, sys, conn, point, *args, **kwargs):
+            built.append(point.x.shape[:-1])
+            init(self, sys, conn, point, *args, **kwargs)
+
+        monkeypatch.setattr(PointCalculus, "__init__", counted)
+        return built
+
+    def test_samples_match_point_by_point(self, calcs):
         # 20 points: a batch of 16 with a singular metric at 5 and a
         # degenerate Omega at 9 in its middle, and a batch of 4 that leaves
         # the domain of sqrt at 17
@@ -317,6 +335,9 @@ class TestBatchedRegularity:
         points[9] = q([-1.0, 1.0], [1.0, 1.0])
         points[17] = q([1.0, -1.0], [1.0, 1.0])
         report = check_regularity(self.SYSTEM, SimpleNamespace(points=lambda: points))
+        # the failed checks are read from the batch; only the domain error
+        # makes its batch evaluate again one point at a time
+        assert calcs == [(16,), (4,)] + [(1,)] * 4
         assert [i for i, s in enumerate(report.samples) if not s.ok] == [5, 9, 17]
         assert report.samples[5].failure.startswith("singular metric: ")
         assert report.samples[9].failure.startswith("degenerate Omega: ")
@@ -328,18 +349,10 @@ class TestBatchedRegularity:
                                   equal_nan=True)
             assert (s.ok, s.failure) == (ok, failure)
 
-    def test_one_calc_per_batch(self, monkeypatch):
-        built = []
-        init = PointCalculus.__init__
-
-        def counted(self, sys, conn, point, *args, **kwargs):
-            built.append(point.x.shape[:-1])
-            init(self, sys, conn, point, *args, **kwargs)
-
-        monkeypatch.setattr(PointCalculus, "__init__", counted)
+    def test_one_calc_per_batch(self, calcs):
         points = self.points(20)
         assert check_regularity(self.SYSTEM, SimpleNamespace(points=lambda: points)).verdict
-        assert built == [(16,), (4,)]
+        assert calcs == [(16,), (4,)]
 
 
 class TestConfig:

@@ -118,7 +118,7 @@ class TestElementaryFunctions:
 
 def matrix(rows):
     """A matrix series from nested rows of series."""
-    return taylor.stack([taylor.stack(row) for row in rows], axis=-2)
+    return taylor.stack([taylor.stack(list(column)) for column in zip(*rows)])
 
 
 def assert_inverse(m, inv):
