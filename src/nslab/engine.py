@@ -45,10 +45,10 @@ from .systems import OMEGA_RATIO, SINGULAR_RATIO, PhasePoint
 # screen of demos/02 (same machine, BLAS at one thread, two runs of 5
 # alternating) takes 16-21 ms in chunks of 16 against 91-115 ms with one
 # calc per point.
-_MAX_POINTS = 16
+MAX_POINTS = 16
 
 
-def point_chunks(count, size=_MAX_POINTS):
+def point_chunks(count, size=MAX_POINTS):
     """Slices that split `count` points into batches of at most `size`."""
     return [slice(i, i + size) for i in range(0, count, size)]
 
@@ -58,30 +58,37 @@ def stack_points(points):
     return PhasePoint(np.stack([q.x for q in points]), np.stack([q.p for q in points]))
 
 
-def chunked(points, batched, failed, size=_MAX_POINTS):
+def chunked(points, batched, failed, size=MAX_POINTS):
     """One result per point of a list, from batched evaluations of `size` points.
 
     `batched(part)` evaluates the points of one chunk together and returns
-    their results in order.  A chunk where it raises an NslabError is
-    evaluated again one point at a time, through `batched([q])`, so a
-    failure is reported by, and only by, the point that has it:
-    `failed(q, err)` gives the result of a point that still raises.
-    Overflow and invalid operations evaluate without warnings; the
-    non-finite values they leave are for `batched` to report.
+    their results in order.  A part where it raises an NslabError is split
+    in halves, each evaluated again the same way, so a failure is reported
+    by, and only by, the point that has it: `failed(q, err)` gives the
+    result of a one-point part that raises `err`, and no point is
+    evaluated alone twice.  Overflow and invalid operations evaluate
+    without warnings; the non-finite values they leave are for `batched`
+    to report.
     """
+    def evaluate(part):
+        try:
+            return batched(part)
+        except NslabError as err:
+            if len(part) == 1:
+                return [failed(part[0], err)]
+            half = len(part) // 2
+            return evaluate(part[:half]) + evaluate(part[half:])
+
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
         for chunk in point_chunks(len(points), size):
-            part = points[chunk]
-            try:
-                out += batched(part)
-            except NslabError:
-                for q in part:
-                    try:
-                        out += batched([q])
-                    except NslabError as err:
-                        out.append(failed(q, err))
+            out += evaluate(points[chunk])
     return out
+
+
+def v_trust(conn, depth):
+    """The order to which a calc of `depth` with connection `conn` needs V exact."""
+    return max(depth + 1, conn.v_trust_needed(depth))
 
 
 def phase_jet1(series, batch=0):
@@ -166,8 +173,8 @@ class PointCalculus:
         self.depth = depth
         self.n = sys.n
         self.batch_ndim = q.x.ndim - 1
-        v_trust = max(depth + 1, conn.v_trust_needed(depth))
-        self.ctx, self.xs, self.ps, self.V_s, self.T_s = sys.series_at(q, v_trust)
+        self.ctx, self.xs, self.ps, self.V_s, self.T_s = sys.series_at(
+            q, v_trust(conn, depth))
         # first-order jets by series object (see `_jet1`)
         self._jets = {}
 

@@ -66,7 +66,15 @@ class NonFiniteState(NslabError):
 
 
 class NonFiniteResidual(NslabError):
-    """A normality residual came out NaN or infinite."""
+    """A normality residual came out NaN or infinite.
+
+    `residual` is the assembled residual, at a point or a batch, so a sweep
+    can keep the rows that are finite.
+    """
+
+    def __init__(self, message, residual):
+        super().__init__(message)
+        self.residual = residual
 
 
 class NuVanished(NslabError):

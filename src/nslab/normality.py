@@ -10,10 +10,12 @@ condition.
 
 `residual_from_calc` is the one assembly of the residuals, for a calc at a
 point or a batch; `residual_at` builds that calc, and `normality_report`
-sweeps a point cloud with it, `_SWEEP_POINTS` points per calc.
-`check_regularity` sweeps the kinematic frame the same way.  Both go
-through `engine.chunked`: a chunk that raises is evaluated again one point
-at a time, so an error row names its own point and exception.
+sweeps a point cloud with it, as many points per calc as the calc's
+Taylor context allows (`_sweep_points`).  A non-finite row of a batch is
+its point's error row, read from the batch.  `check_regularity` sweeps
+the kinematic frame the same way.  Both go through `engine.chunked`: a
+chunk that raises is evaluated again in halves, so an error row names its
+own point and exception.
 """
 
 from __future__ import annotations
@@ -25,23 +27,32 @@ import numpy as np
 from . import taylor
 from .connections import ZeroConnection
 from .engine import (
+    MAX_POINTS,
     PointCalculus,
     chunked,
     degeneracy,
     degenerate_omega,
     singular_metric,
     stack_points,
+    v_trust,
 )
 from .errors import DegenerateOmega, NonFiniteResidual, SingularMetric
 from .systems import SINGULAR_RATIO, PhasePoint
 
-# Points per calc in a sweep.  On the sweep-n3 benchmark (perfbench/run.py,
-# 15 s runs, 2-core x86-64, numpy 2.4), chunks of 4 / 5 / 6 / 8 points
-# solved in 0.23-0.28 / 0.20-0.23 / 0.18-0.19 / 0.15-0.17 s at a peak RSS of
-# 40.2-40.4 / 40.4-40.5 / 41.1-41.3 / 41.5-41.7 MB.  One point per calc,
-# with every series stored at full width, took 0.47-0.50 s at 40.4 MB; 4 is
-# the largest chunk that keeps that peak.
-_SWEEP_POINTS = 4
+# Matrix-series coefficients per sweep calc: a calc holds the most points,
+# at most MAX_POINTS, whose n x n series at the V trust of a depth-1 calc
+# fit this budget (see `_sweep_points`).  With the canonical connection
+# (V trust 4) that is 16 points at n = 2 and n = 3 and 4 at n = 4.  A
+# 48-point n = 4 sweep (2-core x86-64, numpy 2.4) read a max RSS of 44.1 MB
+# at 16 points per calc against 40.0 MB at 4.
+_SWEEP_COEFFICIENTS = 32768
+
+
+def _sweep_points(sys, conn):
+    """Points per calc of a residual sweep of `sys` with `conn`."""
+    trust = v_trust(conn, 1)
+    size = taylor.context(2 * sys.n, sys.ctx_order(trust)).sizes[trust]
+    return max(1, min(MAX_POINTS, _SWEEP_COEFFICIENTS // (sys.n ** 2 * int(size))))
 
 
 @dataclass
@@ -68,6 +79,14 @@ class NormalityResidual:
         vals = [np.max(np.abs(p)) for p in parts if p.size]
         return float(np.max(vals)) if vals else float("nan")
 
+    @property
+    def finite(self):
+        """Whether every residual is finite, per point: an array of q's batch shape."""
+        batch = self.weak1.ndim - 1
+        parts = [self.weak1, self.weak2, self.addA, self.addB, self.addC]
+        return np.logical_and.reduce(
+            [np.isfinite(p).all(axis=tuple(range(batch, p.ndim))) for p in parts])
+
     def __getitem__(self, index):
         return NormalityResidual(self.q[index], self.weak1[index], self.weak2[index],
                                  self.addA[index], self.addB[index], self.addC[index])
@@ -79,8 +98,8 @@ def residual_from_calc(calc):
     weak1 = P alpha and weak2 = eta P; addA and addC are the projected
     antisymmetric parts of A and C, addB = P B P - lam P.  The additional
     residuals are empty (0 x 0 per point) for n = 2, where they are vacuous.
-    Raises NonFiniteResidual when any residual is NaN or infinite, so
-    overflow can never read as agreement.
+    Raises NonFiniteResidual, carrying the residual, when any residual is
+    NaN or infinite, so overflow can never read as agreement.
     """
     P = calc.P
     weak1 = np.matmul(P, calc.alpha[..., None])[..., 0]
@@ -92,10 +111,10 @@ def residual_from_calc(calc):
         addA = np.einsum("...ir,...rs,...js->...ij", P, A - np.swapaxes(A, -2, -1), P)
         addC = np.einsum("...ri,...rs,...sj->...ij", P, C - np.swapaxes(C, -2, -1), P)
         addB = np.matmul(np.matmul(P, B), P) - calc.lam[..., None, None] * P
-    if not all(np.isfinite(r).all() for r in (weak1, weak2, addA, addB, addC)):
-        raise NonFiniteResidual("non-finite normality residual")
-    return NormalityResidual(q=calc.q, weak1=weak1, weak2=weak2,
-                             addA=addA, addB=addB, addC=addC)
+    r = NormalityResidual(q=calc.q, weak1=weak1, weak2=weak2, addA=addA, addB=addB, addC=addC)
+    if not np.all(r.finite):
+        raise NonFiniteResidual("non-finite normality residual", r)
+    return r
 
 
 def residual_at(sys, conn, q):
@@ -158,19 +177,25 @@ class BatchReport:
 def normality_report(sys, conn, sampler, tolerance):
     """Residual sweep over a point cloud with a PASS/FAIL verdict.
 
-    The points are evaluated `_SWEEP_POINTS` at a time in one calc each.
+    The points are evaluated `_sweep_points` at a time in one calc each.
     Point-level evaluation failures (singular metric, degenerate Omega,
     non-finite residuals: any NslabError) become report rows of the points
-    that raise them; other exceptions are programming errors and
-    propagate.  For n = 2 the additional equations are marked not
-    applicable rather than trivially passed.
+    that raise them, and a chunk's non-finite rows are read from its
+    batch; other exceptions are programming errors and propagate.  For
+    n = 2 the additional equations are marked not applicable rather than
+    trivially passed.
     """
     points = list(sampler.points())
     if not points:
         raise ValueError("sampler produced no points")
 
     def batched(part):
-        r = residual_at(sys, conn, stack_points(part))
+        try:
+            r = residual_at(sys, conn, stack_points(part))
+        except NonFiniteResidual as err:
+            r = err.residual
+            return [r[i] if ok else failed(q, err)
+                    for i, (q, ok) in enumerate(zip(part, r.finite))]
         return [r[i] for i in range(len(part))]
 
     def failed(q, err):
@@ -179,7 +204,7 @@ def normality_report(sys, conn, sampler, tolerance):
                                  addA=empty, addB=empty, addC=empty,
                                  error=f"{type(err).__name__}: {err}")
 
-    rows = chunked(points, batched, failed, _SWEEP_POINTS)
+    rows = chunked(points, batched, failed, _sweep_points(sys, conn))
     return BatchReport(rows=rows, tolerance=tolerance, n=sys.n,
                        additional_applicable=sys.n >= 3)
 

@@ -38,12 +38,16 @@ an affine factor (a seeded variable or a scaling of one).  The inverse of
 a matrix series is likewise formed only through its trust, as a Neumann
 series around the inverse of its constant matrix.
 
+A product forms its pair terms in blocks of rows, at most
+OFFSET_CACHE_LIMIT terms per block (one row if a row has more), so its
+temporaries are bounded whatever the batch size.
+
 A context is built once per (nvars, order) and shared.  Besides its fixed
 tables it builds, on first use, the pair subsets of products with an
 affine factor, and caches one thing that grows with use: per pair table,
-the bincount row-offset index of the largest batched product seen so
-far, which every product of fewer rows reads a prefix of.  An index is
-kept only while it has at most OFFSET_CACHE_LIMIT entries.
+the bincount row-offset index of the largest block seen so far, which
+every block of fewer rows reads a prefix of, so no kept index has more
+than OFFSET_CACHE_LIMIT entries.
 """
 
 from __future__ import annotations
@@ -75,13 +79,12 @@ def _monomials(nvars, order):
     return out
 
 
-# most entries of a kept bincount offset index, 64 KiB of int64 per trust.
-# Chosen from the grids the package documents and defaults to, nine nodes
-# per surface axis: an RK4 stage of a shift in n = 3 multiplies 91 pairs
-# per node at trust 2 and 6 x 13 per node in its trust-1 quotient, so a
-# batch of B nodes keeps both indices while 91 * B <= 8192, that is up to
-# 90 nodes (a 9 x 9 grid has 81).  A larger batch rebuilds its index in
-# every product, about a fifth of the product's time
+# most pair terms of one product block, and so most entries of a kept
+# bincount offset index, 64 KiB of int64 per pair table.  Chosen from the
+# grids the package documents and defaults to, nine nodes per surface axis:
+# an RK4 stage of a shift in n = 3 multiplies 91 pairs per node at trust 2
+# and 6 x 13 per node in its trust-1 quotient, so a batch of up to 90 nodes
+# (a 9 x 9 grid has 81) forms each product in one block
 OFFSET_CACHE_LIMIT = 8192
 
 # lowest trust at which a product with an affine factor forms only the pairs
@@ -94,6 +97,11 @@ AFFINE_MIN_TRUST = 3
 def _nonzero(a):
     """Whether the array has a nonzero entry; its first entry often settles it."""
     return a.size and (a.item(0) != 0 or a.any())
+
+
+def _factor_block(f, block):
+    """The index of a product block into factor f: its size-1 axes stay whole and broadcast."""
+    return tuple(k if n > 1 else slice(None) for k, n in zip(block, f.shape))
 
 
 class TaylorContext:
@@ -180,11 +188,16 @@ class TaylorContext:
         to make a NaN.
 
         The bincount that sums the pairs shifts row r's pairs by
-        r * sizes[trust].  The offsets of r rows are a prefix of those of
-        more rows, so the context keeps one offset index per pair table, for
-        the most rows a product with that table has had, and serves fewer
-        rows from its prefix.  An index of more than OFFSET_CACHE_LIMIT
-        entries serves its own product only and is not kept.
+        r * sizes[trust].  A product of more than OFFSET_CACHE_LIMIT pair
+        terms forms them in blocks of rows, each at most that many terms
+        (or one row): whole trailing leading axes, a slice of one axis and
+        single entries of the axes before it, each factor sliced where it
+        is not broadcast.  Each row sums its own pairs in the same order
+        in any block, so the result does not depend on the blocking.  The
+        offsets of r rows are a prefix of those of more rows, so the
+        context keeps one offset index per pair table, for the most rows
+        a block with that table has had, and serves fewer rows from its
+        prefix.
         """
         # zero factors are common (sparse connections, x-independent fields);
         # a nonzero first coefficient settles most other factors at once
@@ -196,6 +209,31 @@ class TaylorContext:
             cut = slice(self.sizes[1], self.sizes[trust])
             side = (not _nonzero(a[..., cut])) + 2 * (not _nonzero(b[..., cut]))
         key = (trust, side)
+        ia, _, _, size = self._table(key)
+        lead = a.shape[:-1]
+        if lead != b.shape[:-1]:
+            lead = np.broadcast_shapes(lead, b.shape[:-1])
+        step = max(1, OFFSET_CACHE_LIMIT // len(ia))    # rows per block
+        if math.prod(lead) <= step:
+            return self._pair_sums(key, a, b)
+        # axes j + 1.. stay whole in a block, axis j is cut into spans
+        j, inner = len(lead) - 1, 1
+        while inner * lead[j] <= step:
+            inner *= lead[j]
+            j -= 1
+        span = step // inner
+        a = a.reshape((1,) * (len(lead) + 1 - a.ndim) + a.shape)
+        b = b.reshape((1,) * (len(lead) + 1 - b.ndim) + b.shape)
+        out = np.empty(lead + (size,))
+        for outer in np.ndindex(*lead[:j]):
+            for start in range(0, lead[j], span):
+                block = outer + (slice(start, start + span),)
+                out[block] = self._pair_sums(key, a[_factor_block(a, block)],
+                                             b[_factor_block(b, block)])
+        return out
+
+    def _pair_sums(self, key, a, b):
+        """The product of a and b over pair table `key`, in one bincount."""
         ia, ib, _, size = self._table(key)
         prod = a.take(ia, axis=-1) * b.take(ib, axis=-1)
         lead = prod.shape[:-1]
@@ -224,18 +262,18 @@ class TaylorContext:
         return table
 
     def _row_offsets(self, key, rows):
-        """The bincount index of `rows` rows: entry (r, j) is r * sizes[trust] + ik[j]."""
+        """The bincount index of `rows` rows: entry (r, j) is r * sizes[trust] + ik[j].
+
+        A prefix of the kept index, which grows to the most rows asked for.
+        """
         ik, size = self._pairs[key][2:]
         if rows == 1:
             return ik
         need = rows * len(ik)
         kept = self._offsets.get(key)
-        if kept is not None and len(kept) >= need:
-            return kept[:need]
-        index = (np.arange(rows)[:, None] * size + ik).ravel()
-        if need <= OFFSET_CACHE_LIMIT:
-            self._offsets[key] = index
-        return index
+        if kept is None or len(kept) < need:
+            kept = self._offsets[key] = (np.arange(rows)[:, None] * size + ik).ravel()
+        return kept[:need]
 
     def constant(self, value, trust=None):
         """A constant series of value's shape, trusted to `trust` (default: the order)."""

@@ -7,9 +7,12 @@ import pytest
 from nslab import (
     DegenerateOmega,
     ExplicitSystem,
+    NonFiniteResidual,
     PhasePoint,
     PointSampler,
     ZeroConnection,
+    build_modified_hamiltonian,
+    canonical_connection,
     gauge_transform,
     normality_report,
     random_gauge_tensor,
@@ -167,39 +170,53 @@ def _assert_rows_match(rows, points, sysm, conn):
             assert np.array_equal(getattr(row, name), getattr(ref, name))
 
 
+@pytest.fixture()
+def calcs(monkeypatch):
+    """The batch shape of every PointCalculus built, in order."""
+    built = []
+    init = PointCalculus.__init__
+
+    def counted(self, sys, conn, point, *args, **kwargs):
+        built.append(point.x.shape[:-1])
+        init(self, sys, conn, point, *args, **kwargs)
+
+    monkeypatch.setattr(PointCalculus, "__init__", counted)
+    return built
+
+
 class TestChunkedSweep:
-    @pytest.fixture()
-    def calcs(self, monkeypatch):
-        built = []
-        init = PointCalculus.__init__
-
-        def counted(self, sys, conn, point, *args, **kwargs):
-            built.append(point.x.shape[:-1])
-            init(self, sys, conn, point, *args, **kwargs)
-
-        monkeypatch.setattr(PointCalculus, "__init__", counted)
-        return built
-
     def test_rows_match_point_by_point(self, calcs, sys_geox3, conn_geox3, sys_bad3,
                                        conn_bad3):
         for sysm, conn in ((sys_geox3, conn_geox3), (sys_bad3, conn_bad3)):
             sampler = PointSampler(3, 20, seed=8)
             calcs.clear()
             report = normality_report(sysm, conn, sampler, 1e-7)
-            # 4 points per calc
-            assert calcs == [(4,)] * 5
+            # 16 points per calc
+            assert calcs == [(16,), (4,)]
             _assert_rows_match(report.rows, sampler.points(), sysm, conn)
             assert not any(r.error for r in report.rows)
 
+    @pytest.mark.parametrize("n,count,shapes", [(2, 20, [(16,), (4,)]),
+                                                (3, 20, [(16,), (4,)]),
+                                                (4, 6, [(4,), (2,)])])
+    def test_points_per_calc_follow_the_taylor_context(self, calcs, n, count, shapes):
+        # the canonical connection needs V to trust 4: n^2 coefficients of
+        # 70, 210 and 495 monomials per point, 16 points at n = 2, 3 and 4 at n = 4
+        H = " + ".join(f"p{i}^2" for i in range(1, n + 1)) + " + x1*p2^2/5"
+        sysm = build_modified_hamiltonian(H, n)
+        normality_report(sysm, canonical_connection(sysm), PointSampler(n, count, seed=4), 1e-7)
+        assert calcs == shapes
+
     def test_failing_point_is_one_error_row(self, calcs):
-        # Omega = x1 p1^2 + p2^2 vanishes at point 3 only, in the first chunk
+        # Omega = x1 p1^2 + p2^2 vanishes at point 3 only
         sysm, conn = ExplicitSystem(2, ["x1*p1", "p2"], ["0", "0"]), ZeroConnection(2)
         rng = np.random.default_rng(9)
         points = [q(rng.uniform(0.5, 2.0, 2), rng.uniform(-2.0, 2.0, 2)) for _ in range(10)]
         points[3] = q([-1.0, 0.0], [1.0, 1.0])
         report = normality_report(sysm, conn, SimpleNamespace(points=lambda: points), 1e-7)
-        # the first chunk fails as a batch and is evaluated one point at a time
-        assert calcs == [(4,)] + [(1,)] * 4 + [(4,), (2,)]
+        # the one chunk fails as a batch and is split in halves until point 3
+        # is alone: 0-4 (0-1, 2-4 (2, 3-4 (3, 4))), 5-9
+        assert calcs == [(10,), (5,), (2,), (3,), (1,), (2,), (1,), (1,), (5,)]
         assert [i for i, r in enumerate(report.rows) if r.error] == [3]
         with pytest.raises(DegenerateOmega) as err:
             residual_at(sysm, conn, points[3])
@@ -255,6 +272,24 @@ class TestNonFiniteResiduals:
         errors = [r.error for r in report.rows if r.error]
         assert len(errors) == 12
         assert all(e == "NonFiniteResidual: non-finite normality residual" for e in errors)
+
+    def test_non_finite_rows_come_from_the_batch(self, overflow3, calcs):
+        # 12 of 100 points overflow: their rows are read from their chunk's
+        # batch, and no point is evaluated again
+        sys, conn = overflow3
+        points = PointSampler(n=3, count=100, seed=42).points()
+        report = normality_report(sys, conn, SimpleNamespace(points=lambda: points), 1e-7)
+        assert calcs == [(16,)] * 6 + [(4,)]
+        errors = [i for i, r in enumerate(report.rows) if r.error]
+        assert len(errors) == 12
+        for i, (row, point) in enumerate(zip(report.rows, points, strict=True)):
+            if i in errors:
+                assert row.q is point
+                with np.errstate(all="ignore"), pytest.raises(NonFiniteResidual) as err:
+                    residual_at(sys, conn, point)
+                assert row.error == f"NonFiniteResidual: {err.value}"
+            else:
+                _assert_rows_match([row], [point], sys, conn)
 
     def test_residual_at_raises(self, overflow3):
         from nslab import NonFiniteResidual

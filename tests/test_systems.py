@@ -336,8 +336,8 @@ class TestBatchedRegularity:
         points[17] = q([1.0, -1.0], [1.0, 1.0])
         report = check_regularity(self.SYSTEM, SimpleNamespace(points=lambda: points))
         # the failed checks are read from the batch; only the domain error
-        # makes its batch evaluate again one point at a time
-        assert calcs == [(16,), (4,)] + [(1,)] * 4
+        # makes its batch evaluate again, in halves: 16-17 (16, 17), 18-19
+        assert calcs == [(16,), (4,), (2,), (1,), (1,), (2,)]
         assert [i for i, s in enumerate(report.samples) if not s.ok] == [5, 9, 17]
         assert report.samples[5].failure.startswith("singular metric: ")
         assert report.samples[9].failure.startswith("degenerate Omega: ")

@@ -239,8 +239,9 @@ class TestTruncatedProduct:
 
     def test_row_counts_share_the_kept_offsets(self):
         # products of one trust keep one bincount index; a product of fewer
-        # rows reads its prefix and one of more rows rebuilds it, so each
-        # product sums exactly as the dense reference does
+        # rows reads its prefix, and one of more rows grows it up to the
+        # block bound (192 rows of 91 pairs form blocks of 90, 90 and 12
+        # rows), so each product sums exactly as the dense reference does
         c = taylor.TaylorContext(6, 2)
         rng = np.random.default_rng(7)
         for t in (1, 2):
@@ -248,16 +249,22 @@ class TestTruncatedProduct:
             for rows in (1, 64, 192, 64, 1, 192):
                 a, b = rng.normal(size=(2, rows, c.size))
                 assert np.array_equal(c.multiply(a, b, t), dense_product(c, a, b, t)[:, :w])
+        assert c._offsets[1, 0].size == 192 * c._pair_count[1]
+        assert c._offsets[2, 0].size == 90 * c._pair_count[2] <= taylor.OFFSET_CACHE_LIMIT
 
     def test_kept_offsets_are_bounded(self):
         limit = taylor.OFFSET_CACHE_LIMIT
         rng = np.random.default_rng(8)
-        # residual-sweep products: 4 points of up to 27 tensor entries at order 5
+        # residual-sweep products: 4 or 16 points of up to 81 tensor entries
+        # at order 5, some broadcast over a tensor axis
         c = taylor.TaylorContext(6, 5)
         for t in range(c.order + 1):
-            for lead in ((4,), (4, 3, 3), (4, 3, 3, 3)):
+            for lead in ((4,), (4, 3, 3), (4, 3, 3, 3), (16,), (16, 6), (16, 3, 3),
+                         (16, 3, 3, 3), (16, 3, 3, 3, 3)):
                 a, b = rng.normal(size=(2,) + lead + (c.size,))
                 c.multiply(a, b, t)
+            c.multiply(rng.normal(size=(16, 1, 3, 3, 3, c.size)),
+                       rng.normal(size=(16, 3, 3, 1, 1, c.size)), t)
         assert all(k.size <= limit for k in c._offsets.values())
         # an RK4 stage of a shift in n = 3 at the default 9 x 9 grid keeps
         # both its indices: 81 nodes at trust 2 and its (81, 6) quotient at trust 1
@@ -266,6 +273,53 @@ class TestTruncatedProduct:
         s.multiply(*rng.normal(size=(2, 81, 6, s.size)), 1)
         assert s._offsets[2, 0].size == 81 * s._pair_count[2] <= limit
         assert s._offsets[1, 0].size == 81 * 6 * s._pair_count[1] <= limit
+
+    def test_a_large_shift_stage_never_rebuilds_its_index(self):
+        # 100 nodes at trust 2 are 9100 pair terms: blocks of 90 and 10 rows
+        # read one kept index of 90 rows, built by the first product only
+        s = taylor.TaylorContext(6, 2)
+        rng = np.random.default_rng(11)
+        kept = None
+        for _ in range(3):
+            a, b = rng.normal(size=(2, 100, s.size))
+            assert np.array_equal(s.multiply(a, b, 2), dense_product(s, a, b, 2))
+            kept = s._offsets[2, 0] if kept is None else kept
+            assert s._offsets[2, 0] is kept
+        assert kept.size == 90 * s._pair_count[2] <= taylor.OFFSET_CACHE_LIMIT
+
+    @pytest.mark.parametrize("trust", [2, 3, 5])
+    @pytest.mark.parametrize("la,lb", [((16, 1, 3, 3, 3), (16, 3, 3, 1, 1)),
+                                       ((16, 6), (16, 1)), ((100,), ()), ((3, 1, 7), (5, 1))])
+    def test_blocked_products_equal_row_by_row_products(self, trust, la, lb):
+        # products of more pair terms than OFFSET_CACHE_LIMIT form them in
+        # blocks of rows; each row equals its own one-row product bit for
+        # bit, with either side affine and with factors zero in some rows
+        c = taylor.context(6, 5)
+        rng = np.random.default_rng(trust + len(la) + len(lb))
+        lead = np.broadcast_shapes(la, lb)
+        pairs = c._pair_count[trust]
+        assert math.prod(lead) * pairs > taylor.OFFSET_CACHE_LIMIT
+
+        def affine(f):
+            f = f.copy()
+            f[..., c.sizes[1]:] = 0.0
+            return f
+
+        def some_zero_rows(f):
+            f = f.copy()
+            f.reshape(-1, c.size)[::3] = 0.0
+            return f
+
+        a, b = rng.normal(size=la + (c.size,)), rng.normal(size=lb + (c.size,))
+        for x, y in ((a, b), (affine(a), b), (a, affine(b)), (affine(a), affine(b)),
+                     (some_zero_rows(a), b), (a, some_zero_rows(b)),
+                     (np.zeros_like(a), b)):
+            got = c.multiply(x, y, trust)
+            assert got.shape == lead + (c.sizes[trust],)
+            xs = np.broadcast_to(x, lead + x.shape[-1:])
+            ys = np.broadcast_to(y, lead + y.shape[-1:])
+            for row in np.ndindex(*lead):
+                assert np.array_equal(got[row], c.multiply(xs[row], ys[row], trust))
 
     @pytest.mark.parametrize("nvars", [6, 2])
     @pytest.mark.parametrize("lead", [(), (3,)])
