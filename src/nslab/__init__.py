@@ -27,7 +27,7 @@ from .dynamics import (
     deviation,
     integrate,
     integrate_family,
-    phase_rhs,
+    rk4_step,
     variational_rhs,
 )
 from .engine import PointCalculus

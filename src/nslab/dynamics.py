@@ -10,6 +10,10 @@ trajectories.  The covariant variation covector of the theory,
 is the covariant derivative of p along the family parameter.  It is
 formed only where it is read (`variational_rhs`, `Trajectory.xis`), so
 stepping needs only the Jacobian of (V, Theta) and never the connection.
+
+`rk4_step` is the package's one classical RK4 scheme: the phase and
+variation flow here and the Pfaff edges of `surfaces.solve_nu` both
+advance through it.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ class IntegratorConfig:
     step: float = 1e-3
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not (self.step > 0 and np.isfinite(self.step)):
+            raise ValueError("step must be positive and finite")
         if not np.isfinite(self.t_end):
             raise ValueError("t_end must be finite")
 
@@ -61,11 +65,6 @@ class ExtendedState:
     @property
     def m(self):
         return self.taus.shape[0]
-
-
-def phase_rhs(sys, q):
-    """Right-hand side of the phase flow: (dx/dt, dp/dt) = (V, Theta)."""
-    return sys.rhs(q.x, q.p)
 
 
 def deviation(state):
@@ -175,9 +174,13 @@ class Trajectory:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _check_finite(y, t):
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteState(t)
+def rk4_step(f, t, y, h):
+    """One classical RK4 step of y' = f(t, y) from t to t + h; y may be a batch."""
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _integrate_arrays(sys, x0, p0, taus0, dps0, cfg):
@@ -190,13 +193,14 @@ def _integrate_arrays(sys, x0, p0, taus0, dps0, cfg):
     m = taus0.shape[1]
     steps = cfg.steps
     h = cfg.t_end / steps
+    ts = np.linspace(0.0, cfg.t_end, steps + 1)
     width = 2 * n + 2 * m * n
     y = np.empty((B, width))
     y[:, :n] = x0
     y[:, n:2 * n] = p0
     y[:, 2 * n:] = np.concatenate([taus0, dps0], axis=2).reshape(B, -1)
 
-    def f(y):
+    def f(t, y):
         x = y[:, :n]
         p = y[:, n:2 * n]
         V, T, J = sys.rhs_jacobian_batch(x, p)
@@ -210,19 +214,13 @@ def _integrate_arrays(sys, x0, p0, taus0, dps0, cfg):
 
     hist = np.empty((steps + 1, B, width))
     hist[0] = y
-    t = 0.0
     # overflow inside a step is reported through NonFiniteState, not numpy
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            k1 = f(y)
-            k2 = f(y + 0.5 * h * k1)
-            k3 = f(y + 0.5 * h * k2)
-            k4 = f(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-            _check_finite(y, t)
+            y = rk4_step(f, ts[k], y, h)
+            if not np.all(np.isfinite(y)):
+                raise NonFiniteState(float(ts[k + 1]))
             hist[k + 1] = y
-    ts = np.linspace(0.0, cfg.t_end, steps + 1)
     xs = hist[:, :, :n]
     ps = hist[:, :, n:2 * n]
     zs = hist[:, :, 2 * n:].reshape(steps + 1, B, m, 2 * n)
@@ -231,11 +229,7 @@ def _integrate_arrays(sys, x0, p0, taus0, dps0, cfg):
 
 def integrate(sys, conn, state0, cfg):
     """Advance one extended state; records every accepted step."""
-    q0 = state0.q
-    ts, xs, ps, taus, dps = _integrate_arrays(
-        sys, q0.x[None, :], q0.p[None, :], state0.taus[None], state0.dps[None], cfg
-    )
-    return Trajectory(sys, conn, ts, xs[:, 0], ps[:, 0], taus[:, 0], dps[:, 0])
+    return integrate_family(sys, conn, [state0], cfg)[0]
 
 
 def integrate_family(sys, conn, states, cfg):

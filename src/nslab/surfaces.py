@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import taylor
-from .dynamics import ExtendedState, integrate_family
+from .dynamics import ExtendedState, integrate_family, rk4_step
 from .engine import PointCalculus, point_chunks
 from .errors import ConfigError, NuVanished, RankDeficientTangents
 from .expressions import Expression, evaluate_series, parse
@@ -205,9 +205,10 @@ class NuGrid:
 def _edge_rk4(sys, conn, surf, y_from, y_to, nu, substeps):
     """RK4 for nu along straight parameter segments, all in lockstep.
 
-    Edge e runs from y_from[e] to y_to[e] starting at nu[e]; each RK4 stage
-    is one batched `pfaff_rhs` call over every edge.  The right-hand side
-    is singular like 1/nu^3 as nu -> 0, so solutions can reach zero at
+    Edge e runs from y_from[e] to y_to[e] starting at nu[e]; each substep
+    is one `rk4_step` in the segment parameter s in [0, 1], each of its
+    stages one batched `pfaff_rhs` call over every edge.  The right-hand
+    side is singular like 1/nu^3 as nu -> 0, so solutions can reach zero at
     finite parameter values; a sign change between substeps means the
     integration stepped across that singular set and left the sheet on
     which the shift construction exists.  The error names the first edge
@@ -222,13 +223,8 @@ def _edge_rk4(sys, conn, surf, y_from, y_to, nu, substeps):
 
     v = nu
     for k in range(substeps):
-        s = k * h
-        k1 = f(s, v)
-        k2 = f(s + 0.5 * h, v + 0.5 * h * k1)
-        k3 = f(s + 0.5 * h, v + 0.5 * h * k2)
-        k4 = f(s + h, v + h * k3)
         prev = v
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        v = rk4_step(f, k * h, v, h)
         bad = ~np.isfinite(v) | (np.abs(v) < NU_FLOOR) | (v * prev <= 0.0)
         if np.any(bad):
             e = int(np.argmax(bad))
@@ -439,10 +435,14 @@ class OrthogonalityReport:
 
 
 def verify_orthogonality(run, tol):
-    """NORMAL when max_i |phi_i| stays below tol for every recorded time."""
+    """NORMAL when max_i |phi_i| <= tol at every recorded time.
+
+    A NaN in the profile, or a NaN tol, flags its time, so with a finite
+    tol NORMAL needs every max|phi| to be finite and at most tol.
+    """
     prof = run.phi_matrix()
     t = run.t
-    bad = np.flatnonzero(prof > tol)
+    bad = np.flatnonzero(~(prof <= tol))
     if bad.size:
         return OrthogonalityReport(tol=tol, max_by_time=prof, t=t,
                                    verdict="VIOLATED",

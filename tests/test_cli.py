@@ -93,6 +93,21 @@ class TestExitCodes:
         assert "configuration error" in out
         assert "3 ambient coordinates but the system has dimension 2" in out
 
+    def test_nan_tol_fails_the_shift(self, configs, capsys):
+        code, out = run(["simulate-shift", "--system", configs["geo"],
+                         "--surface", configs["circle"], "--t-end", "0.1",
+                         "--step", "0.01", "--tol", "nan",
+                         "--out-dir", configs["out"]], capsys)
+        assert code == 1
+        assert out.strip().splitlines()[-1].startswith("RESULT simulate-shift FAIL")
+
+    def test_infinite_step_is_exit_2(self, configs, capsys):
+        code, out = run(["simulate-shift", "--system", configs["geo"],
+                         "--surface", configs["circle"], "--step", "inf",
+                         "--out-dir", configs["out"]], capsys)
+        assert code == 2
+        assert "step must be positive and finite" in out
+
     def test_runaway_system_is_exit_3(self, tmp_path, configs, capsys):
         import json
         cfg = {"n": 2, "kind": "explicit", "V": ["p1^3", "p2"],

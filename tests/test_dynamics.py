@@ -11,7 +11,7 @@ from nslab import (
     deviation,
     integrate,
     integrate_family,
-    phase_rhs,
+    rk4_step,
     variational_rhs,
 )
 from nslab.engine import PointCalculus
@@ -24,16 +24,41 @@ def q(x, p):
 
 class TestPhaseRhs:
     def test_identity(self, sys_id2):
-        V, T = phase_rhs(sys_id2, q([0.4, 0.2], [1, 2]))
+        V, T = sys_id2.rhs(np.array([0.4, 0.2]), np.array([1.0, 2.0]))
         assert np.allclose(V, [1, 2]) and np.allclose(T, 0)
 
     def test_geodesic(self, sys_geo2):
-        V, T = phase_rhs(sys_geo2, q([0, 0], [1, 0]))
+        V, T = sys_geo2.rhs(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
         assert np.allclose(V, [1, 0]) and np.allclose(T, 0, atol=1e-15)
 
     def test_bad(self, sys_bad2):
-        V, T = phase_rhs(sys_bad2, q([0, 0], [1, 2]))
+        V, T = sys_bad2.rhs(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
         assert np.allclose(V, [1, 2]) and np.allclose(T, [4, 0])
+
+
+class TestRk4Step:
+    def test_linear_growth_factor(self):
+        # y' = lam y: one step multiplies y by the degree-4 Taylor polynomial
+        # of exp(lam h), row by row
+        lam = np.array([-3.0, -0.5, 0.0, 0.7, 2.0])[:, None]
+        y = np.array([1.0, -2.0, 0.3, 4.0, 0.25])[:, None]
+        h = 0.1
+        z = lam * h
+        want = y * (1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
+        got = rk4_step(lambda t, v: lam * v, 0.0, y, h)
+        assert got.shape == y.shape
+        assert np.allclose(got, want, rtol=4e-16, atol=0)
+
+    def test_stage_times(self):
+        seen = []
+
+        def f(t, v):
+            seen.append(t)
+            return np.ones_like(v)
+
+        t, h = 0.3, 0.125
+        rk4_step(f, t, np.zeros(3), h)
+        assert seen == [t, t + h / 2, t + h / 2, t + h]
 
 
 class TestDeviation:
@@ -149,10 +174,20 @@ class TestIntegrate:
     def test_nonfinite_detection(self):
         runaway = ExplicitSystem(2, ["p1^3", "p2"], ["p1^3", "0"])
         cfg = IntegratorConfig(t_end=10.0, step=1e-2)
-        with pytest.raises(NonFiniteState) as err:
-            integrate(runaway, ZeroConnection(2),
-                      ExtendedState(0, q([0, 0], [2, 0])), cfg)
-        assert err.value.t > 0
+        recorded = np.linspace(0.0, cfg.t_end, cfg.steps + 1).tolist()
+        # p1 = 1 fails at step 52, where a sum of 52 steps of 1e-2 is not 0.52
+        for p1 in (2.0, 1.0):
+            with pytest.raises(NonFiniteState) as err:
+                integrate(runaway, ZeroConnection(2),
+                          ExtendedState(0, q([0, 0], [p1, 0])), cfg)
+            # the failing step's time as the trajectory records it
+            assert err.value.t > 0
+            assert err.value.t in recorded
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, np.inf, np.nan])
+    def test_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            IntegratorConfig(t_end=1.0, step=step)
 
     def test_family_matches_single(self, sys_geox2, conn_geox2):
         cfg = IntegratorConfig(t_end=0.5, step=1e-3)

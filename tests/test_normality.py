@@ -157,6 +157,18 @@ class TestReport:
             PointSampler(2, 60, seed=7, pmin=0.1, pmax=100.0), 1e-8)
         assert report.verdict == "PASS"
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="residuals scale like c^2 under (V, Theta) -> "
+                              "c (V, Theta) and are read against an absolute tol")
+    def test_time_rescaled_bad_system_fails(self):
+        # the same non-compliant system with time rescaled by 1/c: it FAILs
+        # at c = 1 (max 6.6e2) and its residuals shrink to 6.6e-16 at c = 1e-9
+        c = "1e-9"
+        sysm = ExplicitSystem(2, [f"{c}*p1", f"{c}*p2"], [f"{c}*p2^2", "0"])
+        report = normality_report(sysm, canonical_connection(sysm),
+                                  PointSampler(2, 50, seed=42), 1e-7)
+        assert report.verdict == "FAIL"
+
 
 BLOCKS = ("weak1", "weak2", "addA", "addB", "addC")
 

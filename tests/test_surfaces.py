@@ -349,6 +349,34 @@ class TestVerify:
         assert report.verdict == "VIOLATED"
         assert 0.0 < report.first_violation <= 1.0
 
+    def test_nan_tol_is_violated(self, sys_id2, zero2, circle):
+        cfg = IntegratorConfig(t_end=0.05, step=1e-2)
+        run = simulate_shift(sys_id2, zero2, circle, 1.0, cfg, grid=[3])
+        report = verify_orthogonality(run, float("nan"))
+        assert report.verdict == "VIOLATED"
+        assert report.first_violation == 0.0
+
+    def test_nan_in_profile_is_violated(self):
+        class Run:
+            t = np.array([0.0, 0.1, 0.2])
+
+            def phi_matrix(self):
+                return np.array([0.0, np.nan, 1e-9])
+
+        report = verify_orthogonality(Run(), 1e-6)
+        assert report.verdict == "VIOLATED"
+        assert report.first_violation == 0.1
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="phi is read against an absolute tol, so rounding "
+                              "that grows with nu0 reads as a violation")
+    def test_free_shift_is_normal_at_any_speed(self, sys_geo3, conn_geo3, sphere):
+        # H = |p|^2/2 admits the normal shift; max|phi| grows like nu0 from
+        # rounding alone and passes tol near nu0 = 1e10
+        cfg = IntegratorConfig(t_end=0.5, step=1e-2)
+        run = simulate_shift(sys_geo3, conn_geo3, sphere, 1e10, cfg, grid=[4, 4])
+        assert verify_orthogonality(run, 1e-6).verdict == "NORMAL"
+
 
 class TestConfig:
     def test_surface_from_config(self):
