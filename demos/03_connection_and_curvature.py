@@ -4,35 +4,36 @@ Every system generates a symmetric momentum-dependent connection from
 its own acceleration field.  Two curvature tensors come with it, and a
 gauge move (shift the connection by any symmetric tensor, compensate in
 the force covector) leaves the underlying dynamics, the deviation field
-alpha, and every normality residual unchanged.
+alpha, and every normality residual unchanged.  All of these are fields
+of one PointCalculus: a system and a connection at a phase point.
 """
 
 import numpy as np
 
 from nslab import (
+    GaugedConnection,
     PhasePoint,
+    PointCalculus,
     build_modified_hamiltonian,
     canonical_connection,
-    curvatures,
-    force_covector,
-    gauge_transform,
     random_gauge_tensor,
-    residual_at,
+    residual_from_calc,
 )
 from nslab.oracles import canonical_connection_oracle
 
 sysm = build_modified_hamiltonian("(p1^2 + 2*p2^2)/2 + x1", 2)
 conn = canonical_connection(sysm)
 q = PhasePoint([0.3, -0.2], [1.1, 0.7])
+calc = PointCalculus(sysm, conn, q)
 
-gamma = conn.gamma(q)
+gamma = calc.gamma
 print("canonical connection at one point (k, i, j):")
 print(np.round(gamma, 6))
 oracle = canonical_connection_oracle(sysm, q)
 print(f"agreement with the velocity-space oracle: {np.max(np.abs(gamma - oracle)):.2e}")
 print()
 
-R, D = curvatures(conn, q)
+R, D = calc.R, calc.D
 print(f"curvature   max|R| = {np.max(np.abs(R)):.6f}, "
       f"antisymmetry defect {np.max(np.abs(R + np.transpose(R, (0, 1, 3, 2)))):.2e}")
 print(f"dyn. curv.  max|D| = {np.max(np.abs(D)):.6f}")
@@ -40,13 +41,14 @@ print()
 
 rng = np.random.default_rng(0)
 T = random_gauge_tensor(2, rng)
-gauged, q_field = gauge_transform(sysm, conn, T)
+# the gauged calc's force covector Q is the compensated one
+moved = PointCalculus(sysm, GaugedConnection(conn, T), q)
 V, Theta = sysm.rhs(q.x, q.p)
-rebuilt = q_field(q) + np.einsum("kij,k,j->i", gauged.gamma(q), q.p, V)
+rebuilt = moved.Q + np.einsum("kij,k,j->i", moved.gamma, q.p, V)
 print("after a random symmetric gauge shift:")
-print(f"  connection moved by      {np.max(np.abs(gauged.gamma(q) - gamma)):.3f}")
+print(f"  connection moved by      {np.max(np.abs(moved.gamma - gamma)):.3f}")
 print(f"  dynamics reconstruction  {np.max(np.abs(rebuilt - Theta)):.2e}  (Theta unchanged)")
-base = residual_at(sysm, conn, q)
-moved = residual_at(sysm, gauged, q)
-print(f"  weak residual change     {np.max(np.abs(moved.weak1 - base.weak1)):.2e}")
-print(f"  force covector differs:  {np.max(np.abs(q_field(q) - force_covector(sysm, conn, q))):.3f}")
+base = residual_from_calc(calc)
+shifted = residual_from_calc(moved)
+print(f"  weak residual change     {np.max(np.abs(shifted.weak1 - base.weak1)):.2e}")
+print(f"  force covector differs:  {np.max(np.abs(moved.Q - calc.Q)):.3f}")

@@ -15,9 +15,6 @@ from .connections import (
     ZeroConnection,
     canonical_connection,
     connection_from_config,
-    curvatures,
-    force_covector,
-    gauge_transform,
     random_gauge_tensor,
 )
 from .dynamics import (

@@ -23,9 +23,9 @@ import numpy as np
 
 from .connections import (
     CanonicalConnection,
+    GaugedConnection,
     ZeroConnection,
     connection_from_config,
-    gauge_transform,
     random_gauge_tensor,
 )
 from .dynamics import ExtendedState, IntegratorConfig, integrate_family
@@ -156,6 +156,8 @@ def cmd_simulate_shift(args):
 
 
 def cmd_gauge_test(args):
+    if args.count < 1:
+        raise ConfigError("--count must be at least 1")
     sys, conn = _load_system_conn(args.system)
     rng = np.random.default_rng(args.seed)
     sampler = PointSampler(n=sys.n, count=3, seed=args.seed + 1,
@@ -173,8 +175,7 @@ def cmd_gauge_test(args):
     rows = []
     for k in range(args.count):
         T = random_gauge_tensor(sys.n, rng)
-        gauged, _ = gauge_transform(sys, conn, T)
-        alpha, resid = evaluate(gauged)
+        alpha, resid = evaluate(GaugedConnection(conn, T))
         for j in range(len(points)):
             r, b = resid[j], base[j]
             d_alpha = float(np.max(np.abs(alpha[j] - base_alpha[j])))
@@ -218,7 +219,7 @@ def cmd_cross_check(args):
     failures = []
 
     def oracle_residuals(part):
-        direct = conn.gamma(stack_points(part))
+        direct = PointCalculus(sys, conn, stack_points(part), depth=0).gamma
         return [float(np.max(np.abs(d - canonical_connection_oracle(sys, q))))
                 for d, q in zip(direct, part)]
 
@@ -234,7 +235,8 @@ def cmd_cross_check(args):
         print(f"{len(failures)} of {len(points)} oracle points failed to evaluate "
               f"(first {type(first).__name__}: {first}); their rows read nan")
 
-    # jet evaluator against central differences on the system's own fields
+    # jet evaluator against central differences on two fixed probe
+    # expressions in the system's phase variables, at random points
     pv = phase_variables(sys.n)
     probes = [parse("p1^2 + x1*p2", pv), parse("sqrt(p1^2 + p2^2)", pv)]
     for expr in probes:

@@ -1,10 +1,12 @@
-"""Symmetric extended connections, their curvatures, and gauge moves.
+"""Symmetric extended connections and gauge moves.
 
 Connection coefficients here depend on momentum as well as position.
 Every connection knows how to render itself as Taylor series inside a
-PointCalculus, which is what makes the curvature tensors exact: the
-series of the canonical connection are assembled from the system's own
-V and Theta series, never from numerical differentiation.
+PointCalculus, and is evaluated only there: its gamma, its curvatures
+R and D and the force covector Q are fields of the calc.  That is what
+makes the curvature tensors exact: the series of the canonical
+connection are assembled from the system's own V and Theta series,
+never from numerical differentiation.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import taylor
-from .engine import PointCalculus, curvature_tensors, phase_jet1
 from .errors import AsymmetricGauge, ConfigError
 from .expressions import Expression, evaluate_series, parse, phase_variables
-from .systems import phase_env, seed_phase
+from .systems import phase_env
 
 __all__ = [
     "ConnectionField",
@@ -26,23 +27,8 @@ __all__ = [
     "GaugeTensor",
     "canonical_connection",
     "connection_from_config",
-    "curvatures",
-    "force_covector",
-    "gauge_transform",
     "random_gauge_tensor",
 ]
-
-
-class _PhaseSeeds:
-    """Phase variables seeded at a point, to Taylor order `order`.
-
-    This is all that `gamma_series` of a connection without a system reads
-    of its `calc` argument.
-    """
-
-    def __init__(self, q, order):
-        self.ctx = taylor.context(2 * q.n, order)
-        self.xs, self.ps = seed_phase(self.ctx, q.x, q.p)
 
 
 class ConnectionField:
@@ -54,20 +40,12 @@ class ConnectionField:
         return 0
 
     def gamma_series(self, calc):
-        """gamma[..., k, i, j] as one series at the point `calc` was built for.
+        """gamma[..., k, i, j] as one series at the point of the PointCalculus `calc`.
 
-        `calc` is a PointCalculus, or for a connection without a system the
-        phase variables seeded at the point (see `_series_point`).
+        The calc is the only caller: gamma's values and derivatives are its
+        fields `gamma`, `R` and `D`.
         """
         raise NotImplementedError
-
-    def gamma(self, q):
-        """Connection coefficients gamma[k, i, j] at a point; a batch leads with its axes."""
-        return taylor.read_values(self.gamma_series(self._series_point(q, 0)))
-
-    def _series_point(self, q, depth):
-        """What `gamma_series` reads at q for `depth` derivative levels of gamma."""
-        return _PhaseSeeds(q, depth)
 
 
 class ZeroConnection(ConnectionField):
@@ -168,9 +146,6 @@ class CanonicalConnection(ConnectionField):
         gamma = (g_down[..., None, :, :, None] * tmp[..., :, :, None, :]).sum(-3)
         return gamma[..., lo, hi] * (-0.5)
 
-    def _series_point(self, q, depth):
-        return PointCalculus(self.sys, self, q, depth=depth)
-
 
 class GaugeTensor:
     """Symmetric (1,2) tensor used to move between connections."""
@@ -187,6 +162,15 @@ class GaugeTensor:
 
 
 class GaugedConnection(ConnectionField):
+    """The connection `base` shifted by a symmetric gauge tensor: gamma' = gamma + T.
+
+    The force covector of a calc with this connection is the compensated one,
+
+        Q'_i = Q_i - sum_{k,s} T^k_{is} p_k V^s,
+
+    so the connection-free dynamics (V, Theta) is untouched.
+    """
+
     def __init__(self, base, T):
         super().__init__(base.n)
         self.base = base
@@ -197,9 +181,6 @@ class GaugedConnection(ConnectionField):
 
     def gamma_series(self, calc):
         return self.base.gamma_series(calc) + self.T.series(calc)
-
-    def _series_point(self, q, depth):
-        return self.base._series_point(q, depth)
 
 
 def canonical_connection(sys):
@@ -218,42 +199,6 @@ def connection_from_config(cfg, sys):
     if block is not None:
         return ExplicitConnection(sys.n, block)
     return CanonicalConnection(sys)
-
-
-# ----------------------------------------------------------------------
-# curvature
-# ----------------------------------------------------------------------
-
-def curvatures(conn, q):
-    """(R, D) at q; R[k,r,i,j] antisymmetric in (i,j), D = -d gamma/dp."""
-    gamma, dgdx, dgdp = phase_jet1(conn.gamma_series(conn._series_point(q, 1)))
-    return curvature_tensors(q.p, gamma, dgdx, dgdp)
-
-
-def force_covector(sys, conn, q):
-    """Q_i = Theta_i - sum_{j,k} gamma[k,i,j] p_k V^j."""
-    return PointCalculus(sys, conn, q, depth=0).Q
-
-
-# ----------------------------------------------------------------------
-# gauge transformations
-# ----------------------------------------------------------------------
-
-def gauge_transform(sys, conn, T):
-    """Shift the connection by a symmetric tensor and compensate the force.
-
-    Returns (conn', Q') with gamma' = gamma + T and
-
-        Q'_i(q) = Q_i(q) - sum_{k,s} T^k_{is} p_k V^s,
-
-    so the connection-free dynamics (V, Theta) is untouched.
-    """
-    gauged = GaugedConnection(conn, T)
-
-    def q_field(q):
-        return force_covector(sys, gauged, q)
-
-    return gauged, q_field
 
 
 def random_gauge_tensor(n, rng):

@@ -29,7 +29,11 @@ from .systems import PhasePoint
 
 @dataclass
 class IntegratorConfig:
-    """Classical fixed-step fourth-order Runge-Kutta configuration."""
+    """Classical fixed-step fourth-order Runge-Kutta configuration.
+
+    `t_end` is the span integrated from the start time t0 of the states,
+    so a trajectory records t0 + [0, t_end].
+    """
 
     t_end: float
     step: float = 1e-3
@@ -150,7 +154,7 @@ class Trajectory:
 
     def xis(self, k):
         """xi at step k; a slice of steps evaluates the connection as one batch."""
-        gamma = self.conn.gamma(self.point(k))
+        gamma = PointCalculus(self.sys, self.conn, self.point(k), depth=0).gamma
         return _dp_to_xi(gamma, self.p[k], self.taus[k], self.dps[k])
 
     def state(self, k):
@@ -183,8 +187,8 @@ def rk4_step(f, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate_arrays(sys, x0, p0, taus0, dps0, cfg):
-    """Batched RK4 on (x, p, tau, dp); returns per-step arrays.
+def _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg):
+    """Batched RK4 on (x, p, tau, dp) from time t0; returns per-step arrays.
 
     The variation block evolves by the exact Jacobian of (V, Theta), so
     one Jacobian evaluation per stage serves every variation pair.
@@ -193,7 +197,7 @@ def _integrate_arrays(sys, x0, p0, taus0, dps0, cfg):
     m = taus0.shape[1]
     steps = cfg.steps
     h = cfg.t_end / steps
-    ts = np.linspace(0.0, cfg.t_end, steps + 1)
+    ts = t0 + np.linspace(0.0, cfg.t_end, steps + 1)
     width = 2 * n + 2 * m * n
     y = np.empty((B, width))
     y[:, :n] = x0
@@ -233,11 +237,17 @@ def integrate(sys, conn, state0, cfg):
 
 
 def integrate_family(sys, conn, states, cfg):
-    """Integrate a family of extended states together (shared time grid)."""
+    """Integrate a family of extended states together (shared time grid).
+
+    The states must share their start time.
+    """
+    t0 = states[0].t
+    if any(s.t != t0 for s in states):
+        raise ValueError("the states of a family must share their start time")
     x0 = np.stack([s.q.x for s in states])
     p0 = np.stack([s.q.p for s in states])
     taus0 = np.stack([s.taus for s in states])
     dps0 = np.stack([s.dps for s in states])
-    ts, xs, ps, taus, dps = _integrate_arrays(sys, x0, p0, taus0, dps0, cfg)
+    ts, xs, ps, taus, dps = _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg)
     return [Trajectory(sys, conn, ts, xs[:, b], ps[:, b], taus[:, b], dps[:, b])
             for b in range(len(states))]

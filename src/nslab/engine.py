@@ -91,34 +91,6 @@ def v_trust(conn, depth):
     return max(depth + 1, conn.v_trust_needed(depth))
 
 
-def phase_jet1(series, batch=0):
-    """Values, x-partials and p-partials of a phase-space tensor series.
-
-    The derivative index follows the `batch` leading batch axes:
-    ddx[..., m, :] = d/dx^m and ddp[..., m, :] = d/dp_m of the values.
-    """
-    vals, grad = taylor.read_jet1(series)
-    n = len(grad) // 2
-    return vals, np.moveaxis(grad[:n], 0, batch), np.moveaxis(grad[n:], 0, batch)
-
-
-def curvature_tensors(p, gamma, dgdx, dgdp):
-    """Assemble R and D from the connection's first-order jet.
-
-    dgdx[..., m, :, :, :] and dgdp[..., m, :, :, :] are d gamma / dx^m and
-    d gamma / dp_m; leading batch axes broadcast.
-    """
-    glow = np.einsum("...c,...cmb->...mb", p, gamma)
-    # R[k,r,i,j]: horizontal x-derivatives plus quadratic terms
-    hderiv = dgdx + np.einsum("...mi,...mkjr->...ikjr", glow, dgdp)
-    R = (np.einsum("...ikjr->...krij", hderiv)
-         - np.einsum("...jkir->...krij", hderiv)
-         + np.einsum("...kim,...mjr->...krij", gamma, gamma)
-         - np.einsum("...kjm,...mir->...krij", gamma, gamma))
-    D = -np.swapaxes(dgdp, -4, -3)
-    return R, D
-
-
 def _dot(a, b):
     """a @ b over the last axes, batch axes broadcast; rounds exactly as `a @ b`."""
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
@@ -214,10 +186,17 @@ class PointCalculus:
         return taylor.read_values(self.phi_s)
 
     def _jet1(self, series):
-        """phase_jet1 of a series, read once per series and kept."""
+        """Values, x-partials and p-partials of a phase-space series, read once and kept.
+
+        The derivative index follows the batch axes:
+        ddx[..., m, ...] = d/dx^m and ddp[..., m, ...] = d/dp_m of the values.
+        """
         jet = self._jets.get(series)
         if jet is None:
-            jet = self._jets[series] = phase_jet1(series, self.batch_ndim)
+            vals, grad = taylor.read_jet1(series)
+            n, b = self.n, self.batch_ndim
+            jet = self._jets[series] = (vals, np.moveaxis(grad[:n], 0, b),
+                                        np.moveaxis(grad[n:], 0, b))
         return jet
 
     def _check(self, bad, error, value):
@@ -274,14 +253,17 @@ class PointCalculus:
         return np.einsum("...c,...cmb->...mb", self.q.p, self.gamma)
 
     @cached_property
-    def gamma_jet(self):
-        """(gamma, d gamma/dx^m, d gamma/dp_m), m the first index after the batch axes."""
-        return self._jet1(self.gamma_s)
-
-    @cached_property
     def curvatures(self):
-        gamma, dgdx, dgdp = self.gamma_jet
-        return curvature_tensors(self.q.p, gamma, dgdx, dgdp)
+        """(R, D) from the connection's first-order jet."""
+        gamma, dgdx, dgdp = self._jet1(self.gamma_s)
+        # R[k,r,i,j]: horizontal x-derivatives plus quadratic terms
+        hderiv = dgdx + np.einsum("...mi,...mkjr->...ikjr", self.glow, dgdp)
+        R = (np.einsum("...ikjr->...krij", hderiv)
+             - np.einsum("...jkir->...krij", hderiv)
+             + np.einsum("...kim,...mjr->...krij", gamma, gamma)
+             - np.einsum("...kjm,...mir->...krij", gamma, gamma))
+        D = -np.swapaxes(dgdp, -4, -3)
+        return R, D
 
     @cached_property
     def R(self):

@@ -25,6 +25,14 @@ class PointSampler:
     pmax: float = 10.0
     xbox: float = 1.0
 
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError("sampler has no points: count must be at least 1")
+        if not (0 < self.pmin <= self.pmax < np.inf):
+            raise ValueError("momentum shells need finite 0 < pmin <= pmax")
+        if not (0 <= self.xbox < np.inf):
+            raise ValueError("the position box needs a finite xbox >= 0")
+
     def points(self):
         rng = np.random.default_rng(self.seed)
         out = []

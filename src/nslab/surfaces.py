@@ -98,6 +98,8 @@ class Hypersurface:
         counts = [int(c) for c in counts]
         if len(counts) != self.m:
             raise ConfigError("grid needs one node count per surface parameter")
+        if min(counts) < 1:
+            raise ConfigError("grid needs at least one node per surface parameter")
         return [np.linspace(lo, hi, c) for (lo, hi), c in zip(self.domain, counts)]
 
 

@@ -96,8 +96,8 @@ class TestBatchedFields:
     def test_connection_gamma_on_a_batch(self):
         for _, sysm, conn in _connections(3):
             points = PointSampler(3, 4, seed=5).points()
-            _assert_stacked(conn.gamma(_stack(points, (4,))),
-                            [conn.gamma(q) for q in points])
+            _assert_stacked(PointCalculus(sysm, conn, _stack(points, (4,)), depth=0).gamma,
+                            [PointCalculus(sysm, conn, q, depth=0).gamma for q in points])
 
     def test_indexing_a_batched_point(self):
         points = PointSampler(2, 3, seed=1).points()

@@ -179,6 +179,27 @@ class TestExitCodes:
         assert code == 2
         assert "no points" in out
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_gauge_count_below_one_is_exit_2(self, count, configs, capsys):
+        # no gauge tried is no evidence of invariance
+        code, out = run(["gauge-test", "--system", configs["geo"], "--count", count,
+                         "--out-dir", configs["out"]], capsys)
+        assert code == 2
+        assert "--count must be at least 1" in out
+
+    def test_bad_momentum_range_is_exit_2(self, configs, capsys):
+        code, out = run(["check-normality", "--system", configs["geo"], "--pmin", "0",
+                         "--out-dir", configs["out"]], capsys)
+        assert code == 2
+        assert "configuration error" in out
+
+    @pytest.mark.parametrize("command", ["solve-nu", "simulate-shift"])
+    def test_empty_grid_is_exit_2(self, command, configs, capsys):
+        code, out = run([command, "--system", configs["geo"], "--surface", configs["circle"],
+                         "--grid", "0", "--out-dir", configs["out"]], capsys)
+        assert code == 2
+        assert "grid needs at least one node per surface parameter" in out
+
     def test_gauge_test(self, configs, capsys, monkeypatch):
         built = []
         init = PointCalculus.__init__

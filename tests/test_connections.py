@@ -7,13 +7,11 @@ from nslab import (
     ConfigError,
     ExplicitConnection,
     ExplicitSystem,
+    GaugedConnection,
     GaugeTensor,
     PhasePoint,
     ZeroConnection,
     canonical_connection,
-    curvatures,
-    force_covector,
-    gauge_transform,
     parse_expression,
     random_gauge_tensor,
 )
@@ -59,64 +57,71 @@ class TestCovariantDerivative:
         assert np.allclose(mg[:, 1], 0.0)
 
 
+def gamma_at(sys, conn, point):
+    """The connection's coefficients at a point, from a depth-0 calc."""
+    return PointCalculus(sys, conn, point, depth=0).gamma
+
+
 class TestCurvatures:
-    def test_zero_connection(self):
-        R, D = curvatures(ZeroConnection(2), QQ)
+    # R and D of an explicit connection do not read the system's metric
+    def test_zero_connection(self, sys_id2):
+        calc = PointCalculus(sys_id2, ZeroConnection(2), QQ)
+        R, D = calc.R, calc.D
         assert np.allclose(R, 0) and np.allclose(D, 0)
 
-    def test_flat_plane_polar(self):
+    def test_flat_plane_polar(self, sys_id2):
         # Christoffel symbols of the flat plane in polar coordinates;
         # flatness of the plane is the oracle
         conn = ExplicitConnection(2, {"1,2,2": "-x1", "2,1,2": "1/x1"})
         point = q([2.0, 0.7], [0.4, -1.1])
-        R, D = curvatures(conn, point)
+        calc = PointCalculus(sys_id2, conn, point)
+        R, D = calc.R, calc.D
         assert np.max(np.abs(R)) < 1e-10
         assert np.allclose(D, 0)
 
-    def test_dynamic_curvature_entry(self):
+    def test_dynamic_curvature_entry(self, sys_id2):
         conn = ExplicitConnection(2, {"1,1,1": "p1"})
-        R, D = curvatures(conn, QQ)
+        D = PointCalculus(sys_id2, conn, QQ).D
         assert D[0, 0, 0, 0] == -1.0
         D[0, 0, 0, 0] = 0.0
         assert np.allclose(D, 0)
 
     def test_r_antisymmetry(self, sys_geox2, conn_geox2):
-        R, _ = curvatures(conn_geox2, QQ)
+        R = PointCalculus(sys_geox2, conn_geox2, QQ).R
         assert np.max(np.abs(R + np.transpose(R, (0, 1, 3, 2)))) < 1e-10
 
-    def test_d_matches_finite_difference(self, conn_geox2):
-        gamma0 = conn_geox2.gamma(QQ)
-        _, D = curvatures(conn_geox2, QQ)
+    def test_d_matches_finite_difference(self, sys_geox2, conn_geox2):
+        D = PointCalculus(sys_geox2, conn_geox2, QQ).D
         h = 1e-6
         for r in range(2):
             dp = np.zeros(2)
             dp[r] = h
-            gp = conn_geox2.gamma(q(QQ.x, QQ.p + dp))
-            gm = conn_geox2.gamma(q(QQ.x, QQ.p - dp))
+            gp = gamma_at(sys_geox2, conn_geox2, q(QQ.x, QQ.p + dp))
+            gm = gamma_at(sys_geox2, conn_geox2, q(QQ.x, QQ.p - dp))
             fd = -(gp - gm) / (2 * h)
             assert np.max(np.abs(fd - D[:, r])) < 1e-5
 
     def test_identity_canonical_curvature_zero(self, sys_id2):
-        conn = canonical_connection(sys_id2)
-        R, D = curvatures(conn, QQ)
+        calc = PointCalculus(sys_id2, canonical_connection(sys_id2), QQ)
+        R, D = calc.R, calc.D
         assert np.max(np.abs(R)) == 0.0
         assert np.max(np.abs(D)) == 0.0
 
 
 class TestCanonicalConnection:
     def test_identity_zero(self, sys_id2):
-        assert np.allclose(canonical_connection(sys_id2).gamma(QQ), 0.0)
+        assert np.allclose(gamma_at(sys_id2, canonical_connection(sys_id2), QQ), 0.0)
 
     def test_geodesic_zero_and_symmetric(self, sys_geo2, conn_geo2):
-        g = conn_geo2.gamma(q([0, 0], [1, 0]))
+        g = gamma_at(sys_geo2, conn_geo2, q([0, 0], [1, 0]))
         assert np.allclose(g, np.transpose(g, (0, 2, 1)), atol=1e-12)
         assert np.allclose(g, 0.0, atol=1e-14)
 
-    def test_symmetry_random(self, conn_geox2):
+    def test_symmetry_random(self, sys_geox2, conn_geox2):
         rng = np.random.default_rng(3)
         for _ in range(5):
             point = q(rng.uniform(-1, 1, 2), rng.uniform(0.3, 2, 2))
-            g = conn_geox2.gamma(point)
+            g = gamma_at(sys_geox2, conn_geox2, point)
             assert np.max(np.abs(g - np.transpose(g, (0, 2, 1)))) <= 1e-12
 
     @pytest.mark.parametrize("builder", ["geo", "riem"])
@@ -136,28 +141,28 @@ class TestCanonicalConnection:
             p = rng.normal(size=n)
             p *= rng.uniform(0.3, pmax) / np.linalg.norm(p)
             point = q(rng.uniform(-1, 1, n), p)
-            direct = conn.gamma(point)
+            direct = gamma_at(sysm, conn, point)
             oracle = canonical_connection_oracle(sysm, point)
             assert np.max(np.abs(direct - oracle)) < 1e-8
 
 
 class TestForceCovector:
     def test_zero_connection_gives_theta(self, sys_bad2):
-        Q = force_covector(sys_bad2, ZeroConnection(2), q([0, 0], [1, 2]))
+        Q = PointCalculus(sys_bad2, ZeroConnection(2), q([0, 0], [1, 2]), depth=0).Q
         assert np.allclose(Q, [4, 0])
 
     def test_hand_example(self):
         sysm = ExplicitSystem(2, ["3", "0"], ["0", "0"])
         conn = ExplicitConnection(2, {"1,1,1": "2"})
-        Q = force_covector(sysm, conn, q([0, 0], [1, 0]))
+        Q = PointCalculus(sysm, conn, q([0, 0], [1, 0]), depth=0).Q
         assert np.allclose(Q, [-6, 0])
 
     def test_theta_reconstruction(self, sys_geox2, conn_geox2):
         rng = np.random.default_rng(8)
         for _ in range(10):
             point = q(rng.uniform(-1, 1, 2), rng.uniform(0.3, 2, 2))
-            Q = force_covector(sys_geox2, conn_geox2, point)
-            gamma = conn_geox2.gamma(point)
+            calc = PointCalculus(sys_geox2, conn_geox2, point, depth=0)
+            Q, gamma = calc.Q, calc.gamma
             V, Theta = sys_geox2.rhs(point.x, point.p)
             rebuilt = Q + np.einsum("kij,k,j->i", gamma, point.p, V)
             assert np.max(np.abs(rebuilt - Theta)) < 1e-12
@@ -166,23 +171,24 @@ class TestForceCovector:
 class TestGauge:
     def test_identity_gauge(self, sys_geox2, conn_geox2):
         T = GaugeTensor(2, {})
-        gauged, q_field = gauge_transform(sys_geox2, conn_geox2, T)
-        assert np.allclose(gauged.gamma(QQ), conn_geox2.gamma(QQ))
-        assert np.allclose(q_field(QQ), force_covector(sys_geox2, conn_geox2, QQ))
+        gauged = PointCalculus(sys_geox2, GaugedConnection(conn_geox2, T), QQ, depth=0)
+        base = PointCalculus(sys_geox2, conn_geox2, QQ, depth=0)
+        assert np.allclose(gauged.gamma, base.gamma)
+        assert np.allclose(gauged.Q, base.Q)
 
     def test_zero_base(self, sys_id2):
         T = GaugeTensor(2, {"1,1,2": "p1", "2,2,2": "x1"})
-        gauged, _ = gauge_transform(sys_id2, ZeroConnection(2), T)
+        gauged = GaugedConnection(ZeroConnection(2), T)
         expected = np.zeros((2, 2, 2))
         expected[0, 0, 1] = expected[0, 1, 0] = QQ.p[0]
         expected[1, 1, 1] = QQ.x[0]
-        assert np.allclose(gauged.gamma(QQ), expected)
+        assert np.allclose(gamma_at(sys_id2, gauged, QQ), expected)
 
     def test_force_shift(self):
         sysm = ExplicitSystem(2, ["3", "0"], ["0", "0"])
         T = GaugeTensor(2, {"1,1,1": "1"})
-        _, q_field = gauge_transform(sysm, ZeroConnection(2), T)
-        assert np.allclose(q_field(q([0, 0], [2, 0])), [-6, 0])
+        gauged = GaugedConnection(ZeroConnection(2), T)
+        assert np.allclose(PointCalculus(sysm, gauged, q([0, 0], [2, 0]), depth=0).Q, [-6, 0])
 
     def test_inconsistent_entries_rejected(self):
         with pytest.raises(AsymmetricGauge):
@@ -194,11 +200,11 @@ class TestGauge:
         for sysm, conn in cases:
             for _ in range(25):
                 T = random_gauge_tensor(2, rng)
-                gauged, q_field = gauge_transform(sysm, conn, T)
+                gauged = GaugedConnection(conn, T)
                 point = q(rng.uniform(-1, 1, 2), rng.uniform(0.3, 2, 2))
-                gamma = gauged.gamma(point)
+                calc = PointCalculus(sysm, gauged, point, depth=0)
                 V, Theta = sysm.rhs(point.x, point.p)
-                rebuilt = q_field(point) + np.einsum("kij,k,j->i", gamma, point.p, V)
+                rebuilt = calc.Q + np.einsum("kij,k,j->i", calc.gamma, point.p, V)
                 assert np.max(np.abs(rebuilt - Theta)) < 1e-10
 
     def test_alpha_gauge_invariant(self, sys_geox2, conn_geox2):
@@ -206,7 +212,7 @@ class TestGauge:
         base = PointCalculus(sys_geox2, conn_geox2, QQ).alpha
         for _ in range(5):
             T = random_gauge_tensor(2, rng)
-            gauged, _ = gauge_transform(sys_geox2, conn_geox2, T)
+            gauged = GaugedConnection(conn_geox2, T)
             alpha = PointCalculus(sys_geox2, gauged, QQ).alpha
             assert np.max(np.abs(alpha - base)) < 1e-8
 
@@ -217,15 +223,15 @@ class TestGauge:
         rng = np.random.default_rng(23)
         for _ in range(5):
             T = random_gauge_tensor(2, rng)
-            gauged, _ = gauge_transform(sys_geox2, conn_geox2, T)
+            gauged = GaugedConnection(conn_geox2, T)
             eta = PointCalculus(sys_geox2, gauged, QQ).eta
             assert np.max(np.abs(eta - calc.eta)) < 1e-8
 
 
 class TestExplicitConnectionConfig:
-    def test_triangle_completion(self):
+    def test_triangle_completion(self, sys_id2):
         conn = ExplicitConnection(2, {"1,1,2": "p1"})
-        g = conn.gamma(QQ)
+        g = gamma_at(sys_id2, conn, QQ)
         assert g[0, 0, 1] == g[0, 1, 0] == QQ.p[0]
 
     def test_inconsistent_pair(self):

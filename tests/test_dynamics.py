@@ -205,6 +205,21 @@ class TestIntegrate:
             assert np.array_equal(single.dps, tr.dps)
             assert np.abs(tr.taus[-1] - tr.taus[0]).max() > 0
 
+    def test_trajectory_keeps_its_start_time(self, sys_id2, zero2):
+        cfg = IntegratorConfig(t_end=1.0, step=0.5)
+        tr = integrate(sys_id2, zero2, ExtendedState(5.0, q([0, 0], [1, 0])), cfg)
+        assert tr.t.tolist() == [5.0, 5.5, 6.0]
+        # a recorded state integrated again continues on the same clock
+        again = integrate(sys_id2, zero2, tr.state(2), cfg)
+        assert again.t.tolist() == [6.0, 6.5, 7.0]
+
+    def test_family_needs_one_start_time(self, sys_id2, zero2):
+        cfg = IntegratorConfig(t_end=1.0, step=0.5)
+        states = [ExtendedState(0.0, q([0, 0], [1, 0])),
+                  ExtendedState(1.0, q([0, 0], [0, 1]))]
+        with pytest.raises(ValueError, match="share their start time"):
+            integrate_family(sys_id2, zero2, states, cfg)
+
     def test_csv_roundtrip(self, sys_geo2, conn_geo2, tmp_path):
         cfg = IntegratorConfig(t_end=0.01, step=1e-3)
         state = ExtendedState(0, q([1, 0], [1, 0]), [[0, 1]], [[0.5, 0]])

@@ -40,6 +40,17 @@ def test_only_stdlib_numpy_and_nslab_imported():
     assert found == []
 
 
+def test_connections_import_nothing_from_engine():
+    # a connection is evaluated only inside engine.PointCalculus, its one caller
+    found = []
+    for node in ast.walk(ast.parse((SRC / "connections.py").read_text())):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found += [node.module] if node.module else [alias.name for alias in node.names]
+    assert [name for name in found if name.split(".")[-1] == "engine"] == []
+
+
 def test_no_function_imports_an_nslab_module():
     # the import graph between the modules is the one their headers show
     found = []

@@ -7,13 +7,13 @@ import pytest
 from nslab import (
     DegenerateOmega,
     ExplicitSystem,
+    GaugedConnection,
     NonFiniteResidual,
     PhasePoint,
     PointSampler,
     ZeroConnection,
     build_modified_hamiltonian,
     canonical_connection,
-    gauge_transform,
     normality_report,
     random_gauge_tensor,
     residual_at,
@@ -141,6 +141,14 @@ class TestReport:
         with pytest.raises(ValueError, match="no points"):
             normality_report(sys_geo2, conn_geo2, PointSampler(2, 0, seed=1), 1e-7)
 
+    @pytest.mark.parametrize("box", [dict(pmin=0.0), dict(pmin=-1.0),
+                                     dict(pmin=2.0, pmax=1.0), dict(pmax=np.inf),
+                                     dict(pmin=np.nan), dict(xbox=np.inf),
+                                     dict(xbox=np.nan), dict(xbox=-1.0)])
+    def test_sampler_box_is_validated(self, box):
+        with pytest.raises(ValueError):
+            PointSampler(2, 5, seed=1, **box)
+
     def test_csv(self, sys_geo2, conn_geo2, tmp_path):
         report = normality_report(sys_geo2, conn_geo2,
                                   PointSampler(2, 5, seed=42), 1e-7)
@@ -247,7 +255,7 @@ class TestGaugeInvariance:
         base = [residual_at(sys_geox3, conn_geox3, point) for point in points]
         for _ in range(10):
             T = random_gauge_tensor(3, rng)
-            gauged, _ = gauge_transform(sys_geox3, conn_geox3, T)
+            gauged = GaugedConnection(conn_geox3, T)
             for point, b in zip(points, base):
                 r = residual_at(sys_geox3, gauged, point)
                 for attr in ("weak1", "weak2", "addA", "addB", "addC"):
