@@ -47,7 +47,6 @@ from .errors import (
 from .expressions import (
     Expression,
     Jet,
-    derivative,
     evaluate,
     evaluate_jet,
     finite_difference_probe,

@@ -32,7 +32,8 @@ class IntegratorConfig:
     """Classical fixed-step fourth-order Runge-Kutta configuration.
 
     `t_end` is the span integrated from the start time t0 of the states,
-    so a trajectory records t0 + [0, t_end].
+    so a trajectory records t0 + [0, t_end]; it may be negative, but not
+    zero, which would record no evolution to verify.
     """
 
     t_end: float
@@ -41,8 +42,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (self.step > 0 and np.isfinite(self.step)):
             raise ValueError("step must be positive and finite")
-        if not np.isfinite(self.t_end):
-            raise ValueError("t_end must be finite")
+        if not (self.t_end != 0 and np.isfinite(self.t_end)):
+            raise ValueError("t_end must be nonzero and finite")
 
     @property
     def steps(self):

@@ -609,82 +609,10 @@ def finite_difference_probe(expr, q, multi_index, step):
 
 
 # ----------------------------------------------------------------------
-# AST utilities (symbolic derivative and substitution)
+# AST utilities (substitution)
 # ----------------------------------------------------------------------
 
 _NOSPAN = (0, 0)
-
-
-def _num(v):
-    return Num(_NOSPAN, float(v))
-
-
-def _mul(a, b):
-    return Bin(_NOSPAN, "*", a, b)
-
-
-def _derive(node, slot):
-    if isinstance(node, Num):
-        return _num(0.0)
-    if isinstance(node, Var):
-        return _num(1.0 if node.slot == slot else 0.0)
-    if isinstance(node, Neg):
-        return Neg(_NOSPAN, _derive(node.arg, slot))
-    if isinstance(node, Bin):
-        da = _derive(node.left, slot)
-        db = _derive(node.right, slot)
-        a, b = node.left, node.right
-        if node.op in "+-":
-            return Bin(_NOSPAN, node.op, da, db)
-        if node.op == "*":
-            return Bin(_NOSPAN, "+", _mul(da, b), _mul(a, db))
-        if node.op == "/":
-            num = Bin(_NOSPAN, "-", _mul(da, b), _mul(a, db))
-            return Bin(_NOSPAN, "/", num, Bin(_NOSPAN, "^", b, _num(2)))
-        # a^b: general form via log; constant exponent handled directly
-        if isinstance(b, Num):
-            scaled = _mul(_num(b.value), Bin(_NOSPAN, "^", a, _num(b.value - 1)))
-            return _mul(scaled, da)
-        logterm = Bin(_NOSPAN, "+",
-                      _mul(db, Call(_NOSPAN, "log", (a,))),
-                      Bin(_NOSPAN, "/", _mul(b, da), a))
-        return _mul(Bin(_NOSPAN, "^", a, b), logterm)
-    if isinstance(node, Call):
-        u = node.args[0]
-        du = _derive(u, slot)
-        if node.fn == "sqrt":
-            return Bin(_NOSPAN, "/", du, _mul(_num(2), node))
-        if node.fn == "sin":
-            return _mul(Call(_NOSPAN, "cos", (u,)), du)
-        if node.fn == "cos":
-            return Neg(_NOSPAN, _mul(Call(_NOSPAN, "sin", (u,)), du))
-        if node.fn == "tan":
-            sec2 = Bin(_NOSPAN, "+", _num(1), Bin(_NOSPAN, "^", node, _num(2)))
-            return _mul(sec2, du)
-        if node.fn == "exp":
-            return _mul(node, du)
-        if node.fn == "log":
-            return Bin(_NOSPAN, "/", du, u)
-        if node.fn == "abs":
-            return _mul(Bin(_NOSPAN, "/", u, node), du)
-        if node.fn == "pow":
-            return _derive(Bin(_NOSPAN, "^", node.args[0], node.args[1]), slot)
-        if node.fn == "atan2":
-            a, b = node.args
-            da, db = _derive(a, slot), _derive(b, slot)
-            num = Bin(_NOSPAN, "-", _mul(b, da), _mul(a, db))
-            den = Bin(_NOSPAN, "+",
-                      Bin(_NOSPAN, "^", a, _num(2)),
-                      Bin(_NOSPAN, "^", b, _num(2)))
-            return Bin(_NOSPAN, "/", num, den)
-    raise TypeError(f"unhandled node {node!r}")
-
-
-def derivative(expr, name):
-    """Exact symbolic derivative with respect to one named variable."""
-    slot = expr.variables.index(name)
-    root = _derive(expr.root, slot)
-    return Expression(f"d({expr.text})/d{name}", expr.variables, root)
 
 
 def _subst(node, slot, replacement, slot_map):

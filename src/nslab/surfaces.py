@@ -257,6 +257,10 @@ def solve_nu(sys, conn, surf, y0, nu0, grid, substeps=4):
     disagreement over all grid cells: each cell's far corner is reached
     along its two edge orderings from the same base value, and the
     difference measures how far the system is from an integrable one.
+    A one-parameter surface has no cells and no compatibility condition,
+    and its residual is 0; a surface of two or more parameters needs at
+    least 2 nodes on every axis (ConfigError otherwise), so that its
+    residual is read from at least one cell.
 
     Independent edges advance in lockstep: pass d moves every chain
     leaving the filled slab one edge at a time, and the cells take two
@@ -268,6 +272,9 @@ def solve_nu(sys, conn, surf, y0, nu0, grid, substeps=4):
         raise ValueError("nu0 must be nonzero")
     axes = surf.grid_axes(grid)
     m = surf.m
+    if m >= 2 and min(len(ax) for ax in axes) < 2:
+        raise ConfigError("solving nu on a surface of two or more parameters "
+                          "needs at least 2 grid nodes per axis")
     y0 = np.asarray(y0, dtype=float)
     base = tuple(int(np.argmin(np.abs(ax - y0[d]))) for d, ax in enumerate(axes))
     shape = tuple(len(ax) for ax in axes)

@@ -19,13 +19,7 @@ import numpy as np
 
 from . import taylor
 from .errors import ConfigError, DegenerateOmega, ZeroWv
-from .expressions import (
-    Expression,
-    derivative,
-    evaluate_series,
-    parse,
-    phase_variables,
-)
+from .expressions import Expression, evaluate_series, parse, phase_variables
 
 
 # Degeneracy cutoffs, fixed for the whole package.  The first three are
@@ -133,6 +127,9 @@ class SystemDefinition:
         self.n = n
 
     # order the Taylor context must have so V comes out exact to `v_trust`
+    # and Theta to `v_trust - 1`, or to `v_trust` itself at 0 and 1: a calc
+    # reads Theta one level below V (phi pairs it with dV), `rhs` reads its
+    # values and `rhs_jacobian_batch` its first partials
     def ctx_order(self, v_trust):
         return v_trust
 
@@ -172,7 +169,8 @@ class SystemDefinition:
         ctx = taylor.context(2 * self.n, self.ctx_order(v_trust))
         xs, ps = seed_phase(ctx, q.x, q.p)
         V, T = self.v_theta_series(ctx, xs, ps)
-        return ctx, xs, ps, V, T
+        # a calc reads the phase variables and V no further, whatever the context's order
+        return ctx, xs.truncate(v_trust), ps.truncate(v_trust), V.truncate(v_trust), T
 
 
 class ExplicitSystem(SystemDefinition):
@@ -234,8 +232,11 @@ class EuclideanNewtonianSystem(SystemDefinition):
         F_i = h(W)/W_v * p_i/v - sum_k (d_k W / W_v) (2 p_k p_i - v^2 d^k_i)/v,
 
     where W = W(x1..xn, v) with dW/dv != 0 and h is a function of one
-    variable.  Derivatives of W are taken symbolically once and evaluated
-    with the same jet arithmetic as everything else.
+    variable.  W is evaluated once, as a series in the phase variables,
+    and its partials give the rest: d_k W = dW/dx^k, since v does not
+    depend on x, and W_v = sum_j p_j dW/dp_j / v.  Theta, built from
+    first partials, is exact one order below V; only W and v are formed at
+    the context's order, the force formula at Theta's.
     """
 
     def __init__(self, W, h, n):
@@ -243,25 +244,32 @@ class EuclideanNewtonianSystem(SystemDefinition):
         wvars = tuple(f"x{i+1}" for i in range(n)) + ("v",)
         self.W = _as_expression(W, wvars)
         self.h = _as_expression(h, ("w",))
-        self.W_v = derivative(self.W, "v")
-        self.W_x = [derivative(self.W, f"x{i+1}") for i in range(n)]
+
+    # Theta comes from W's first partials, one order below the context, so
+    # below v_trust 2 the context carries one order more than V needs
+    def ctx_order(self, v_trust):
+        return v_trust if v_trust >= 2 else v_trust + 1
 
     def v_theta_series(self, ctx, xs, ps):
         n = self.n
         vsq = (ps * ps).sum(-1)
         v = vsq.sqrt()
-        env = [xs[..., i] for i in range(n)] + [v]
-        wv = evaluate_series(self.W_v, env)
-        grad = taylor.stack([evaluate_series(e, env) for e in self.W_x])
+        w = evaluate_series(self.W, [xs[..., i] for i in range(n)] + [v])
+        dW = w.partials(0, 2 * n)
+        # Theta is exact only as far as dW, so the force formula stops there
+        ps_t, vsq, v, w = (s.truncate(dW.trust) for s in (ps, vsq, v, w))
+        grad = dW[..., :n]
+        # sum_j p_j dW/dp_j = W_v v
+        wv = (dW[..., n:] * ps_t).sum(-1) / v
         # relative to |(d_x W, W_v)|, so the cutoff ignores the scale of W
         scale = np.hypot(np.linalg.norm(taylor.read_values(grad), axis=-1), wv.value())
         if np.any(np.abs(wv.value()) <= W_V_RATIO * scale):
             raise ZeroWv("dW/dv vanished at an evaluation point")
-        hw = evaluate_series(self.h, [evaluate_series(self.W, env)])
+        hw = evaluate_series(self.h, [w])
         # quad[k, i] = 2 p_k p_i - delta_ki v^2
-        quad = (2.0 * ps)[..., :, None] * ps[..., None, :] - vsq[..., None, None] * np.eye(n)
+        quad = (2.0 * ps_t)[..., :, None] * ps_t[..., None, :] - vsq[..., None, None] * np.eye(n)
         drift = (grad / wv[..., None])[..., :, None] * quad / v[..., None, None]
-        return ps, (hw / wv)[..., None] * ps / v[..., None] - drift.sum(-2)
+        return ps, (hw / wv)[..., None] * ps_t / v[..., None] - drift.sum(-2)
 
 
 def build_modified_hamiltonian(H, n):

@@ -200,6 +200,32 @@ class TestExitCodes:
         assert code == 2
         assert "grid needs at least one node per surface parameter" in out
 
+    @pytest.mark.parametrize("grid", ["5,1", "1,5", "1,1"])
+    def test_two_parameter_grid_without_a_cell_is_exit_2(self, grid, tmp_path, configs,
+                                                           capsys):
+        # the incompatible control FAILs on a 5 x 5 grid; without a cell it
+        # must not PASS on a two-path residual of 0
+        bad3 = tmp_path / "bad3.json"
+        bad3.write_text(json.dumps({"n": 3, "kind": "explicit", "V": ["p1", "p2", "p3"],
+                                    "Theta": ["p2^2", "0", "0"]}))
+        sphere = tmp_path / "sphere.json"
+        sphere.write_text(json.dumps({
+            "params": 2, "embedding": ["sin(y1)*cos(y2)", "sin(y1)*sin(y2)", "cos(y1)"],
+            "domain": [[0.3, 1.2], [-0.6, 0.6]]}))
+        code, out = run(["solve-nu", "--system", str(bad3), "--surface", str(sphere),
+                         "--grid", grid, "--out-dir", configs["out"]], capsys)
+        assert code == 2
+        assert "at least 2 grid nodes per axis" in out
+        assert "RESULT" not in out
+
+    def test_zero_t_end_is_exit_2(self, configs, capsys):
+        code, out = run(["simulate-shift", "--system", configs["geo"],
+                         "--surface", configs["circle"], "--t-end", "0",
+                         "--out-dir", configs["out"]], capsys)
+        assert code == 2
+        assert "t_end must be nonzero and finite" in out
+        assert "RESULT" not in out
+
     def test_gauge_test(self, configs, capsys, monkeypatch):
         built = []
         init = PointCalculus.__init__

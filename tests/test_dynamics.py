@@ -189,6 +189,15 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="step must be positive and finite"):
             IntegratorConfig(t_end=1.0, step=step)
 
+    @pytest.mark.parametrize("t_end", [0.0, -0.0, np.inf, -np.inf, np.nan])
+    def test_t_end_must_be_nonzero_and_finite(self, t_end):
+        # a zero span records no evolution, so nothing to verify
+        with pytest.raises(ValueError, match="t_end must be nonzero and finite"):
+            IntegratorConfig(t_end=t_end)
+
+    def test_backward_time_is_allowed(self):
+        assert IntegratorConfig(t_end=-0.5, step=0.1).steps == 5
+
     def test_family_matches_single(self, sys_geox2, conn_geox2):
         cfg = IntegratorConfig(t_end=0.5, step=1e-3)
         # two variation pairs per state, none of them zero

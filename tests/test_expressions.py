@@ -11,7 +11,6 @@ from nslab import (
     PhasePoint,
     UnknownIdentifierError,
     VariableIndexError,
-    derivative,
     evaluate,
     evaluate_jet,
     finite_difference_probe,
@@ -215,27 +214,12 @@ def test_jet_symmetry_and_value(a, b, c, d):
 
 
 class TestAstUtilities:
-    def test_symbolic_derivative(self):
-        e = parse("x1*v^2 + sin(v)", ("x1", "v"))
-        dv = derivative(e, "v")
-        got = evaluate(dv, [2.0, 0.7])
-        assert got == pytest.approx(2 * 2.0 * 0.7 + math.cos(0.7), rel=1e-14)
-
     def test_substitute(self):
         w = parse("v + x1*v^2", ("x1", "v"))
         repl = parse("sqrt(p1^2 + p2^2)", ("x1", "x2", "p1", "p2"))
         h = substitute(w, "v", repl)
         got = evaluate(h, [2.0, 0.0, 3.0, 4.0])
         assert got == pytest.approx(5.0 + 2.0 * 25.0, rel=1e-14)
-
-    @pytest.mark.parametrize("text", ["abs(x1)", "tan(x1)", "atan2(x1, v)",
-                                      "log(1 + x1^2)", "pow(1 + x1^2, 1.5)"])
-    def test_derivative_matches_probe(self, text):
-        e = parse(text, ("x1", "v"))
-        de = derivative(e, "x1")
-        for pt in ([0.4, 0.9], [-0.7, 1.3]):
-            fd = finite_difference_probe(e, pt, (1, 0), 1e-5)
-            assert evaluate(de, pt) == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 def test_series_pow_ignores_untrusted_exponent_coefficients():

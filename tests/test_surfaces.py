@@ -138,6 +138,18 @@ class TestSolveNu:
         with pytest.raises(ValueError):
             solve_nu(sys_id2, zero2, circle, [0.0], 0.0, [5])
 
+    @pytest.mark.parametrize("counts", [[5, 1], [1, 5], [1, 1]])
+    def test_two_parameter_grid_needs_a_cell(self, sys_bad3, conn_bad3, sphere, counts):
+        # with no cell there is no two-path residual, and the incompatible
+        # control would read 0
+        with pytest.raises(ConfigError, match="at least 2 grid nodes per axis"):
+            solve_nu(sys_bad3, conn_bad3, sphere, [0.75, 0.0], 1.0, counts)
+
+    def test_one_parameter_grid_has_no_condition(self, sys_id2, zero2, circle):
+        for count in (1, 2):
+            grid = solve_nu(sys_id2, zero2, circle, [0.0], 1.0, [count])
+            assert grid.residual == 0
+
     def test_vanishing_sheet_detected(self, circle):
         # from this base value the true solution reaches nu = 0 inside the
         # patch (the right-hand side is singular there); the solver must

@@ -17,6 +17,8 @@ from nslab import (
     build_riemannian_euclidean,
     canonical_connection,
     check_regularity,
+    evaluate,
+    finite_difference_probe,
     normality_report,
     system_from_config,
     taylor,
@@ -185,7 +187,64 @@ class TestRhsJacobian:
             assert J[3 + i].tolist() == [Ts[i].partial(u) for u in units]
 
 
+class TestSeriesContract:
+    """V comes out exact to `v_trust` and Theta to `v_trust - 1`, for every kind.
+
+    Theta is exact to `v_trust` itself at 0 and 1: `rhs` reads its values
+    and `rhs_jacobian_batch` its first partials.
+    """
+
+    SYSTEMS = TestRhsJacobian.SYSTEMS
+
+    @pytest.mark.parametrize("v_trust", range(5))
+    @pytest.mark.parametrize("kind", sorted(SYSTEMS))
+    def test_series_at_trusts(self, kind, v_trust):
+        sysm = self.SYSTEMS[kind]()
+        _, xs, ps, V, T = sysm.series_at(q([0.2, -0.1, 0.3], [0.9, 0.4, -0.7]), v_trust)
+        # a calc reads the phase variables and V no further than v_trust
+        assert xs.trust == ps.trust == V.trust == v_trust
+        assert T.trust >= max(v_trust - 1, min(v_trust, 1))
+
+    @pytest.mark.parametrize("kind", sorted(SYSTEMS))
+    def test_jacobian_theta_rows_match_central_differences(self, kind):
+        sysm = self.SYSTEMS[kind]()
+        z = np.array([0.2, -0.1, 0.3, 0.9, 0.4, -0.7])
+        _, _, J = sysm.rhs_jacobian_batch(z[:3], z[3:])
+        for col, step in enumerate(1e-6 * np.eye(6)):
+            fd = (sysm.rhs((z + step)[:3], (z + step)[3:])[1]
+                  - sysm.rhs((z - step)[:3], (z - step)[3:])[1]) / 2e-6
+            assert J[3:, col] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+
 class TestEuclideanBuilder:
+    # a W per function whose derivative rule is easy to get wrong; {xn} is
+    # the last coordinate, so n = 3 reads a third x-partial
+    W_FUNCTIONS = ["v + abs(x1 - {xn})*v^2/10",
+                   "v*(1 + tan(x1)/5) + {xn}",
+                   "atan2(x1, v) + 2*v*(1 + {xn}^2)",
+                   "v + log(1 + x1^2)*v^2/10 + x2*{xn}",
+                   "v*pow(1 + x1^2 + {xn}^2, 1.5)"]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("W", W_FUNCTIONS)
+    def test_theta_is_the_force_formula_of_probed_partials(self, W, n):
+        # F_i = h(W)/W_v p_i/v - sum_k (d_k W/W_v) (2 p_k p_i - v^2 d^k_i)/v
+        sysm = build_riemannian_euclidean(W.format(xn=f"x{n}"), "sin(w)/3", n)
+        rng = np.random.default_rng(3)
+        for _ in range(2):
+            x = rng.uniform(-0.6, 0.6, n)
+            p = rng.uniform(0.4, 1.2, n) * rng.choice([-1.0, 1.0], n)
+            v = np.linalg.norm(p)
+            at = list(x) + [v]
+            dW = np.array([finite_difference_probe(sysm.W, at, unit, 1e-5)
+                           for unit in np.eye(n + 1, dtype=int)])
+            hw = evaluate(sysm.h, [evaluate(sysm.W, at)])
+            quad = 2.0 * np.outer(p, p) - v * v * np.eye(n)
+            force = hw / dW[n] * p / v - (dW[:n] / dW[n]) @ quad / v
+            V, T = sysm.rhs(x, p)
+            assert np.array_equal(V, p)
+            assert T == pytest.approx(force, rel=1e-6)
+
     def test_geodesic_case(self):
         sysm = build_riemannian_euclidean("v", "0", 2)
         V, T = sysm.rhs(np.array([0.4, -0.2]), np.array([3.0, 4.0]))
