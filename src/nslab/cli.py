@@ -294,7 +294,8 @@ _FLAGS = {
     "--points": dict(type=int, default=100),
     "--seed": dict(type=int, default=42),
     "--tol": dict(type=float, default=1e-7),
-    "--step": dict(type=float, default=1e-3),
+    "--step": dict(type=float, default=1e-3,
+                   help="recording interval; the stepper chooses its own steps"),
     "--t-end": dict(type=float, default=1.0),
     "--nu0": dict(type=float, default=1.0),
     "--grid": dict(type=lambda s: [int(v) for v in s.split(",")], default=None),

@@ -13,7 +13,11 @@ stepping needs only the Jacobian of (V, Theta) and never the connection.
 
 `rk4_step` is the package's one classical RK4 scheme: the phase and
 variation flow here and the Pfaff edges of `surfaces.solve_nu` both
-advance through it.
+advance through it.  The flow here is error-controlled: each trajectory
+chooses its own steps by step doubling around `rk4_step`, and the
+records on the grid of `IntegratorConfig.step` are interpolated from
+the accepted steps, so `step` is the recording interval, not a step the
+stepper takes.
 """
 
 from __future__ import annotations
@@ -26,14 +30,25 @@ from .engine import PointCalculus, point_chunks
 from .errors import NonFiniteState
 from .systems import PhasePoint
 
+# Local error allowed per step, |dy| / (1 + |y|) in each component
+STEP_TOL = 1e-11
+# A row whose step falls below this fraction of |t_end| has stalled
+STEP_FLOOR = 1e-12
+# Records interpolated per array pass, so a long step's temporaries stay
+# small (512 x 18 floats is 72 KiB on shift-sphere)
+RECORD_BLOCK = 512
+
 
 @dataclass
 class IntegratorConfig:
-    """Classical fixed-step fourth-order Runge-Kutta configuration.
+    """Span and recording interval of an error-controlled RK4 integration.
 
     `t_end` is the span integrated from the start time t0 of the states,
     so a trajectory records t0 + [0, t_end]; it may be negative, but not
-    zero, which would record no evolution to verify.
+    zero, which would record no evolution to verify.  `step` is the
+    recording interval: the records lie at t0 + linspace(0, t_end,
+    steps + 1).  The stepper chooses its own steps, each with an
+    estimated local error within `STEP_TOL`, whatever `step` is.
     """
 
     t_end: float
@@ -126,10 +141,12 @@ def variational_rhs(sys, conn, state):
 # ----------------------------------------------------------------------
 
 class Trajectory:
-    """Recorded fixed-step history of one extended trajectory.
+    """Recorded history of one extended trajectory on the recording grid.
 
     Positions, momenta, tau and the plain momentum variation are stored
-    per step; xi is reconstructed through the connection on demand.
+    per recorded time, every `IntegratorConfig.step`, interpolated from
+    the error-controlled steps; xi is reconstructed through the
+    connection on demand.
     """
 
     def __init__(self, sys, conn, t, x, p, taus, dps):
@@ -150,11 +167,11 @@ class Trajectory:
 
     @property
     def phis(self):
-        """Deviation functions phi_i(t), shape (steps+1, m)."""
+        """Deviation functions phi_i(t), shape (steps+1, m), one row per record."""
         return np.einsum("tmi,ti->tm", self.taus, self.p)
 
     def xis(self, k):
-        """xi at step k; a slice of steps evaluates the connection as one batch."""
+        """xi at record k; a slice of records evaluates the connection as one batch."""
         gamma = PointCalculus(self.sys, self.conn, self.point(k), depth=0).gamma
         return _dp_to_xi(gamma, self.p[k], self.taus[k], self.dps[k])
 
@@ -188,17 +205,82 @@ def rk4_step(f, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg):
-    """Batched RK4 on (x, p, tau, dp) from time t0; returns per-step arrays.
+def _first_stage_known(f, k1):
+    """f for one `rk4_step` whose first stage, the slope at the step's start, is k1."""
+    pending = [k1]
+    return lambda t, y: pending.pop() if pending else f(t, y)
 
-    The variation block evolves by the exact Jacobian of (V, Theta), so
-    one Jacobian evaluation per stage serves every variation pair.
+
+def _record_buffer(shape):
+    """Float array of `shape` in its own anonymous memory mapping.
+
+    The records are an integration's one large array.  Here they return
+    to the OS with the last trajectory that views them.  Taken from the
+    malloc heap instead, where numpy asks for transparent huge pages on
+    arrays of 4 MiB and more, they left huge-page-backed free space
+    behind: shift-sphere's peak RSS then read 49.5 or 52.6 MB from run to
+    run with the heap layout, and 49.2 MB from a mapping of its own.
+    """
+    import mmap  # on first use, so importing nslab does not load it
+
+    return np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape)))).reshape(shape)
+
+
+def _fill_records(hist, grid, rows, s0, s1, y0, f0, y1, f1, ym):
+    """Write the records in (s0, s1] of each row from its accepted step's interpolant.
+
+    Over theta in [0, 1] across the step h = s1 - s0, with F = h f and
+    dy = y1 - y0, the cubic Hermite interpolant of y and F at both ends
+    plus c theta^2 (1 - theta)^2, c = 16 (ym - cubic(1/2)), also meets the
+    half-step value ym (HNW §II.6):
+
+        y(theta) = y0 + F0 theta + (3 dy - 2 F0 - F1 + c) theta^2
+                   + (F0 + F1 - 2 dy - 2 c) theta^3 + c theta^4.
+    """
+    sign = np.sign(grid[-1])
+    lo = np.searchsorted(sign * grid, sign * s0, side="right")
+    count = np.searchsorted(sign * grid, sign * s1, side="right") - lo
+    ends = np.cumsum(count)
+    first = lo - ends + count     # record of pair j of row i: j + first[i]
+    h = s1 - s0
+    F0, F1 = h[:, None] * f0, h[:, None] * f1
+    dy = y1 - y0
+    c = 16.0 * (ym - (0.5 * (y0 + y1) + 0.125 * (F0 - F1)))
+    coef = (c, F0 + F1 - 2.0 * dy - 2.0 * c, 3.0 * dy - 2.0 * F0 - F1 + c, F0, y0)
+    # the (record, row) pairs in blocks, so a long step's temporaries stay small
+    total = int(count.sum())
+    for start in range(0, total, RECORD_BLOCK):
+        j = np.arange(start, min(start + RECORD_BLOCK, total))
+        i = np.searchsorted(ends, j, side="right")
+        ks = j + first[i]
+        th = ((grid[ks] - s0[i]) / h[i])[:, None]
+        v = coef[0][i]
+        for cj in coef[1:]:     # Horner, in place
+            v *= th
+            v += cj[i]
+        hist[ks, rows[i]] = v
+
+
+def _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg):
+    """Error-controlled RK4 on (x, p, tau, dp) from time t0; returns per-record arrays.
+
+    Each batch row steps on its own.  One step of h and two of h/2 from
+    the same state estimate the local error as |y_2 - y_1| / 15 (HNW
+    §II.4), per component over 1 + |y|.  A step within `STEP_TOL` keeps
+    the extrapolated y_2 + (y_2 - y_1) / 15; a rejected or non-finite
+    attempt shrinks that row's h only.  So a row's step sequence depends
+    on that row alone, and a batched row steps exactly as it does alone.
+    A row that reaches t_end leaves the batch; one whose step falls below
+    `STEP_FLOOR` |t_end| raises `NonFiniteState` at the first recorded
+    time it did not reach.  The records on t0 + linspace(0, t_end,
+    steps + 1) come from each accepted step's interpolant.  The variation
+    block evolves by the exact Jacobian of (V, Theta), so one Jacobian
+    evaluation per stage serves every variation pair.
     """
     B, n = x0.shape
     m = taus0.shape[1]
-    steps = cfg.steps
-    h = cfg.t_end / steps
-    ts = t0 + np.linspace(0.0, cfg.t_end, steps + 1)
+    span = cfg.t_end
+    grid = np.linspace(0.0, span, cfg.steps + 1)
     width = 2 * n + 2 * m * n
     y = np.empty((B, width))
     y[:, :n] = x0
@@ -213,34 +295,70 @@ def _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg):
         out[:, :n] = V
         out[:, n:2 * n] = T
         if m:
-            z = y[:, 2 * n:].reshape(B, m, 2 * n)
-            out[:, 2 * n:] = np.einsum("bij,bmj->bmi", J, z).reshape(B, -1)
+            z = y[:, 2 * n:].reshape(len(y), m, 2 * n)
+            out[:, 2 * n:] = np.einsum("bij,bmj->bmi", J, z).reshape(len(y), -1)
         return out
 
-    hist = np.empty((steps + 1, B, width))
+    hist = _record_buffer((len(grid), B, width))
     hist[0] = y
-    # overflow inside a step is reported through NonFiniteState, not numpy
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            y = rk4_step(f, ts[k], y, h)
-            if not np.all(np.isfinite(y)):
-                raise NonFiniteState(float(ts[k + 1]))
-            hist[k + 1] = y
+    s = np.zeros(B)                 # time each row has reached, from t0
+    h = np.full(B, float(span))     # each row's next step, signed like t_end
+    last = np.ones(B, dtype=bool)   # that step ends at t_end
+    live = np.arange(B)
+    # overflow inside an attempt only rejects it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fy = f(t0, y)
+        while live.size:
+            yl, k1, H = y[live], fy[live], h[live, None]
+            tl = t0 + s[live, None]
+            full = rk4_step(_first_stage_known(f, k1), tl, yl, H)
+            mid = rk4_step(_first_stage_known(f, k1), tl, yl, 0.5 * H)
+            two = rk4_step(f, tl + 0.5 * H, mid, 0.5 * H)
+            corr = (two - full) / 15.0
+            err = np.max(np.abs(corr) / (1.0 + np.maximum(np.abs(yl), np.abs(two))),
+                         axis=1)
+            ok = err <= STEP_TOL
+            if ok.any():
+                y1 = two[ok] + corr[ok]
+                f1 = f(tl[ok] + H[ok], y1)
+                # the next step starts from the slope at y1, so it must be finite
+                fine = np.all(np.isfinite(f1), axis=1)
+                ok[ok] = fine
+                rows = live[ok]
+                s1 = np.where(last[rows], span, s[rows] + h[rows])
+                _fill_records(hist, grid, rows, s[rows], s1, yl[ok], k1[ok],
+                              y1[fine], f1[fine], mid[ok])
+                y[rows], fy[rows], s[rows] = y1[fine], f1[fine], s1
+
+            grow = np.clip(0.9 * (STEP_TOL / err) ** 0.2, 0.2, 5.0)
+            # a non-finite attempt, or slope at y1, shrinks the step the most
+            grow[~(ok | (err > STEP_TOL))] = 0.2
+            h[live] *= grow
+            live = live[~(ok & last[live])]
+            stalled = live[np.abs(h[live]) < STEP_FLOOR * abs(span)]
+            if stalled.size:
+                sign = np.sign(span)
+                k = np.searchsorted(sign * grid, np.min(sign * s[stalled]), side="right")
+                raise NonFiniteState(float(t0 + grid[k]))
+            rem = span - s[live]
+            last[live] = np.abs(rem) <= np.abs(h[live])
+            h[live] = np.where(last[live], rem, h[live])
     xs = hist[:, :, :n]
     ps = hist[:, :, n:2 * n]
-    zs = hist[:, :, 2 * n:].reshape(steps + 1, B, m, 2 * n)
-    return ts, xs, ps, zs[..., :n], zs[..., n:]
+    zs = hist[:, :, 2 * n:].reshape(len(grid), B, m, 2 * n)
+    return t0 + grid, xs, ps, zs[..., :n], zs[..., n:]
 
 
 def integrate(sys, conn, state0, cfg):
-    """Advance one extended state; records every accepted step."""
+    """Advance one extended state; records it every `cfg.step`."""
     return integrate_family(sys, conn, [state0], cfg)[0]
 
 
 def integrate_family(sys, conn, states, cfg):
-    """Integrate a family of extended states together (shared time grid).
+    """Integrate a family of extended states together (shared recording grid).
 
-    The states must share their start time.
+    The states must share their start time.  Each state chooses its own
+    steps, so its trajectory equals the one `integrate` gives it alone.
     """
     t0 = states[0].t
     if any(s.t != t0 for s in states):

@@ -121,6 +121,33 @@ class TestVariationalRhs:
         assert np.max(np.abs(fd_xi - dxis)) < 1e-6
 
 
+def _count_jacobian_calls(sysm):
+    """List that grows by one entry per `rhs_jacobian_batch` call of sysm."""
+    calls = []
+    jac = sysm.rhs_jacobian_batch
+    sysm.rhs_jacobian_batch = lambda X, P: calls.append(len(X)) or jac(X, P)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def geox2_reference(sys_geox2):
+    """(f, y0, every state of RK4 at h = 1e-4 over [0, 1]) on a curved geox2 member.
+
+    y = (x, p, tau, dp) with one variation pair; f is the phase and
+    variation flow, the variation by the Jacobian of (V, Theta).
+    """
+    def f(t, y):
+        V, T, J = sys_geox2.rhs_jacobian_batch(y[:, :2], y[:, 2:4])
+        return np.concatenate([V, T, np.einsum("bij,bj->bi", J, y[:, 4:])], axis=1)
+
+    y0 = np.array([[0.1, 0.2, 1.0, 0.8, 0.3, -0.2, 0.5, 0.1]])
+    h = 1e-4
+    path = [y0]
+    for k in range(10000):
+        path.append(rk4_step(f, k * h, path[-1], h))
+    return f, y0, np.concatenate(path)
+
+
 class TestIntegrate:
     def test_identity_linear_motion(self, sys_id2, zero2):
         cfg = IntegratorConfig(t_end=1.0, step=1e-3)
@@ -144,19 +171,30 @@ class TestIntegrate:
                            ExtendedState(0, q([1, 0], [1, 0])), cfg)
             assert np.max(np.abs(tr.x[-1] - ref)) < 1e-13
 
-    def test_fourth_order_convergence(self, sys_geox2, conn_geox2):
-        # genuine h^4 slope on a curved member of the same family
-        state = ExtendedState(0, q([0.1, 0.2], [1.0, 0.8]))
-        ref = integrate(sys_geox2, conn_geox2, state,
-                        IntegratorConfig(t_end=1.0, step=1e-4)).x[-1]
+    def test_fourth_order_convergence(self, geox2_reference):
+        # genuine h^4 slope of the one RK4 scheme, at fixed h, on a curved
+        # member of the same family
+        f, y0, ref = geox2_reference
         errs = []
-        for step in (1e-2, 5e-3):
-            tr = integrate(sys_geox2, conn_geox2, state,
-                           IntegratorConfig(t_end=1.0, step=step))
-            errs.append(np.max(np.abs(tr.x[-1] - ref)))
+        for h in (1e-2, 5e-3):
+            y = y0
+            for k in range(round(1.0 / h)):
+                y = rk4_step(f, k * h, y, h)
+            errs.append(np.max(np.abs(y[0, :2] - ref[-1, :2])))
         ratio = errs[0] / errs[1]
         assert ratio >= 12.0
         assert 8.0 <= ratio <= 32.0  # within a factor-of-2 band of 2^4
+
+    def test_matches_fixed_step_reference(self, sys_geox2, conn_geox2, geox2_reference):
+        # the error-controlled flow at every recorded time, variations included,
+        # against RK4 at h = 1e-4, whose own error is below 1e-13 here
+        _, y0, ref = geox2_reference
+        cfg = IntegratorConfig(t_end=1.0, step=1e-2)
+        tr = integrate(sys_geox2, conn_geox2,
+                       ExtendedState(0, q(y0[0, :2], y0[0, 2:4]), [y0[0, 4:6]], [y0[0, 6:]]),
+                       cfg)
+        got = np.concatenate([tr.x, tr.p, tr.taus[:, 0], tr.dps[:, 0]], axis=1)
+        assert np.max(np.abs(got - ref[::100])) < 1e-10
 
     def test_linearity_of_variations(self, sys_geox2, conn_geox2):
         cfg = IntegratorConfig(t_end=1.0, step=2e-3)
@@ -213,6 +251,38 @@ class TestIntegrate:
             assert np.array_equal(single.taus, tr.taus)
             assert np.array_equal(single.dps, tr.dps)
             assert np.abs(tr.taus[-1] - tr.taus[0]).max() > 0
+
+    @pytest.mark.parametrize("t_end", [0.5, -0.5])
+    def test_family_matches_single_under_uneven_steps(self, t_end):
+        # p2 = 0 keeps the first row on a straight line, which one step
+        # integrates; the second oscillates in x1 at frequency 2 |p2| = 6
+        sysm = ExplicitSystem(2, ["p1", "p2"], ["-4*x1*p2^2", "0"])
+        calls = _count_jacobian_calls(sysm)
+        cfg = IntegratorConfig(t_end=t_end, step=1e-2)
+        states = [ExtendedState(0, q([0.3, 0.0], [1.0, 0.0]), [[1.0, 0.5]], [[0.2, -0.1]]),
+                  ExtendedState(0, q([0.3, 0.1], [0.5, 3.0]), [[1.0, 0.5]], [[0.2, -0.1]])]
+        singles, counts = [], []
+        for st in states:
+            calls.clear()
+            singles.append(integrate(sysm, ZeroConnection(2), st, cfg))
+            counts.append(len(calls))
+        assert counts[0] < counts[1] / 4
+        fam = integrate_family(sysm, ZeroConnection(2), states, cfg)
+        for single, tr in zip(singles, fam):
+            for name in ("x", "p", "taus", "dps"):
+                assert np.array_equal(getattr(single, name), getattr(tr, name))
+
+    def test_runaway_stops_at_the_step_floor(self):
+        # p1' = p1^3 blows up at t = 0.125 while the state stays finite up to
+        # the floor, so only the floor ends the row: about 590 attempts of 11
+        # calls as the step shrinks toward the blow-up
+        runaway = ExplicitSystem(2, ["p1^3", "p2"], ["p1^3", "0"])
+        calls = _count_jacobian_calls(runaway)
+        with pytest.raises(NonFiniteState) as err:
+            integrate(runaway, ZeroConnection(2), ExtendedState(0, q([0, 0], [2.0, 0])),
+                      IntegratorConfig(t_end=10.0, step=1e-2))
+        assert err.value.t == np.linspace(0.0, 10.0, 1001)[13]  # first record past it
+        assert len(calls) < 10000
 
     def test_trajectory_keeps_its_start_time(self, sys_id2, zero2):
         cfg = IntegratorConfig(t_end=1.0, step=0.5)
