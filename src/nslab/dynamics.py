@@ -27,13 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import PointCalculus, point_chunks
-from .errors import NonFiniteState
+from .errors import NonFiniteState, NslabError
 from .systems import PhasePoint
 
-# Local error allowed per step, |dy| / (1 + |y|) in each component
+# Local error allowed per step, |dy| / (1 + |y|) in each component, unless
+# one RK4 step of the recording interval errs more at the start
 STEP_TOL = 1e-11
-# A row whose step falls below this fraction of |t_end| has stalled
-STEP_FLOOR = 1e-12
+# A row whose step falls below this fraction of the recording interval
+# (more than 10^4 steps per record) has stalled
+STEP_FLOOR = 1e-4
 # Records interpolated per array pass, so a long step's temporaries stay
 # small (512 x 18 floats is 72 KiB on shift-sphere)
 RECORD_BLOCK = 512
@@ -47,8 +49,9 @@ class IntegratorConfig:
     so a trajectory records t0 + [0, t_end]; it may be negative, but not
     zero, which would record no evolution to verify.  `step` is the
     recording interval: the records lie at t0 + linspace(0, t_end,
-    steps + 1).  The stepper chooses its own steps, each with an
-    estimated local error within `STEP_TOL`, whatever `step` is.
+    steps + 1).  The stepper chooses its own steps: each has an
+    estimated local error within `STEP_TOL`, or within the error of one
+    RK4 step of `step` at the start where that is larger.
     """
 
     t_end: float
@@ -211,21 +214,6 @@ def _first_stage_known(f, k1):
     return lambda t, y: pending.pop() if pending else f(t, y)
 
 
-def _record_buffer(shape):
-    """Float array of `shape` in its own anonymous memory mapping.
-
-    The records are an integration's one large array.  Here they return
-    to the OS with the last trajectory that views them.  Taken from the
-    malloc heap instead, where numpy asks for transparent huge pages on
-    arrays of 4 MiB and more, they left huge-page-backed free space
-    behind: shift-sphere's peak RSS then read 49.5 or 52.6 MB from run to
-    run with the heap layout, and 49.2 MB from a mapping of its own.
-    """
-    import mmap  # on first use, so importing nslab does not load it
-
-    return np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape)))).reshape(shape)
-
-
 def _fill_records(hist, grid, rows, s0, s1, y0, f0, y1, f1, ym):
     """Write the records in (s0, s1] of each row from its accepted step's interpolant.
 
@@ -266,15 +254,20 @@ def _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg):
 
     Each batch row steps on its own.  One step of h and two of h/2 from
     the same state estimate the local error as |y_2 - y_1| / 15 (HNW
-    §II.4), per component over 1 + |y|.  A step within `STEP_TOL` keeps
-    the extrapolated y_2 + (y_2 - y_1) / 15; a rejected or non-finite
-    attempt shrinks that row's h only.  So a row's step sequence depends
-    on that row alone, and a batched row steps exactly as it does alone.
-    A row that reaches t_end leaves the batch; one whose step falls below
-    `STEP_FLOOR` |t_end| raises `NonFiniteState` at the first recorded
-    time it did not reach.  The records on t0 + linspace(0, t_end,
-    steps + 1) come from each accepted step's interpolant.  The variation
-    block evolves by the exact Jacobian of (V, Theta), so one Jacobian
+    §II.4), per component over 1 + |y|.  A row's first attempt spans one
+    recording interval, and its tolerance is the larger of `STEP_TOL` and
+    the error of one RK4 step of that interval there (16 times the
+    estimate), so a coarse grid asks for no more accuracy than the fixed
+    step of that length gave.  A step within the tolerance keeps the
+    extrapolated y_2 + (y_2 - y_1) / 15; a rejected attempt, or one that
+    is non-finite or leaves the system's domain, shrinks that row's h
+    only.  So a row's step sequence depends on that row alone, and a
+    batched row steps exactly as it does alone.  A row that reaches t_end
+    leaves the batch; one whose step falls below `STEP_FLOOR` times the
+    recording interval raises `NonFiniteState` at the first recorded time
+    it did not reach.  The records on t0 + linspace(0, t_end, steps + 1)
+    come from each accepted step's interpolant.  The variation block
+    evolves by the exact Jacobian of (V, Theta), so one Jacobian
     evaluation per stage serves every variation pair.
     """
     B, n = x0.shape
@@ -287,10 +280,8 @@ def _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg):
     y[:, n:2 * n] = p0
     y[:, 2 * n:] = np.concatenate([taus0, dps0], axis=2).reshape(B, -1)
 
-    def f(t, y):
-        x = y[:, :n]
-        p = y[:, n:2 * n]
-        V, T, J = sys.rhs_jacobian_batch(x, p)
+    def flow(y):
+        V, T, J = sys.rhs_jacobian_batch(y[:, :n], y[:, n:2 * n])
         out = np.empty_like(y)
         out[:, :n] = V
         out[:, n:2 * n] = T
@@ -299,16 +290,38 @@ def _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg):
             out[:, 2 * n:] = np.einsum("bij,bmj->bmi", J, z).reshape(len(y), -1)
         return out
 
-    hist = _record_buffer((len(grid), B, width))
+    def f(t, y):
+        # NaN where a row's stage is non-finite or outside the system's
+        # domain, which rejects its attempt.  A batch that raises is
+        # evaluated again row by row; a row alone gets the bits it gets in
+        # a batch.
+        out = np.full_like(y, np.nan)
+        rows = np.flatnonzero(np.all(np.isfinite(y), axis=1))
+        if not rows.size:
+            return out
+        try:
+            out[rows] = flow(y[rows])
+        except NslabError:
+            for b in rows:
+                try:
+                    out[b] = flow(y[b:b + 1])[0]
+                except NslabError:
+                    pass
+        return out
+
+    hist = np.empty((len(grid), B, width))
     hist[0] = y
-    s = np.zeros(B)                 # time each row has reached, from t0
-    h = np.full(B, float(span))     # each row's next step, signed like t_end
-    last = np.ones(B, dtype=bool)   # that step ends at t_end
+    s = np.zeros(B)                                 # time each row has reached, from t0
+    h = np.full(B, np.copysign(cfg.step, span))     # each row's next step
+    tol = None                                      # each row's, set by its first attempt
     live = np.arange(B)
     # overflow inside an attempt only rejects it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fy = f(t0, y)
+        fy = flow(y)    # a start outside the system's domain raises
         while live.size:
+            rem = span - s[live]
+            last = np.abs(rem) <= np.abs(h[live])   # this attempt ends at t_end
+            h[live[last]] = rem[last]
             yl, k1, H = y[live], fy[live], h[live, None]
             tl = t0 + s[live, None]
             full = rk4_step(_first_stage_known(f, k1), tl, yl, H)
@@ -317,7 +330,10 @@ def _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg):
             corr = (two - full) / 15.0
             err = np.max(np.abs(corr) / (1.0 + np.maximum(np.abs(yl), np.abs(two))),
                          axis=1)
-            ok = err <= STEP_TOL
+            if tol is None:
+                tol = np.where(np.isfinite(err), np.maximum(STEP_TOL, 16.0 * err), STEP_TOL)
+            tol_l = tol[live]
+            ok = err <= tol_l
             if ok.any():
                 y1 = two[ok] + corr[ok]
                 f1 = f(tl[ok] + H[ok], y1)
@@ -325,24 +341,21 @@ def _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg):
                 fine = np.all(np.isfinite(f1), axis=1)
                 ok[ok] = fine
                 rows = live[ok]
-                s1 = np.where(last[rows], span, s[rows] + h[rows])
+                s1 = np.where(last[ok], span, s[rows] + h[rows])
                 _fill_records(hist, grid, rows, s[rows], s1, yl[ok], k1[ok],
                               y1[fine], f1[fine], mid[ok])
                 y[rows], fy[rows], s[rows] = y1[fine], f1[fine], s1
 
-            grow = np.clip(0.9 * (STEP_TOL / err) ** 0.2, 0.2, 5.0)
+            grow = np.clip(0.9 * (tol_l / err) ** 0.2, 0.2, 5.0)
             # a non-finite attempt, or slope at y1, shrinks the step the most
-            grow[~(ok | (err > STEP_TOL))] = 0.2
+            grow[~(ok | (err > tol_l))] = 0.2
             h[live] *= grow
-            live = live[~(ok & last[live])]
-            stalled = live[np.abs(h[live]) < STEP_FLOOR * abs(span)]
+            live = live[~(ok & last)]
+            stalled = live[np.abs(h[live]) < STEP_FLOOR * cfg.step]
             if stalled.size:
                 sign = np.sign(span)
                 k = np.searchsorted(sign * grid, np.min(sign * s[stalled]), side="right")
                 raise NonFiniteState(float(t0 + grid[k]))
-            rem = span - s[live]
-            last[live] = np.abs(rem) <= np.abs(h[live])
-            h[live] = np.where(last[live], rem, h[live])
     xs = hist[:, :, :n]
     ps = hist[:, :, n:2 * n]
     zs = hist[:, :, 2 * n:].reshape(len(grid), B, m, 2 * n)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nslab import (
+    EvaluationDomainError,
     ExplicitSystem,
     ExtendedState,
     IntegratorConfig,
@@ -272,17 +273,61 @@ class TestIntegrate:
             for name in ("x", "p", "taus", "dps"):
                 assert np.array_equal(getattr(single, name), getattr(tr, name))
 
+    def test_tolerance_follows_the_recording_interval(self):
+        # one RK4 step of 1e-2 errs more than STEP_TOL on this oscillator of
+        # frequency 6, so that error is its tolerance: under twice the 4 x 50
+        # calls of RK4 at the recording interval, and more accurate (7.1e-8)
+        sysm = ExplicitSystem(2, ["p1", "p2"], ["-4*x1*p2^2", "0"])
+        calls = _count_jacobian_calls(sysm)
+        tr = integrate(sysm, ZeroConnection(2), ExtendedState(0, q([0.3, 0.1], [0.5, 3.0])),
+                       IntegratorConfig(t_end=0.5, step=1e-2))
+        assert len(calls) < 400
+        exact = 0.3 * np.cos(6 * tr.t) + 0.5 / 6 * np.sin(6 * tr.t)
+        assert np.max(np.abs(tr.x[:, 0] - exact)) < 7e-8
+
     def test_runaway_stops_at_the_step_floor(self):
-        # p1' = p1^3 blows up at t = 0.125 while the state stays finite up to
-        # the floor, so only the floor ends the row: about 590 attempts of 11
-        # calls as the step shrinks toward the blow-up
+        # p1' = p1^3 blows up at t = 0.125 while the state stays finite, so
+        # only the floor ends the row: about 140 attempts of 11 calls as the
+        # step shrinks toward the blow-up to 1e-4 of the recording interval
         runaway = ExplicitSystem(2, ["p1^3", "p2"], ["p1^3", "0"])
         calls = _count_jacobian_calls(runaway)
         with pytest.raises(NonFiniteState) as err:
             integrate(runaway, ZeroConnection(2), ExtendedState(0, q([0, 0], [2.0, 0])),
                       IntegratorConfig(t_end=10.0, step=1e-2))
         assert err.value.t == np.linspace(0.0, 10.0, 1001)[13]  # first record past it
-        assert len(calls) < 10000
+        assert len(calls) < 2000
+
+    def test_attempt_outside_the_domain_is_rejected(self):
+        # x1 = exp(-8 p2 t) stays positive, but the first attempt of the
+        # p2 = 1 row, one recording interval of 1/4, puts its second stage at
+        # x1 = 0, where log raises: that attempt is rejected, and the batch's
+        # rows are evaluated again alone, so each steps as it does alone
+        sysm = ExplicitSystem(2, ["-8*x1*p2", "1"], ["log(x1)", "0"])
+        raised = []
+        jac = sysm.rhs_jacobian_batch
+
+        def counted(X, P):
+            try:
+                return jac(X, P)
+            except EvaluationDomainError:
+                raised.append(len(X))
+                raise
+
+        sysm.rhs_jacobian_batch = counted
+        cfg = IntegratorConfig(t_end=1.0, step=0.25)
+        states = [ExtendedState(0, q([1.0, 0.0], [0.0, p2]), [[1.0, 0.5]], [[0.3, 1.0]])
+                  for p2 in (1.0, 0.125)]
+        fam = integrate_family(sysm, ZeroConnection(2), states, cfg)
+        assert raised[0] == 2
+        for st, tr in zip(states, fam):
+            single = integrate(sysm, ZeroConnection(2), st, cfg)
+            for name in ("x", "p", "taus", "dps"):
+                assert np.array_equal(getattr(single, name), getattr(tr, name))
+        # a row whose first attempt fails keeps STEP_TOL; the exact solution
+        # is x1 = exp(-8 t), x2 = t, p1 = -4 t^2, p2 = 1
+        tr = fam[0]
+        exact = np.stack([np.exp(-8 * tr.t), tr.t, -4 * tr.t ** 2, np.ones_like(tr.t)], 1)
+        assert np.max(np.abs(np.concatenate([tr.x, tr.p], 1) - exact)) < 1e-10
 
     def test_trajectory_keeps_its_start_time(self, sys_id2, zero2):
         cfg = IntegratorConfig(t_end=1.0, step=0.5)
