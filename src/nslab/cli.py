@@ -6,12 +6,12 @@ reports and finish with one machine-readable summary line::
     RESULT <command> <PASS|FAIL> max_residual=<r>
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 bad
-configuration or arguments, 3 numerical failure (non-finite state or
-residual, singular metric, degenerate Omega, vanishing nu, vanishing
-dW/dv, an expression evaluated outside its domain, dependent surface
-tangents).  Each subcommand accepts only the flags it reads.  All
-floats are printed with 17 significant digits so reruns with the same
-seed are byte-identical.
+configuration or arguments, 3 numerical failure (a stalled integration
+step, non-finite residual, singular metric, degenerate Omega, vanishing
+nu, vanishing dW/dv, an expression evaluated outside its domain,
+dependent surface tangents).  Each subcommand accepts only the flags it
+reads.  All floats are printed with 17 significant digits so reruns with
+the same seed are byte-identical.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PointCalculus, point_chunks
+from .engine import PointCalculus, chunked, point_chunks
 from .errors import NonFiniteState, NslabError
 from .systems import PhasePoint
 
@@ -199,19 +199,17 @@ class Trajectory:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def rk4_step(f, t, y, h):
-    """One classical RK4 step of y' = f(t, y) from t to t + h; y may be a batch."""
-    k1 = f(t, y)
+def rk4_step(f, t, y, h, k1=None):
+    """One classical RK4 step of y' = f(t, y) from t to t + h; y may be a batch.
+
+    `k1` is the slope f(t, y) at the step's start, when the caller has it.
+    """
+    if k1 is None:
+        k1 = f(t, y)
     k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = f(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _first_stage_known(f, k1):
-    """f for one `rk4_step` whose first stage, the slope at the step's start, is k1."""
-    pending = [k1]
-    return lambda t, y: pending.pop() if pending else f(t, y)
 
 
 def _fill_records(hist, grid, rows, s0, s1, y0, f0, y1, f1, ym):
@@ -292,9 +290,9 @@ def _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg):
 
     def f(t, y):
         # NaN where a row's stage is non-finite or outside the system's
-        # domain, which rejects its attempt.  A batch that raises is
-        # evaluated again row by row; a row alone gets the bits it gets in
-        # a batch.
+        # domain, which rejects its attempt.  A batch that raises is split
+        # by `chunked` down to the rows that raise; a row gets the same
+        # bits in any batch.
         out = np.full_like(y, np.nan)
         rows = np.flatnonzero(np.all(np.isfinite(y), axis=1))
         if not rows.size:
@@ -302,11 +300,8 @@ def _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg):
         try:
             out[rows] = flow(y[rows])
         except NslabError:
-            for b in rows:
-                try:
-                    out[b] = flow(y[b:b + 1])[0]
-                except NslabError:
-                    pass
+            out[rows] = chunked(y[rows], lambda part: list(flow(part)),
+                                lambda row, err: np.full_like(row, np.nan), len(rows))
         return out
 
     hist = np.empty((len(grid), B, width))
@@ -324,8 +319,8 @@ def _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg):
             h[live[last]] = rem[last]
             yl, k1, H = y[live], fy[live], h[live, None]
             tl = t0 + s[live, None]
-            full = rk4_step(_first_stage_known(f, k1), tl, yl, H)
-            mid = rk4_step(_first_stage_known(f, k1), tl, yl, 0.5 * H)
+            full = rk4_step(f, tl, yl, H, k1)
+            mid = rk4_step(f, tl, yl, 0.5 * H, k1)
             two = rk4_step(f, tl + 0.5 * H, mid, 0.5 * H)
             corr = (two - full) / 15.0
             err = np.max(np.abs(corr) / (1.0 + np.maximum(np.abs(yl), np.abs(two))),

@@ -58,10 +58,16 @@ class AsymmetricGauge(NslabError):
 
 
 class NonFiniteState(NslabError):
-    """Integration produced a non-finite state component."""
+    """The integration step stalled before the recorded time t.
+
+    The step fell below `dynamics.STEP_FLOOR` times the recording
+    interval, as at a blow-up, a singularity of the flow or an exit from
+    the system's domain; the state may still be finite.
+    """
 
     def __init__(self, t):
-        super().__init__(f"non-finite state at t={t!r}")
+        super().__init__("the integration step fell below dynamics.STEP_FLOOR "
+                         f"times the recording interval before t={t!r}")
         self.t = t
 
 

@@ -609,46 +609,22 @@ def finite_difference_probe(expr, q, multi_index, step):
 
 
 # ----------------------------------------------------------------------
-# AST utilities (substitution)
+# substitution
 # ----------------------------------------------------------------------
-
-_NOSPAN = (0, 0)
-
-
-def _subst(node, slot, replacement, slot_map):
-    if isinstance(node, Num):
-        return node
-    if isinstance(node, Var):
-        if node.slot == slot:
-            return replacement
-        return Var(_NOSPAN, node.name, slot_map[node.slot])
-    if isinstance(node, Neg):
-        return Neg(_NOSPAN, _subst(node.arg, slot, replacement, slot_map))
-    if isinstance(node, Bin):
-        return Bin(_NOSPAN, node.op,
-                   _subst(node.left, slot, replacement, slot_map),
-                   _subst(node.right, slot, replacement, slot_map))
-    if isinstance(node, Call):
-        return Call(_NOSPAN, node.fn,
-                    tuple(_subst(a, slot, replacement, slot_map) for a in node.args))
-    raise TypeError(f"unhandled node {node!r}")
-
 
 def substitute(expr, name, replacement):
     """Replace a named variable by a whole expression.
 
-    `replacement` must be an Expression; the result is defined over the
-    replacement's variable list, so every other variable of `expr` must
-    appear there under the same name.
+    Each `name` token of expr's text becomes ``(<replacement.text>)``,
+    parsed over the variables of `replacement`, an Expression, so a domain
+    error names its place in the substituted text.  A variable of expr's
+    text missing from that list raises the parser's UnknownIdentifierError
+    (VariableIndexError for an indexed name past the list's range).
     """
-    slot = expr.variables.index(name)
-    slot_map = {}
-    for i, var in enumerate(expr.variables):
-        if var == name:
-            continue
-        if var not in replacement.variables:
-            raise ValueError(f"variable {var!r} missing from replacement context")
-        slot_map[i] = replacement.variables.index(var)
-    root = _subst(expr.root, slot, replacement.root, slot_map)
-    text = f"{expr.text}[{name} := {replacement.text}]"
-    return Expression(text, replacement.variables, root)
+    expr.variables.index(name)      # a ValueError when name is not a variable of expr
+    parts, pos = [], 0
+    for kind, val, off in _tokenize(expr.text):
+        if kind == "ident" and val == name:
+            parts += [expr.text[pos:off], f"({replacement.text})"]
+            pos = off + len(val)
+    return parse("".join(parts) + expr.text[pos:], replacement.variables)

@@ -199,9 +199,14 @@ class NuGrid:
     residual: float
 
     def nodes(self):
+        ys = _grid_nodes(self.axes)
         for idx in np.ndindex(self.values.shape):
-            y = np.array([ax[i] for ax, i in zip(self.axes, idx)])
-            yield idx, y, float(self.values[idx])
+            yield idx, ys[idx], float(self.values[idx])
+
+
+def _grid_nodes(axes):
+    """The nodes of the grid on `axes`, ys[idx] = (axes[0][idx[0]], ...)."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), -1)
 
 
 def _edge_rk4(sys, conn, surf, y_from, y_to, nu, substeps):
@@ -280,15 +285,13 @@ def solve_nu(sys, conn, surf, y0, nu0, grid, substeps=4):
     shape = tuple(len(ax) for ax in axes)
     values = np.full(shape, np.nan)
     values[base] = nu0
-
-    def nodes(idxs):
-        return np.array([[ax[i] for ax, i in zip(axes, idx)] for idx in idxs])
-
-    def edges(starts, ends, nu):
-        return _edge_rk4(sys, conn, surf, nodes(starts), nodes(ends), nu, substeps)
+    ys = _grid_nodes(axes)
 
     def ix(idxs):
         return tuple(np.array(idxs).T)
+
+    def edges(starts, ends, nu):
+        return _edge_rk4(sys, conn, surf, ys[ix(starts)], ys[ix(ends)], nu, substeps)
 
     # sweep axis by axis: after pass d, the slab spanned by axes 0..d is filled
     filled = [base]
@@ -357,7 +360,7 @@ def compatibility_residual(sys, conn, surf, y, nu):
 @dataclass
 class ShiftRun:
     surf: Hypersurface
-    ys: list
+    ys: np.ndarray          # (N, m): the launch nodes, in `NuGrid.nodes` order
     nus: np.ndarray
     trajectories: list
 
@@ -376,13 +379,11 @@ class ShiftRun:
         cols = ([f"y{i+1}" for i in range(m)] + ["t"]
                 + [f"x{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
                 + [f"phi_{j+1}" for j in range(m)])
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for y, tr in zip(self.ys, self.trajectories):
-                phis = tr.phis
-                for k in range(len(tr.t)):
-                    row = [*y, tr.t[k], *tr.x[k], *tr.p[k], *phis[k]]
-                    fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        table = np.concatenate([
+            np.column_stack([np.broadcast_to(y, (len(tr.t), m)), tr.t, tr.x, tr.p, tr.phis])
+            for y, tr in zip(self.ys, self.trajectories)])
+        np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(cols),
+                   comments="")
 
 
 def simulate_shift(sys, conn, surf, nu_source, cfg, grid=None):
@@ -397,9 +398,9 @@ def simulate_shift(sys, conn, surf, nu_source, cfg, grid=None):
     exactly when the shift is normal.
     """
     _require_same_space(sys, surf)
-    if isinstance(nu_source, NuGrid):
-        items = [(y, val) for _, y, val in nu_source.nodes()]
-        solved = True
+    solved = isinstance(nu_source, NuGrid)
+    if solved:
+        axes, values = nu_source.axes, nu_source.values
     else:
         nu0 = float(nu_source)
         if nu0 == 0:
@@ -407,20 +408,14 @@ def simulate_shift(sys, conn, surf, nu_source, cfg, grid=None):
         if grid is None:
             raise ValueError("a grid spec is required with a constant nu")
         axes = surf.grid_axes(grid)
-        items = []
-        for idx in np.ndindex(tuple(len(ax) for ax in axes)):
-            y = np.array([ax[i] for ax, i in zip(axes, idx)])
-            items.append((y, nu0))
-        solved = False
-
-    for y, nu in items:
-        if abs(nu) < NU_FLOOR:
-            raise NuVanished(f"nu vanished at grid node y={y!r}")
-    ys = [y for y, _ in items]
-    nodes = np.array(ys)
-    nus = np.array([nu for _, nu in items])
-    x, taus, normal, dn_dy = surf.geometry(nodes)
-    dnu = (pfaff_rhs(sys, conn, surf, nodes, nus) if solved
+        values = np.full([len(ax) for ax in axes], nu0)
+    ys = _grid_nodes(axes).reshape(-1, surf.m)
+    nus = values.flatten()
+    low = np.abs(nus) < NU_FLOOR
+    if np.any(low):
+        raise NuVanished(f"nu vanished at grid node y={ys[np.argmax(low)]!r}")
+    x, taus, normal, dn_dy = surf.geometry(ys)
+    dnu = (pfaff_rhs(sys, conn, surf, ys, nus) if solved
            else np.zeros((len(ys), surf.m)))
     dps = dnu[:, :, None] * normal[:, None, :] + nus[:, None, None] * dn_dy
     p = nus[:, None] * normal

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,18 @@ class TestIntegrate:
         assert err.value.t == np.linspace(0.0, 10.0, 1001)[13]  # first record past it
         assert len(calls) < 2000
 
+    def test_stall_names_the_step_floor(self):
+        # x1 = 1 - t reaches log's boundary at t = 1, where p1'' = -1/x1
+        # blows up: the error estimate shrinks the step to the floor while
+        # the state stays finite and no evaluation raises
+        sysm = ExplicitSystem(2, ["-1", "1"], ["log(x1)", "0"])
+        msg = ("the integration step fell below dynamics.STEP_FLOOR times the "
+               "recording interval before t=1.0")
+        with pytest.raises(NonFiniteState, match=re.escape(msg)) as err:
+            integrate(sysm, ZeroConnection(2), ExtendedState(0, q([1, 0], [1, 0])),
+                      IntegratorConfig(t_end=2.0, step=1e-2))
+        assert err.value.t == 1.0
+
     def test_attempt_outside_the_domain_is_rejected(self):
         # x1 = exp(-8 p2 t) stays positive, but the first attempt of the
         # p2 = 1 row, one recording interval of 1/4, puts its second stage at
@@ -328,6 +342,45 @@ class TestIntegrate:
         tr = fam[0]
         exact = np.stack([np.exp(-8 * tr.t), tr.t, -4 * tr.t ** 2, np.ones_like(tr.t)], 1)
         assert np.max(np.abs(np.concatenate([tr.x, tr.p], 1) - exact)) < 1e-10
+
+    def test_failing_row_is_isolated_by_halving(self):
+        # the system of the test above: the first attempt of the p2 = 1 row
+        # raises, the 15 rows at p2 = 0.125 stay in the domain.  The raising
+        # stage splits its batch in halves, so it is resolved in 1 + 1 + 2 x 4
+        # calls, and every row steps as it does alone
+        sysm = ExplicitSystem(2, ["-8*x1*p2", "1"], ["log(x1)", "0"])
+        log = []    # (rows, raised) per rhs_jacobian_batch call
+        jac = sysm.rhs_jacobian_batch
+
+        def counted(X, P):
+            try:
+                out = jac(X, P)
+            except EvaluationDomainError:
+                log.append((len(X), True))
+                raise
+            log.append((len(X), False))
+            return out
+
+        sysm.rhs_jacobian_batch = counted
+        cfg = IntegratorConfig(t_end=1.0, step=0.25)
+        states = [ExtendedState(0, q([1.0 + k / 16, 0.0], [0.0, 1.0 if k == 6 else 0.125]),
+                                [[1.0, 0.5]], [[0.3, 1.0]])
+                  for k in range(16)]
+        fam = integrate_family(sysm, ZeroConnection(2), states, cfg)
+        first = next(i for i, (_, raised) in enumerate(log) if raised)
+        assert log[first] == (16, True)
+        # every row has its result once it is in a part that evaluates, or
+        # alone in a part that raises
+        done, last = 0, first
+        while done < 16:
+            last += 1
+            rows, raised = log[last]
+            done += rows if not raised or rows == 1 else 0
+        assert last - first + 1 <= 10
+        for st, tr in zip(states, fam):
+            single = integrate(sysm, ZeroConnection(2), st, cfg)
+            for name in ("x", "p", "taus", "dps"):
+                assert np.array_equal(getattr(single, name), getattr(tr, name))
 
     def test_trajectory_keeps_its_start_time(self, sys_id2, zero2):
         cfg = IntegratorConfig(t_end=1.0, step=0.5)

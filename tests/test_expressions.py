@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from nslab import (
     parse_expression,
     substitute,
 )
+from nslab import taylor
 from nslab.expressions import Bin, Call, Neg, Num, Var, evaluate_series
 
 
@@ -220,6 +222,22 @@ class TestAstUtilities:
         h = substitute(w, "v", repl)
         got = evaluate(h, [2.0, 0.0, 3.0, 4.0])
         assert got == pytest.approx(5.0 + 2.0 * 25.0, rel=1e-14)
+
+    def test_substituted_domain_error_names_its_subexpression(self):
+        w = parse("x1 + log(v)", ("x1", "v"))
+        h = substitute(w, "v", parse("p1 - 1", ("x1", "p1")))
+        assert h.text == "x1 + log((p1 - 1))"
+        want = "in subexpression 'log((p1 - 1))' (at offset 5)"
+        with pytest.raises(EvaluationDomainError, match=re.escape(want)):
+            evaluate(h, [0.0, 0.5])
+        ctx = taylor.context(2, 1)
+        with pytest.raises(EvaluationDomainError, match=re.escape(want)):
+            evaluate_series(h, [ctx.variable(0, 0.0), ctx.variable(1, 0.5)])
+
+    def test_substitute_needs_every_variable_in_the_replacement(self):
+        w = parse("v + w", ("w", "v"))
+        with pytest.raises(UnknownIdentifierError, match="'w'"):
+            substitute(w, "v", parse("p1", ("x1", "p1")))
 
 
 def test_series_pow_ignores_untrusted_exponent_coefficients():

@@ -296,6 +296,28 @@ class TestSimulateShift:
         assert lines[0] == "y1,t,x1,x2,p1,p2,phi_1"
         assert len(lines) == 1 + 3 * 2
 
+    def test_csv_values_parse_back(self, sys_geox3, conn_geox3, sphere, tmp_path):
+        # one row per node and recorded time, nodes in NuGrid.nodes order
+        cfg = IntegratorConfig(t_end=0.05, step=1e-2)
+        run = simulate_shift(sys_geox3, conn_geox3, sphere, 1.1, cfg, grid=[3, 2])
+        path = tmp_path / "shift.csv"
+        run.write_csv(path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "y1,y2,t,x1,x2,x3,p1,p2,p3,phi_1,phi_2"
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        axes = sphere.grid_axes([3, 2])
+        assert run.ys.tolist() == [[a, b] for a in axes[0] for b in axes[1]]
+        rows = len(run.t)
+        assert table.shape == (6 * rows, 11)
+        for b, (y, tr) in enumerate(zip(run.ys, run.trajectories)):
+            block = table[b * rows:(b + 1) * rows]
+            assert np.array_equal(block[:, :2], np.broadcast_to(y, (rows, 2)))
+            assert np.array_equal(block[:, 2], tr.t)
+            assert np.array_equal(block[:, 3:6], tr.x)
+            assert np.array_equal(block[:, 6:9], tr.p)
+            assert np.array_equal(block[:, 9:], tr.phis)
+            assert np.abs(tr.phis).max() > 0
+
 
 class TestShiftEvaluations:
     """The launch evaluates the field stack only for dnu/dy of a solved nu."""
