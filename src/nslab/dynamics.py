@@ -17,7 +17,9 @@ advance through it.  The flow here is error-controlled: each trajectory
 chooses its own steps by step doubling around `rk4_step`, and the
 records on the grid of `IntegratorConfig.step` are interpolated from
 the accepted steps, so `step` is the recording interval, not a step the
-stepper takes.
+stepper takes.  The records are trajectory-major, (trajectories,
+records, width): a `Trajectory` holds views of its own contiguous block,
+and each accepted step writes the records it covers with one product.
 """
 
 from __future__ import annotations
@@ -36,9 +38,6 @@ STEP_TOL = 1e-11
 # A row whose step falls below this fraction of the recording interval
 # (more than 10^4 steps per record) has stalled
 STEP_FLOOR = 1e-4
-# Records interpolated per array pass, so a long step's temporaries stay
-# small (512 x 18 floats is 72 KiB on shift-sphere)
-RECORD_BLOCK = 512
 
 
 @dataclass
@@ -222,29 +221,32 @@ def _fill_records(hist, grid, rows, s0, s1, y0, f0, y1, f1, ym):
 
         y(theta) = y0 + F0 theta + (3 dy - 2 F0 - F1 + c) theta^2
                    + (F0 + F1 - 2 dy - 2 c) theta^3 + c theta^4.
+
+    `hist` is (rows, records, width), so the records a step covers are one
+    contiguous block of its row: one product of that block's theta powers,
+    (count, 5), with the row's coefficients, (5, width), writes them.
     """
     sign = np.sign(grid[-1])
     lo = np.searchsorted(sign * grid, sign * s0, side="right")
-    count = np.searchsorted(sign * grid, sign * s1, side="right") - lo
-    ends = np.cumsum(count)
-    first = lo - ends + count     # record of pair j of row i: j + first[i]
+    hi = np.searchsorted(sign * grid, sign * s1, side="right")
     h = s1 - s0
     F0, F1 = h[:, None] * f0, h[:, None] * f1
     dy = y1 - y0
     c = 16.0 * (ym - (0.5 * (y0 + y1) + 0.125 * (F0 - F1)))
-    coef = (c, F0 + F1 - 2.0 * dy - 2.0 * c, 3.0 * dy - 2.0 * F0 - F1 + c, F0, y0)
-    # the (record, row) pairs in blocks, so a long step's temporaries stay small
-    total = int(count.sum())
-    for start in range(0, total, RECORD_BLOCK):
-        j = np.arange(start, min(start + RECORD_BLOCK, total))
-        i = np.searchsorted(ends, j, side="right")
-        ks = j + first[i]
-        th = ((grid[ks] - s0[i]) / h[i])[:, None]
-        v = coef[0][i]
-        for cj in coef[1:]:     # Horner, in place
-            v *= th
-            v += cj[i]
-        hist[ks, rows[i]] = v
+    coef = np.stack([y0, F0, 3.0 * dy - 2.0 * F0 - F1 + c,
+                     F0 + F1 - 2.0 * dy - 2.0 * c, c], axis=1)
+    powers = np.arange(5.0)
+    for i in np.flatnonzero(hi > lo).tolist():
+        a, b = lo[i], hi[i]
+        th = (grid[a:b] - s0[i]) / h[i]
+        np.matmul(th[:, None] ** powers, coef[i], out=hist[rows[i], a:b])
+
+
+def _component_names(n, m):
+    """Names of the stepper's state components, in their order: x, p, then (tau, dp) pairs."""
+    return ([f"x{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
+            + [f"{name}{j+1}_{i+1}" for j in range(m) for name in ("tau", "dp")
+               for i in range(n)])
 
 
 def _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg):
@@ -257,16 +259,21 @@ def _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg):
     the error of one RK4 step of that interval there (16 times the
     estimate), so a coarse grid asks for no more accuracy than the fixed
     step of that length gave.  A step within the tolerance keeps the
-    extrapolated y_2 + (y_2 - y_1) / 15; a rejected attempt, or one that
-    is non-finite or leaves the system's domain, shrinks that row's h
-    only.  So a row's step sequence depends on that row alone, and a
-    batched row steps exactly as it does alone.  A row that reaches t_end
-    leaves the batch; one whose step falls below `STEP_FLOOR` times the
-    recording interval raises `NonFiniteState` at the first recorded time
-    it did not reach.  The records on t0 + linspace(0, t_end, steps + 1)
-    come from each accepted step's interpolant.  The variation block
-    evolves by the exact Jacobian of (V, Theta), so one Jacobian
-    evaluation per stage serves every variation pair.
+    extrapolated y_2 + (y_2 - y_1) / 15, and the next h is h max(0.2,
+    0.9 (tol/err)^(1/5)): it follows the estimate with no upper clip, and
+    only the span left caps it.  A rejected attempt, or one that is
+    non-finite or leaves the system's domain, shrinks that row's h only.
+    So a row's step sequence depends on that row alone, and a batched row
+    steps exactly as it does alone.  A row that reaches t_end leaves the
+    batch; one whose step falls below `STEP_FLOOR` times the recording
+    interval raises `NonFiniteState` at the first recorded time it did
+    not reach, naming the component whose scaled error estimate was
+    largest in its last attempt.  The records on t0 + linspace(0, t_end,
+    steps + 1) come from each accepted step's interpolant, into one
+    (rows, records, width) array, so each row's records are contiguous
+    and the per-record arrays returned are (rows, records, ...) views of
+    it.  The variation block evolves by the exact Jacobian of (V, Theta),
+    so one Jacobian evaluation per stage serves every variation pair.
     """
     B, n = x0.shape
     m = taus0.shape[1]
@@ -304,8 +311,8 @@ def _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg):
                                 lambda row, err: np.full_like(row, np.nan), len(rows))
         return out
 
-    hist = np.empty((len(grid), B, width))
-    hist[0] = y
+    hist = np.empty((B, len(grid), width))         # each row's records contiguous
+    hist[:, 0] = y
     s = np.zeros(B)                                 # time each row has reached, from t0
     h = np.full(B, np.copysign(cfg.step, span))     # each row's next step
     tol = None                                      # each row's, set by its first attempt
@@ -323,8 +330,8 @@ def _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg):
             mid = rk4_step(f, tl, yl, 0.5 * H, k1)
             two = rk4_step(f, tl + 0.5 * H, mid, 0.5 * H)
             corr = (two - full) / 15.0
-            err = np.max(np.abs(corr) / (1.0 + np.maximum(np.abs(yl), np.abs(two))),
-                         axis=1)
+            scaled = np.abs(corr) / (1.0 + np.maximum(np.abs(yl), np.abs(two)))
+            err = np.max(scaled, axis=1)
             if tol is None:
                 tol = np.where(np.isfinite(err), np.maximum(STEP_TOL, 16.0 * err), STEP_TOL)
             tol_l = tol[live]
@@ -341,19 +348,24 @@ def _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg):
                               y1[fine], f1[fine], mid[ok])
                 y[rows], fy[rows], s[rows] = y1[fine], f1[fine], s1
 
-            grow = np.clip(0.9 * (tol_l / err) ** 0.2, 0.2, 5.0)
+            # the next step follows the error estimate; `last` caps it at the span
+            grow = np.maximum(0.9 * (tol_l / err) ** 0.2, 0.2)
             # a non-finite attempt, or slope at y1, shrinks the step the most
             grow[~(ok | (err > tol_l))] = 0.2
             h[live] *= grow
-            live = live[~(ok & last)]
-            stalled = live[np.abs(h[live]) < STEP_FLOOR * cfg.step]
+            going = ~(ok & last)
+            stalled = np.flatnonzero(going & (np.abs(h[live]) < STEP_FLOOR * cfg.step))
             if stalled.size:
                 sign = np.sign(span)
-                k = np.searchsorted(sign * grid, np.min(sign * s[stalled]), side="right")
-                raise NonFiniteState(float(t0 + grid[k]))
+                j = stalled[np.argmin(sign * s[live[stalled]])]
+                k = np.searchsorted(sign * grid, sign * s[live[j]], side="right")
+                # a NaN estimate counts as the largest
+                raise NonFiniteState(float(t0 + grid[k]),
+                                     _component_names(n, m)[np.argmax(scaled[j])])
+            live = live[going]
     xs = hist[:, :, :n]
     ps = hist[:, :, n:2 * n]
-    zs = hist[:, :, 2 * n:].reshape(len(grid), B, m, 2 * n)
+    zs = hist[:, :, 2 * n:].reshape(B, len(grid), m, 2 * n)
     return t0 + grid, xs, ps, zs[..., :n], zs[..., n:]
 
 
@@ -376,5 +388,5 @@ def integrate_family(sys, conn, states, cfg):
     taus0 = np.stack([s.taus for s in states])
     dps0 = np.stack([s.dps for s in states])
     ts, xs, ps, taus, dps = _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg)
-    return [Trajectory(sys, conn, ts, xs[:, b], ps[:, b], taus[:, b], dps[:, b])
+    return [Trajectory(sys, conn, ts, xs[b], ps[b], taus[b], dps[b])
             for b in range(len(states))]

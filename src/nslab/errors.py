@@ -62,13 +62,17 @@ class NonFiniteState(NslabError):
 
     The step fell below `dynamics.STEP_FLOOR` times the recording
     interval, as at a blow-up, a singularity of the flow or an exit from
-    the system's domain; the state may still be finite.
+    the system's domain; the state may still be finite.  `component` names
+    the state component (x1, p1, tau1_1, dp1_1, ...) whose scaled error
+    estimate was largest in the stalled row's last attempt.
     """
 
-    def __init__(self, t):
+    def __init__(self, t, component):
         super().__init__("the integration step fell below dynamics.STEP_FLOOR "
-                         f"times the recording interval before t={t!r}")
+                         f"times the recording interval before t={t!r}; the "
+                         f"largest error estimate of the last attempt was in {component}")
         self.t = t
+        self.component = component
 
 
 class NonFiniteResidual(NslabError):

@@ -17,6 +17,7 @@ from nslab import (
     rk4_step,
     variational_rhs,
 )
+from nslab.dynamics import _fill_records
 from nslab.engine import PointCalculus
 from longform import long_form_fields
 
@@ -151,6 +152,41 @@ def geox2_reference(sys_geox2):
     return f, y0, np.concatenate(path)
 
 
+class TestFillRecords:
+    @pytest.mark.parametrize("span", [1.0, -1.0])
+    def test_matches_the_interpolant_per_record(self, span):
+        # rows whose steps cover no record, one record and many records
+        # (the first covers none, as its step ends before the next record),
+        # each written into its own row of the history; the others stay NaN
+        rng = np.random.default_rng(7)
+        grid = np.linspace(0.0, span, 41)
+        s0 = span * np.array([0.101, 0.2, 0.1])
+        s1 = span * np.array([0.12, 0.23, 0.9])
+        rows = np.array([2, 0, 1])
+        y0, f0, y1, f1, ym = rng.normal(size=(5, 3, 6))
+        hist = np.full((4, len(grid), 6), np.nan)
+        _fill_records(hist, grid, rows, s0, s1, y0, f0, y1, f1, ym)
+
+        h = s1 - s0
+        F0, F1 = h[:, None] * f0, h[:, None] * f1
+        dy = y1 - y0
+        c = 16.0 * (ym - (0.5 * (y0 + y1) + 0.125 * (F0 - F1)))
+        # y0 + F0 th + (3 dy - 2 F0 - F1 + c) th^2 + (F0 + F1 - 2 dy - 2 c) th^3 + c th^4
+        coef = [c, F0 + F1 - 2.0 * dy - 2.0 * c, 3.0 * dy - 2.0 * F0 - F1 + c, F0, y0]
+        filled = np.zeros(hist.shape[:2], bool)
+        for i, r in enumerate(rows):
+            ks = [k for k, g in enumerate(grid) if span * s0[i] < span * g <= span * s1[i]]
+            assert len(ks) == [0, 1, 32][i]
+            for k in ks:
+                th = (grid[k] - s0[i]) / h[i]
+                want, scale = np.zeros(6), np.zeros(6)
+                for a in coef:      # Horner, and on |coefficients| for the scale
+                    want = want * th + a[i]
+                    scale = scale * abs(th) + np.abs(a[i])
+                assert np.all(np.abs(hist[r, k] - want) <= 1e-14 * scale)
+                filled[r, k] = True
+        assert np.all(np.isnan(hist[~filled]))
+
 class TestIntegrate:
     def test_identity_linear_motion(self, sys_id2, zero2):
         cfg = IntegratorConfig(t_end=1.0, step=1e-3)
@@ -270,6 +306,9 @@ class TestIntegrate:
             singles.append(integrate(sysm, ZeroConnection(2), st, cfg))
             counts.append(len(calls))
         assert counts[0] < counts[1] / 4
+        # the straight row's step grows as its error estimate allows: 34
+        # calls, where growth clipped at 5x per step took 45
+        assert counts[0] <= 40
         fam = integrate_family(sysm, ZeroConnection(2), states, cfg)
         for single, tr in zip(singles, fam):
             for name in ("x", "p", "taus", "dps"):
@@ -302,7 +341,8 @@ class TestIntegrate:
     def test_stall_names_the_step_floor(self):
         # x1 = 1 - t reaches log's boundary at t = 1, where p1'' = -1/x1
         # blows up: the error estimate shrinks the step to the floor while
-        # the state stays finite and no evaluation raises
+        # the state stays finite and no evaluation raises.  The estimate of
+        # p1 is the largest of the stalled attempt, and the error names it
         sysm = ExplicitSystem(2, ["-1", "1"], ["log(x1)", "0"])
         msg = ("the integration step fell below dynamics.STEP_FLOOR times the "
                "recording interval before t=1.0")
@@ -310,6 +350,8 @@ class TestIntegrate:
             integrate(sysm, ZeroConnection(2), ExtendedState(0, q([1, 0], [1, 0])),
                       IntegratorConfig(t_end=2.0, step=1e-2))
         assert err.value.t == 1.0
+        assert err.value.component == "p1"
+        assert str(err.value).endswith("was in p1")
 
     def test_attempt_outside_the_domain_is_rejected(self):
         # x1 = exp(-8 p2 t) stays positive, but the first attempt of the

@@ -9,6 +9,8 @@ from nslab import (
     IntegratorConfig,
     NuVanished,
     RankDeficientTangents,
+    build_modified_hamiltonian,
+    canonical_connection,
     compatibility_residual,
     pfaff_rhs,
     simulate_shift,
@@ -244,6 +246,21 @@ class TestSimulateShift:
         report = verify_orthogonality(run, 1e-6)
         assert report.verdict == "VIOLATED"
         assert report.first_violation is not None
+
+    @pytest.mark.parametrize("H, verdict", [
+        ("(p1^2 + p2^2 + p3^2)/2", "NORMAL"),
+        ("(p1^2 + p2^2 + p3^2)/2 + x1*p2^2/5", "VIOLATED"),
+    ])
+    def test_verdict_holds_across_recording_intervals(self, sphere, H, verdict):
+        # the free flow and the x-dependent one with a constant nu, on a
+        # 3 x 3 patch: the stepper's own steps give one verdict whether it
+        # records every 1e-3 or every 1e-2
+        sysm = build_modified_hamiltonian(H, 3)
+        conn = canonical_connection(sysm)
+        for step in (1e-3, 1e-2):
+            run = simulate_shift(sysm, conn, sphere, 1.0, IntegratorConfig(0.5, step),
+                                 grid=[3, 3])
+            assert verify_orthogonality(run, 1e-6).verdict == verdict
 
     def test_solved_grid_source(self, sys_geo3, conn_geo3, sphere):
         cfg = IntegratorConfig(t_end=0.3, step=2e-3)
