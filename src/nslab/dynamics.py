@@ -11,15 +11,15 @@ is the covariant derivative of p along the family parameter.  It is
 formed only where it is read (`variational_rhs`, `Trajectory.xis`), so
 stepping needs only the Jacobian of (V, Theta) and never the connection.
 
-`rk4_step` is the package's one classical RK4 scheme: the phase and
-variation flow here and the Pfaff edges of `surfaces.solve_nu` both
-advance through it.  The flow here is error-controlled: each trajectory
-chooses its own steps by step doubling around `rk4_step`, and the
-records on the grid of `IntegratorConfig.step` are interpolated from
-the accepted steps, so `step` is the recording interval, not a step the
-stepper takes.  The records are trajectory-major, (trajectories,
-records, width): a `Trajectory` holds views of its own contiguous block,
-and each accepted step writes the records it covers with one product.
+The phase and variation flow is error-controlled: each trajectory
+chooses its own steps with the embedded Dormand-Prince 5(4) pair, and
+the records on the grid of `IntegratorConfig.step` come from the dense
+output of the accepted steps, so `step` is the recording interval, not
+a step the stepper takes.  The records are trajectory-major,
+(trajectories, records, width): a `Trajectory` holds views of its own
+contiguous block, and each accepted step writes the records it covers
+with one product.  `rk4_step`, classical RK4 at a fixed step, serves the
+Pfaff edges of `surfaces.solve_nu`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import NonFiniteState, NslabError
 from .systems import PhasePoint
 
 # Local error allowed per step, |dy| / (1 + |y|) in each component, unless
-# one RK4 step of the recording interval errs more at the start
+# the estimate of a step of the recording interval is larger at the start
 STEP_TOL = 1e-11
 # A row whose step falls below this fraction of the recording interval
 # (more than 10^4 steps per record) has stalled
@@ -42,15 +42,15 @@ STEP_FLOOR = 1e-4
 
 @dataclass
 class IntegratorConfig:
-    """Span and recording interval of an error-controlled RK4 integration.
+    """Span and recording interval of an error-controlled integration.
 
     `t_end` is the span integrated from the start time t0 of the states,
     so a trajectory records t0 + [0, t_end]; it may be negative, but not
     zero, which would record no evolution to verify.  `step` is the
     recording interval: the records lie at t0 + linspace(0, t_end,
     steps + 1).  The stepper chooses its own steps: each has an
-    estimated local error within `STEP_TOL`, or within the error of one
-    RK4 step of `step` at the start where that is larger.
+    estimated local error within `STEP_TOL`, or within the estimated
+    error of one step of `step` at the start where that is larger.
     """
 
     t_end: float
@@ -198,48 +198,90 @@ class Trajectory:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def rk4_step(f, t, y, h, k1=None):
-    """One classical RK4 step of y' = f(t, y) from t to t + h; y may be a batch.
-
-    `k1` is the slope f(t, y) at the step's start, when the caller has it.
-    """
-    if k1 is None:
-        k1 = f(t, y)
+def rk4_step(f, t, y, h):
+    """One classical RK4 step of y' = f(t, y) from t to t + h; y may be a batch."""
+    k1 = f(t, y)
     k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = f(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _fill_records(hist, grid, rows, s0, s1, y0, f0, y1, f1, ym):
-    """Write the records in (s0, s1] of each row from its accepted step's interpolant.
+# The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 1980; HNW Table II.5.2).  Row i of _DP_A forms stage i + 2 from stages
+# 1 .. i + 1; its last row is b, the weights of the 5th-order y1, so stage 7
+# is the slope at y1 and the next step's stage 1 (FSAL)
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+# e = b - b_hat over the 7 stages: h sum e_i k_i estimates the local error
+# of the embedded 4th-order solution
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# h sum d_i k_i is the last coefficient of the 4th-order continuous
+# extension (Hairer's dopri5, CONTD5)
+_DP_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+         -10690763975 / 1880347072, 701980252875 / 199316789632,
+         -1453857185 / 822651844, 69997945 / 29380423)
 
-    Over theta in [0, 1] across the step h = s1 - s0, with F = h f and
-    dy = y1 - y0, the cubic Hermite interpolant of y and F at both ends
-    plus c theta^2 (1 - theta)^2, c = 16 (ym - cubic(1/2)), also meets the
-    half-step value ym (HNW §II.6):
 
-        y(theta) = y0 + F0 theta + (3 dy - 2 F0 - F1 + c) theta^2
-                   + (F0 + F1 - 2 dy - 2 c) theta^3 + c theta^4.
+def _combine(weights, ks):
+    """sum w_i k_i over the nonzero weights."""
+    return sum(w * k for w, k in zip(weights, ks) if w)
 
-    `hist` is (rows, records, width), so the records a step covers are one
-    contiguous block of its row: one product of that block's theta powers,
-    (count, 5), with the row's coefficients, (5, width), writes them.
+
+def _dp_attempt(f, y, k1, h):
+    """One Dormand-Prince 5(4) attempt at y' = f(y) from y, whose slope is k1.
+
+    y is a batch of rows and h a column of their steps.  Returns the
+    5th-order y1, the seven stages, whose last is f(y1), and the error
+    estimate h sum e_i k_i.
+    """
+    ks = [k1]
+    for a in _DP_A:
+        y1 = y + h * _combine(a, ks)
+        ks.append(f(y1))
+    return y1, ks, h * _combine(_DP_E, ks)
+
+
+def _fill_records(hist, grid, rows, s0, s1, y0, f0, y1, f1, d):
+    """Write the records in (s0, s1] of each row from its accepted step's dense output.
+
+    Over theta in [0, 1] across the step h = s1 - s0, with F = h f,
+    dy = y1 - y0 and d = sum d_i k_i over the step's stages, the
+    4th-order continuous extension of the Dormand-Prince pair (HNW
+    §II.6; Hairer's dopri5, CONTD5) is
+
+        y(theta) = y0 + dy theta + r3 theta (1 - theta)
+                   + r4 theta^2 (1 - theta) + r5 theta^2 (1 - theta)^2,
+
+    r3 = F0 - dy, r4 = dy - F1 - r3, r5 = h d.  It meets y0 and y1 and
+    their slopes.  `hist` is (rows, records, width), so the records a step
+    covers are one contiguous block of its row: one product of that
+    block's basis values, (count, 5), with the row's coefficients,
+    (5, width), writes them.
     """
     sign = np.sign(grid[-1])
     lo = np.searchsorted(sign * grid, sign * s0, side="right")
     hi = np.searchsorted(sign * grid, sign * s1, side="right")
     h = s1 - s0
-    F0, F1 = h[:, None] * f0, h[:, None] * f1
     dy = y1 - y0
-    c = 16.0 * (ym - (0.5 * (y0 + y1) + 0.125 * (F0 - F1)))
-    coef = np.stack([y0, F0, 3.0 * dy - 2.0 * F0 - F1 + c,
-                     F0 + F1 - 2.0 * dy - 2.0 * c, c], axis=1)
-    powers = np.arange(5.0)
+    r3 = h[:, None] * f0 - dy
+    coef = np.stack([y0, dy, r3, dy - h[:, None] * f1 - r3, h[:, None] * d], axis=1)
     for i in np.flatnonzero(hi > lo).tolist():
         a, b = lo[i], hi[i]
         th = (grid[a:b] - s0[i]) / h[i]
-        np.matmul(th[:, None] ** powers, coef[i], out=hist[rows[i], a:b])
+        basis = np.empty((b - a, 5))
+        basis[:, 0] = 1.0
+        basis[:, 1] = th
+        u = np.multiply(th, 1.0 - th, out=basis[:, 2])
+        np.multiply(u, th, out=basis[:, 3])
+        np.multiply(u, u, out=basis[:, 4])
+        np.matmul(basis, coef[i], out=hist[rows[i], a:b])
 
 
 def _component_names(n, m):
@@ -250,30 +292,32 @@ def _component_names(n, m):
 
 
 def _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg):
-    """Error-controlled RK4 on (x, p, tau, dp) from time t0; returns per-record arrays.
+    """Error-controlled Dormand-Prince 5(4) on (x, p, tau, dp) from t0; per-record arrays.
 
-    Each batch row steps on its own.  One step of h and two of h/2 from
-    the same state estimate the local error as |y_2 - y_1| / 15 (HNW
-    §II.4), per component over 1 + |y|.  A row's first attempt spans one
-    recording interval, and its tolerance is the larger of `STEP_TOL` and
-    the error of one RK4 step of that interval there (16 times the
-    estimate), so a coarse grid asks for no more accuracy than the fixed
-    step of that length gave.  A step within the tolerance keeps the
-    extrapolated y_2 + (y_2 - y_1) / 15, and the next h is h max(0.2,
-    0.9 (tol/err)^(1/5)): it follows the estimate with no upper clip, and
-    only the span left caps it.  A rejected attempt, or one that is
-    non-finite or leaves the system's domain, shrinks that row's h only.
-    So a row's step sequence depends on that row alone, and a batched row
-    steps exactly as it does alone.  A row that reaches t_end leaves the
-    batch; one whose step falls below `STEP_FLOOR` times the recording
-    interval raises `NonFiniteState` at the first recorded time it did
-    not reach, naming the component whose scaled error estimate was
-    largest in its last attempt.  The records on t0 + linspace(0, t_end,
-    steps + 1) come from each accepted step's interpolant, into one
-    (rows, records, width) array, so each row's records are contiguous
-    and the per-record arrays returned are (rows, records, ...) views of
-    it.  The variation block evolves by the exact Jacobian of (V, Theta),
-    so one Jacobian evaluation per stage serves every variation pair.
+    Each batch row steps on its own.  An attempt of h takes seven stages
+    (`_dp_attempt`); the seventh is the slope at y1 and the next step's
+    first (FSAL), so an attempt costs six evaluations.  It keeps the
+    5th-order y1 and estimates the local error as h sum e_i k_i, e = b -
+    b_hat (HNW §II.4-II.5), per component over 1 + max(|y0|, |y1|).  A
+    row's first attempt spans one recording interval, and its tolerance
+    is the larger of `STEP_TOL` and that attempt's estimate, so a coarse
+    grid asks for no more accuracy than one step of that length gives.
+    After each attempt the next h is h max(0.2, 0.9 (tol/err)^(1/5)): it
+    follows the estimate with no upper clip, and only the span left caps
+    it.  An attempt over the tolerance, or one with a stage that is
+    non-finite or leaves the system's domain, is rejected for that row
+    only.  So a row's step sequence depends on that row alone, and a
+    batched row steps exactly as it does alone.  A row that reaches
+    t_end leaves the batch; one whose step falls below `STEP_FLOOR`
+    times the recording interval raises `NonFiniteState` at the first
+    recorded time it did not reach, naming the component whose scaled
+    error estimate was largest in its last attempt.  The records on
+    t0 + linspace(0, t_end, steps + 1) come from each accepted step's
+    continuous extension (`_fill_records`), into one (rows, records,
+    width) array, so each row's records are contiguous and the
+    per-record arrays returned are (rows, records, ...) views of it.
+    The variation block evolves by the exact Jacobian of (V, Theta), so
+    one Jacobian evaluation per stage serves every variation pair.
     """
     B, n = x0.shape
     m = taus0.shape[1]
@@ -295,7 +339,7 @@ def _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg):
             out[:, 2 * n:] = np.einsum("bij,bmj->bmi", J, z).reshape(len(y), -1)
         return out
 
-    def f(t, y):
+    def f(y):
         # NaN where a row's stage is non-finite or outside the system's
         # domain, which rejects its attempt.  A batch that raises is split
         # by `chunked` down to the rows that raise; a row gets the same
@@ -324,35 +368,25 @@ def _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg):
             rem = span - s[live]
             last = np.abs(rem) <= np.abs(h[live])   # this attempt ends at t_end
             h[live[last]] = rem[last]
-            yl, k1, H = y[live], fy[live], h[live, None]
-            tl = t0 + s[live, None]
-            full = rk4_step(f, tl, yl, H, k1)
-            mid = rk4_step(f, tl, yl, 0.5 * H, k1)
-            two = rk4_step(f, tl + 0.5 * H, mid, 0.5 * H)
-            corr = (two - full) / 15.0
-            scaled = np.abs(corr) / (1.0 + np.maximum(np.abs(yl), np.abs(two)))
+            yl = y[live]
+            y1, ks, est = _dp_attempt(f, yl, fy[live], h[live, None])
+            # a non-finite stage makes the estimate NaN or infinite
+            scaled = np.abs(est) / (1.0 + np.maximum(np.abs(yl), np.abs(y1)))
             err = np.max(scaled, axis=1)
             if tol is None:
-                tol = np.where(np.isfinite(err), np.maximum(STEP_TOL, 16.0 * err), STEP_TOL)
+                tol = np.where(np.isfinite(err), np.maximum(STEP_TOL, err), STEP_TOL)
             tol_l = tol[live]
             ok = err <= tol_l
             if ok.any():
-                y1 = two[ok] + corr[ok]
-                f1 = f(tl[ok] + H[ok], y1)
-                # the next step starts from the slope at y1, so it must be finite
-                fine = np.all(np.isfinite(f1), axis=1)
-                ok[ok] = fine
                 rows = live[ok]
                 s1 = np.where(last[ok], span, s[rows] + h[rows])
-                _fill_records(hist, grid, rows, s[rows], s1, yl[ok], k1[ok],
-                              y1[fine], f1[fine], mid[ok])
-                y[rows], fy[rows], s[rows] = y1[fine], f1[fine], s1
+                _fill_records(hist, grid, rows, s[rows], s1, yl[ok], ks[0][ok],
+                              y1[ok], ks[-1][ok], _combine(_DP_D, ks)[ok])
+                y[rows], fy[rows], s[rows] = y1[ok], ks[-1][ok], s1
 
-            # the next step follows the error estimate; `last` caps it at the span
-            grow = np.maximum(0.9 * (tol_l / err) ** 0.2, 0.2)
-            # a non-finite attempt, or slope at y1, shrinks the step the most
-            grow[~(ok | (err > tol_l))] = 0.2
-            h[live] *= grow
+            # the next step follows the error estimate, and a NaN estimate (a
+            # non-finite attempt) shrinks it the most; `last` caps it at the span
+            h[live] *= np.fmax(0.9 * (tol_l / err) ** 0.2, 0.2)
             going = ~(ok & last)
             stalled = np.flatnonzero(going & (np.abs(h[live]) < STEP_FLOOR * cfg.step))
             if stalled.size:

@@ -82,7 +82,7 @@ def _monomials(nvars, order):
 # most pair terms of one product block, and so most entries of a kept
 # bincount offset index, 64 KiB of int64 per pair table.  Chosen from the
 # grids the package documents and defaults to, nine nodes per surface axis:
-# an RK4 stage of a shift in n = 3 multiplies 91 pairs per node at trust 2
+# a stepper stage of a shift in n = 3 multiplies 91 pairs per node at trust 2
 # and 6 x 13 per node in its trust-1 quotient, so a batch of up to 90 nodes
 # (a 9 x 9 grid has 81) forms each product in one block
 OFFSET_CACHE_LIMIT = 8192

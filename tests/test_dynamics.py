@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -17,7 +18,7 @@ from nslab import (
     rk4_step,
     variational_rhs,
 )
-from nslab.dynamics import _fill_records
+from nslab.dynamics import _DP_A, _DP_D, _DP_E, _dp_attempt, _fill_records
 from nslab.engine import PointCalculus
 from longform import long_form_fields
 
@@ -157,35 +158,75 @@ class TestFillRecords:
     def test_matches_the_interpolant_per_record(self, span):
         # rows whose steps cover no record, one record and many records
         # (the first covers none, as its step ends before the next record),
-        # each written into its own row of the history; the others stay NaN
+        # each written into its own row of the history; the others stay NaN.
+        # The last step ends on a record, where theta is 1
         rng = np.random.default_rng(7)
         grid = np.linspace(0.0, span, 41)
         s0 = span * np.array([0.101, 0.2, 0.1])
-        s1 = span * np.array([0.12, 0.23, 0.9])
+        s1 = np.array([span * 0.12, span * 0.23, grid[36]])
         rows = np.array([2, 0, 1])
-        y0, f0, y1, f1, ym = rng.normal(size=(5, 3, 6))
+        y0, f0, y1, f1, d = rng.normal(size=(5, 3, 6))
         hist = np.full((4, len(grid), 6), np.nan)
-        _fill_records(hist, grid, rows, s0, s1, y0, f0, y1, f1, ym)
+        _fill_records(hist, grid, rows, s0, s1, y0, f0, y1, f1, d)
 
         h = s1 - s0
-        F0, F1 = h[:, None] * f0, h[:, None] * f1
         dy = y1 - y0
-        c = 16.0 * (ym - (0.5 * (y0 + y1) + 0.125 * (F0 - F1)))
-        # y0 + F0 th + (3 dy - 2 F0 - F1 + c) th^2 + (F0 + F1 - 2 dy - 2 c) th^3 + c th^4
-        coef = [c, F0 + F1 - 2.0 * dy - 2.0 * c, 3.0 * dy - 2.0 * F0 - F1 + c, F0, y0]
+        r3 = h[:, None] * f0 - dy
+        # y0 + th (dy + (1 - th) (r3 + th (r4 + (1 - th) r5))), innermost first
+        coef = [h[:, None] * d, dy - h[:, None] * f1 - r3, r3, dy, y0]
         filled = np.zeros(hist.shape[:2], bool)
         for i, r in enumerate(rows):
             ks = [k for k, g in enumerate(grid) if span * s0[i] < span * g <= span * s1[i]]
             assert len(ks) == [0, 1, 32][i]
             for k in ks:
                 th = (grid[k] - s0[i]) / h[i]
-                want, scale = np.zeros(6), np.zeros(6)
-                for a in coef:      # Horner, and on |coefficients| for the scale
-                    want = want * th + a[i]
-                    scale = scale * abs(th) + np.abs(a[i])
+                want, scale = coef[0][i], np.abs(coef[0][i])
+                for a, w in zip(coef[1:], (1 - th, th, 1 - th, th)):
+                    want = want * w + a[i]      # Horner, and on |terms| for the scale
+                    scale = scale * abs(w) + np.abs(a[i])
                 assert np.all(np.abs(hist[r, k] - want) <= 1e-14 * scale)
                 filled[r, k] = True
         assert np.all(np.isnan(hist[~filled]))
+        # theta = 1 gives y1 to rounding
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(hist[1, 36] - y1[2]) <= eps * (np.abs(y0[2]) + np.abs(y1[2])))
+
+
+class TestDormandPrince:
+    def test_tableau_is_consistent(self):
+        # the rows of A sum to the published nodes c_2 .. c_7; the last row
+        # is b, whose sum c_7 is 1
+        nodes = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+        for row, c in zip(_DP_A, nodes, strict=True):
+            assert abs(math.fsum(row) - c) <= 1e-15
+        # e = b - b_hat and the dense output's d both annihilate constants
+        assert abs(math.fsum(_DP_E)) <= 1e-15
+        assert abs(math.fsum(_DP_D)) <= 1e-14
+
+    def test_error_estimate_scales_as_h5(self):
+        # the first-attempt estimate on the frequency-6 oscillator falls by
+        # 2^5 when h halves (31.9)
+        f = lambda y: np.stack([y[:, 1], -36.0 * y[:, 0]], axis=1)
+        y0 = np.array([[0.3, 0.5]])
+        est = [np.max(np.abs(_dp_attempt(f, y0, f(y0), np.array([[h]]))[2]))
+               for h in (1e-2, 5e-3)]
+        assert 16.0 <= est[0] / est[1] <= 64.0
+
+    def test_dense_output_is_fourth_order(self):
+        # y' = -y over one step: the dense output at theta = 1/2 errs
+        # O(h^5), so halving h cuts it about 30 times
+        f = lambda y: -y
+        errs = []
+        for h in (0.1, 0.05):
+            y0 = np.array([[1.0]])
+            y1, ks, _ = _dp_attempt(f, y0, f(y0), np.array([[h]]))
+            d = sum(w * k for w, k in zip(_DP_D, ks))
+            hist = np.full((1, 3, 1), np.nan)
+            _fill_records(hist, np.array([0.0, h / 2, h]), np.array([0]), np.array([0.0]),
+                          np.array([h]), y0, ks[0], y1, ks[-1], d)
+            errs.append(abs(hist[0, 1, 0] - np.exp(-h / 2)))
+        assert errs[0] >= 16.0 * errs[1]
+
 
 class TestIntegrate:
     def test_identity_linear_motion(self, sys_id2, zero2):
@@ -201,8 +242,8 @@ class TestIntegrate:
 
     def test_geodesic_exactness_degenerate_for_order_probe(self, sys_geo2,
                                                            conn_geo2):
-        # the momentum is constant along these trajectories, so RK4
-        # reproduces them to roundoff and no h^4 slope can be read off
+        # the momentum is constant along these trajectories, so the stepper
+        # reproduces them to roundoff and no order can be read off
         ref = np.array([2.0, 0.0])
         for step in (1e-2, 5e-3):
             cfg = IntegratorConfig(t_end=1.0, step=step)
@@ -306,37 +347,51 @@ class TestIntegrate:
             singles.append(integrate(sysm, ZeroConnection(2), st, cfg))
             counts.append(len(calls))
         assert counts[0] < counts[1] / 4
-        # the straight row's step grows as its error estimate allows: 34
-        # calls, where growth clipped at 5x per step took 45
-        assert counts[0] <= 40
+        # the straight row's estimate is 0, so its second step runs to the
+        # end: 1 + 2 x 6 = 13 calls
+        assert counts[0] <= 16
         fam = integrate_family(sysm, ZeroConnection(2), states, cfg)
         for single, tr in zip(singles, fam):
             for name in ("x", "p", "taus", "dps"):
                 assert np.array_equal(getattr(single, name), getattr(tr, name))
 
+    def test_an_accepted_step_costs_six_evaluations(self):
+        # a span of one recording interval is one attempt, accepted against
+        # its own estimate: the start slope and six stages, the seventh
+        # being the slope at y1, and no further call for it
+        sysm = ExplicitSystem(2, ["p1", "p2"], ["-4*x1*p2^2", "0"])
+        calls = _count_jacobian_calls(sysm)
+        tr = integrate(sysm, ZeroConnection(2), ExtendedState(0, q([0.3, 0.1], [0.5, 3.0])),
+                       IntegratorConfig(t_end=1e-2, step=1e-2))
+        assert calls == [1] * 7
+        exact = 0.3 * np.cos(6e-2) + 0.5 / 6 * np.sin(6e-2)
+        assert abs(tr.x[-1, 0] - exact) < 1e-8
+
     def test_tolerance_follows_the_recording_interval(self):
-        # one RK4 step of 1e-2 errs more than STEP_TOL on this oscillator of
-        # frequency 6, so that error is its tolerance: under twice the 4 x 50
-        # calls of RK4 at the recording interval, and more accurate (7.1e-8)
+        # the estimate of one step of 1e-2 exceeds STEP_TOL on this
+        # oscillator of frequency 6, so it is the tolerance: under twice the
+        # 4 x 50 calls of RK4 at the recording interval (295), and more
+        # accurate than that RK4 (2.6e-10 against 7.1e-8); 16 times the
+        # estimate as the tolerance would err 3.9e-9
         sysm = ExplicitSystem(2, ["p1", "p2"], ["-4*x1*p2^2", "0"])
         calls = _count_jacobian_calls(sysm)
         tr = integrate(sysm, ZeroConnection(2), ExtendedState(0, q([0.3, 0.1], [0.5, 3.0])),
                        IntegratorConfig(t_end=0.5, step=1e-2))
         assert len(calls) < 400
         exact = 0.3 * np.cos(6 * tr.t) + 0.5 / 6 * np.sin(6 * tr.t)
-        assert np.max(np.abs(tr.x[:, 0] - exact)) < 7e-8
+        assert np.max(np.abs(tr.x[:, 0] - exact)) < 1e-9
 
     def test_runaway_stops_at_the_step_floor(self):
         # p1' = p1^3 blows up at t = 0.125 while the state stays finite, so
-        # only the floor ends the row: about 140 attempts of 11 calls as the
-        # step shrinks toward the blow-up to 1e-4 of the recording interval
+        # only the floor ends the row: about 100 attempts of 6 calls (619) as
+        # the step shrinks toward the blow-up to 1e-4 of the recording interval
         runaway = ExplicitSystem(2, ["p1^3", "p2"], ["p1^3", "0"])
         calls = _count_jacobian_calls(runaway)
         with pytest.raises(NonFiniteState) as err:
             integrate(runaway, ZeroConnection(2), ExtendedState(0, q([0, 0], [2.0, 0])),
                       IntegratorConfig(t_end=10.0, step=1e-2))
         assert err.value.t == np.linspace(0.0, 10.0, 1001)[13]  # first record past it
-        assert len(calls) < 2000
+        assert len(calls) < 1000
 
     def test_stall_names_the_step_floor(self):
         # x1 = 1 - t reaches log's boundary at t = 1, where p1'' = -1/x1
@@ -355,9 +410,10 @@ class TestIntegrate:
 
     def test_attempt_outside_the_domain_is_rejected(self):
         # x1 = exp(-8 p2 t) stays positive, but the first attempt of the
-        # p2 = 1 row, one recording interval of 1/4, puts its second stage at
-        # x1 = 0, where log raises: that attempt is rejected, and the batch's
-        # rows are evaluated again alone, so each steps as it does alone
+        # p2 = 1 row, one recording interval of 1/4, puts its fourth stage
+        # at x1 = -0.6, where log raises: that attempt is rejected, and the
+        # batch's rows are evaluated again alone, so each steps as it does
+        # alone
         sysm = ExplicitSystem(2, ["-8*x1*p2", "1"], ["log(x1)", "0"])
         raised = []
         jac = sysm.rhs_jacobian_batch

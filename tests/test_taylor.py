@@ -266,7 +266,7 @@ class TestTruncatedProduct:
             c.multiply(rng.normal(size=(16, 1, 3, 3, 3, c.size)),
                        rng.normal(size=(16, 3, 3, 1, 1, c.size)), t)
         assert all(k.size <= limit for k in c._offsets.values())
-        # an RK4 stage of a shift in n = 3 at the default 9 x 9 grid keeps
+        # a stepper stage of a shift in n = 3 at the default 9 x 9 grid keeps
         # both its indices: 81 nodes at trust 2 and its (81, 6) quotient at trust 1
         s = taylor.TaylorContext(6, 2)
         s.multiply(*rng.normal(size=(2, 81, s.size)), 2)
