@@ -127,19 +127,37 @@ def _require_same_space(sys, surf):
                           f"but the system has dimension {sys.n}")
 
 
-def _surface_calc(sys, conn, surf, y, nu, depth):
-    """(calc, taus, normal, dn) at the surface points y with momentum p = nu * n.
+# Points per `Hypersurface.geometry` call in `_geometry_table`: bounds the
+# call's transient series, about 1.4 kB per point at n = 3, where the table
+# itself keeps 18 floats per point
+GEOMETRY_BLOCK = 512
 
-    y[..., i] and nu share leading batch axes (a scalar nu broadcasts);
-    calc is the PointCalculus at those points and dn[..., i, s] the
-    covariant derivative of the normal covector along tau_i.
+
+def _geometry_table(surf, ys):
+    """surf.geometry at the points ys[b], evaluated GEOMETRY_BLOCK points at a time."""
+    n, m = surf.n, surf.m
+    table = (np.empty((len(ys), n)), np.empty((len(ys), m, n)),
+             np.empty((len(ys), n)), np.empty((len(ys), m, n)))
+    for c in point_chunks(len(ys), GEOMETRY_BLOCK):
+        for out, part in zip(table, surf.geometry(ys[c])):
+            out[c] = part
+    return table
+
+
+def _surface_calc(sys, conn, geometry, nu, depth):
+    """(calc, dn) at surface points with momentum p = nu * n.
+
+    geometry is (x, taus, normal, dn_dy) at the points, as
+    `Hypersurface.geometry` gives it; its batch axes and nu's lead (a
+    scalar nu broadcasts).  calc is the PointCalculus at those points and
+    dn[..., i, s] the covariant derivative of the normal covector along
+    tau_i.
     """
-    _require_same_space(sys, surf)
-    x, taus, normal, dn_dy = surf.geometry(y)
+    x, taus, normal, dn_dy = geometry
     nu = np.asarray(nu, dtype=float)
     calc = PointCalculus(sys, conn, PhasePoint(x, nu[..., None] * normal), depth=depth)
     dn = dn_dy - np.einsum("...ksr,...k,...ir->...is", calc.gamma, normal, taus)
-    return calc, taus, normal, dn
+    return calc, dn
 
 
 def surface_frame(sys, conn, surf, y, nu):
@@ -151,10 +169,11 @@ def surface_frame(sys, conn, surf, y, nu):
     """
     if np.any(np.asarray(nu) == 0):
         raise ValueError("nu must be nonzero")
-    calc, taus, normal, dn = _surface_calc(sys, conn, surf, y, nu, 0)
+    _require_same_space(sys, surf)
+    x, taus, normal, dn_dy = geometry = surf.geometry(y)
+    calc, dn = _surface_calc(sys, conn, geometry, nu, 0)
     b = -np.einsum("...ir,...qr,...jq->...ij", taus, calc.P, dn)
-    return SurfaceFrame(y=np.asarray(y, float), x=calc.q.x, taus=taus, normal=normal,
-                        dn=dn, b=b)
+    return SurfaceFrame(y=np.asarray(y, float), x=x, taus=taus, normal=normal, dn=dn, b=b)
 
 
 def pfaff_rhs(sys, conn, surf, y, nu):
@@ -167,19 +186,29 @@ def pfaff_rhs(sys, conn, surf, y, nu):
     leading batch axes, which lead the result; the points are evaluated in
     batches of at most 16.
     """
+    _require_same_space(sys, surf)
     y = np.asarray(y, dtype=float)
     nu = np.asarray(nu, dtype=float)
     batch = np.broadcast_shapes(y.shape[:-1], nu.shape)
     ys = np.broadcast_to(y, batch + (surf.m,)).reshape(-1, surf.m)
     nus = np.broadcast_to(nu, batch).reshape(-1)
-    psi = [_pfaff_points(sys, conn, surf, ys[c], nus[c])
-           for c in point_chunks(len(nus))]
-    return np.concatenate(psi).reshape(batch + (surf.m,))
+    psi = _pfaff_batch(sys, conn, _geometry_table(surf, ys), nus)
+    return psi.reshape(batch + (surf.m,))
 
 
-def _pfaff_points(sys, conn, surf, y, nu):
-    """pfaff_rhs on a batch of points y[b] with speeds nu[b] in one PointCalculus."""
-    calc, taus, _, dn = _surface_calc(sys, conn, surf, y, nu, 0)
+def _pfaff_batch(sys, conn, geometry, nu):
+    """pfaff_rhs at points whose geometry is given, (b, ...) arrays, and speeds nu[b].
+
+    The points are evaluated in batches of at most 16, one PointCalculus each.
+    """
+    return np.concatenate([_pfaff_points(sys, conn, [g[c] for g in geometry], nu[c])
+                           for c in point_chunks(len(nu))])
+
+
+def _pfaff_points(sys, conn, geometry, nu):
+    """pfaff_rhs on a batch of points with speeds nu[b] in one PointCalculus."""
+    calc, dn = _surface_calc(sys, conn, geometry, nu, 0)
+    taus = geometry[1]
     omega = calc.Omega[:, None, None]
     nu = nu[:, None, None]
     return (np.matmul(-(nu * nu / omega) * dn, calc.W[:, :, None])[:, :, 0]
@@ -209,12 +238,51 @@ def _grid_nodes(axes):
     return np.stack(np.meshgrid(*axes, indexing="ij"), -1)
 
 
-def _edge_rk4(sys, conn, surf, y_from, y_to, nu, substeps):
+def _stage_params(substeps):
+    """The segment parameters s at which `_edge_rk4` evaluates its stages.
+
+    They are read from the `rk4_step` calls that `_edge_rk4` makes, so
+    they are the same floats.
+    """
+    h = 1.0 / substeps
+    params = set()
+    for k in range(substeps):
+        rk4_step(lambda s, v: params.add(s) or v, k * h, 0.0, h)
+    return sorted(params)
+
+
+def _stage_geometry(surf, segments, substeps):
+    """Surface geometry at every stage point of every edge batch, in one table.
+
+    segments lists the (y_from, y_to) of each edge batch.  Returns, per
+    batch, a dict from each stage parameter s to the geometry at the
+    points y_from + s * (y_to - y_from), the arithmetic of `_edge_rk4`'s
+    stages, as views of the table.  `Hypersurface.geometry` runs on
+    GEOMETRY_BLOCK points at a time.
+    """
+    if not segments:
+        return []
+    params = _stage_params(substeps)
+    points = [y_from + s * (y_to - y_from) for y_from, y_to in segments for s in params]
+    table = _geometry_table(surf, np.concatenate(points))
+    out, start = [], 0
+    for y_from, _ in segments:
+        out.append({})
+        for s in params:
+            out[-1][s] = tuple(g[start:start + len(y_from)] for g in table)
+            start += len(y_from)
+    return out
+
+
+def _edge_rk4(sys, conn, y_from, y_to, nu, substeps, geometry):
     """RK4 for nu along straight parameter segments, all in lockstep.
 
     Edge e runs from y_from[e] to y_to[e] starting at nu[e]; each substep
     is one `rk4_step` in the segment parameter s in [0, 1], each of its
-    stages one batched `pfaff_rhs` call over every edge.  The right-hand
+    stages one batched Pfaff right-hand side over every edge.  The
+    surface geometry at the stage points is read from geometry[s], which
+    `solve_nu` tabulates once per solve (`_stage_geometry`), so a stage
+    evaluates only the system and the connection.  The right-hand
     side is singular like 1/nu^3 as nu -> 0, so solutions can reach zero at
     finite parameter values; a sign change between substeps means the
     integration stepped across that singular set and left the sheet on
@@ -225,7 +293,7 @@ def _edge_rk4(sys, conn, surf, y_from, y_to, nu, substeps):
     h = 1.0 / substeps
 
     def f(s, v):
-        psi = pfaff_rhs(sys, conn, surf, y_from + s * delta, v)
+        psi = _pfaff_batch(sys, conn, geometry[s], v)
         return np.matmul(psi[:, None, :], delta[:, :, None])[:, 0, 0]
 
     v = nu
@@ -253,6 +321,49 @@ def _ray(idx, d, direction, size):
     return out
 
 
+def _edge_schedule(shape, base):
+    """The edge batches of a solve, (starts, ends) grid indices each, in order.
+
+    They depend only on the grid: pass d moves every chain leaving the
+    filled slab one edge at a time, so after pass d the slab spanned by
+    axes 0..d is filled from base.  Then, if the grid has cells, come two
+    batches over (start, corner, far) of both paths of every cell, path a
+    then path b: the first edges, start to corner, and the second, corner
+    to far.  Returns the sweep's batches and the cells' (none without a
+    cell).
+    """
+    m = len(shape)
+    sweeps = []
+    filled = [base]
+    for d in range(m):
+        chains, new_filled = [], []
+        for idx in filled:
+            rays = [_ray(idx, d, direction, shape[d]) for direction in (1, -1)]
+            chains += [[idx] + ray for ray in rays]
+            new_filled += [idx] + rays[0] + rays[1]
+        for k in range(1, max(len(c) for c in chains)):
+            live = [c for c in chains if len(c) > k]
+            sweeps.append(([c[k - 1] for c in live], [c[k] for c in live]))
+        filled = new_filled
+    paths = []
+    for a in range(m):
+        for b in range(a + 1, m):
+            for idx in np.ndindex(shape):
+                if idx[a] + 1 >= shape[a] or idx[b] + 1 >= shape[b]:
+                    continue
+                far = list(idx)
+                far[a] += 1
+                far[b] += 1
+                for axis in (a, b):
+                    corner = list(idx)
+                    corner[axis] += 1
+                    paths.append((idx, tuple(corner), tuple(far)))
+    if not paths:
+        return sweeps, []
+    starts, corners, fars = zip(*paths)
+    return sweeps, [(starts, corners), (corners, fars)]
+
+
 def solve_nu(sys, conn, surf, y0, nu0, grid, substeps=4):
     """Integrate the Pfaff system over an axis-parallel grid.
 
@@ -270,14 +381,18 @@ def solve_nu(sys, conn, surf, y0, nu0, grid, substeps=4):
     Independent edges advance in lockstep: pass d moves every chain
     leaving the filled slab one edge at a time, and the cells take two
     edge batches, the first and the second edges of both paths of every
-    cell.
+    cell.  These batches depend only on the grid, so the surface
+    geometry at every RK4 stage point of every edge is tabulated once,
+    before any edge is integrated, and the stages evaluate only the
+    system and the connection.  A point of the schedule where the
+    tangents are dependent therefore raises `RankDeficientTangents`
+    before any edge is integrated.
     """
     _require_same_space(sys, surf)
     if nu0 == 0:
         raise ValueError("nu0 must be nonzero")
     axes = surf.grid_axes(grid)
-    m = surf.m
-    if m >= 2 and min(len(ax) for ax in axes) < 2:
+    if surf.m >= 2 and min(len(ax) for ax in axes) < 2:
         raise ConfigError("solving nu on a surface of two or more parameters "
                           "needs at least 2 grid nodes per axis")
     y0 = np.asarray(y0, dtype=float)
@@ -290,43 +405,19 @@ def solve_nu(sys, conn, surf, y0, nu0, grid, substeps=4):
     def ix(idxs):
         return tuple(np.array(idxs).T)
 
-    def edges(starts, ends, nu):
-        return _edge_rk4(sys, conn, surf, ys[ix(starts)], ys[ix(ends)], nu, substeps)
+    sweeps, cells = _edge_schedule(shape, base)
+    segments = [(ys[ix(starts)], ys[ix(ends)]) for starts, ends in sweeps + cells]
+    geometry = _stage_geometry(surf, segments, substeps)
 
-    # sweep axis by axis: after pass d, the slab spanned by axes 0..d is filled
-    filled = [base]
-    for d in range(m):
-        chains, new_filled = [], []
-        for idx in filled:
-            rays = [_ray(idx, d, direction, shape[d]) for direction in (1, -1)]
-            chains += [[idx] + ray for ray in rays]
-            new_filled += [idx] + rays[0] + rays[1]
-        for k in range(1, max(len(c) for c in chains)):
-            live = [c for c in chains if len(c) > k]
-            starts = [c[k - 1] for c in live]
-            ends = [c[k] for c in live]
-            values[ix(ends)] = edges(starts, ends, values[ix(starts)])
-        filled = new_filled
+    def edges(k, nu):
+        return _edge_rk4(sys, conn, *segments[k], nu, substeps, geometry[k])
 
+    for k, (starts, ends) in enumerate(sweeps):
+        values[ix(ends)] = edges(k, values[ix(starts)])
     residual = 0.0
-    # (start, corner, far) of both paths of every cell, path a then path b
-    paths = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            for idx in np.ndindex(shape):
-                if idx[a] + 1 >= shape[a] or idx[b] + 1 >= shape[b]:
-                    continue
-                far = list(idx)
-                far[a] += 1
-                far[b] += 1
-                for axis in (a, b):
-                    corner = list(idx)
-                    corner[axis] += 1
-                    paths.append((idx, tuple(corner), tuple(far)))
-    if paths:
-        starts, corners, fars = zip(*paths)
-        mid = edges(starts, corners, values[ix(starts)])
-        ends = edges(corners, fars, mid)
+    if cells:
+        k = len(sweeps)
+        ends = edges(k + 1, edges(k, values[ix(cells[0][0])]))
         residual = float(np.max(np.abs(ends[0::2] - ends[1::2])))
     return NuGrid(axes=axes, values=values, base_index=base, nu0=nu0,
                   residual=residual)
@@ -341,7 +432,10 @@ def compatibility_residual(sys, conn, surf, y, nu):
     leading batch axes (a scalar nu broadcasts), and all points are
     evaluated in one PointCalculus.
     """
-    calc, taus, _, dn = _surface_calc(sys, conn, surf, y, nu, 1)
+    _require_same_space(sys, surf)
+    geometry = surf.geometry(y)
+    calc, dn = _surface_calc(sys, conn, geometry, nu, 1)
+    taus = geometry[1]
     pdn = np.einsum("...qr,...iq->...ir", calc.P, dn)
     omega = calc.Omega[..., None, None]
     nu = np.asarray(nu, dtype=float)[..., None, None]
@@ -394,6 +488,7 @@ def simulate_shift(sys, conn, surf, nu_source, cfg, grid=None):
     + nu * dn/dy^i, the plain derivative of the launch momentum, with
     dnu/dy taken from the Pfaff right-hand side at the solved nu (zero
     for a constant nu source, where the connection is never evaluated).
+    The launch evaluates the surface geometry once, for both.
     The deviation functions phi_i then start at zero and stay zero
     exactly when the shift is normal.
     """
@@ -414,8 +509,8 @@ def simulate_shift(sys, conn, surf, nu_source, cfg, grid=None):
     low = np.abs(nus) < NU_FLOOR
     if np.any(low):
         raise NuVanished(f"nu vanished at grid node y={ys[np.argmax(low)]!r}")
-    x, taus, normal, dn_dy = surf.geometry(ys)
-    dnu = (pfaff_rhs(sys, conn, surf, ys, nus) if solved
+    x, taus, normal, dn_dy = geometry = surf.geometry(ys)
+    dnu = (_pfaff_batch(sys, conn, geometry, nus) if solved
            else np.zeros((len(ys), surf.m)))
     dps = dnu[:, :, None] * normal[:, None, :] + nus[:, None, None] * dn_dy
     p = nus[:, None] * normal

@@ -25,6 +25,7 @@ from nslab import (
     solve_nu,
 )
 from nslab.engine import PointCalculus
+from nslab.surfaces import GEOMETRY_BLOCK
 
 FIELDS = ["V", "Theta", "phi", "g_up", "g_down", "W", "Omega", "P", "gamma", "glow",
           "Q", "U", "R", "D", "nabla_V", "nabla_W", "mgrad_W", "nabla_Q", "mgrad_Q",
@@ -319,8 +320,46 @@ class TestLockstepSolver:
         sysm, conn = (sys_geox3, conn_geox3) if which == "geox3" else (sys_bad3, conn_bad3)
         grid = solve_nu(sysm, conn, SPHERE, [0.75, 0.0], 1.1, [4, 3], substeps=2)
         values, residual = _scalar_solve(sysm, conn, SPHERE, [0.75, 0.0], 1.1, [4, 3], 2)
-        assert np.max(np.abs(grid.values - values)) <= 1e-14
-        assert abs(grid.residual - residual) <= 1e-14
+        # the tabulated stage geometry is read at the same floats as the
+        # sequential solver's points, so the results are the same bits
+        assert np.array_equal(grid.values, values)
+        assert grid.residual == residual
+
+    @pytest.mark.parametrize("substeps", [1, 4])
+    def test_geometry_is_tabulated_once(self, substeps, sys_geox3, conn_geox3, monkeypatch):
+        sizes = []
+        geometry = Hypersurface.geometry
+
+        def counted(self, y):
+            sizes.append(len(y))
+            return geometry(self, y)
+
+        monkeypatch.setattr(Hypersurface, "geometry", counted)
+        solve_nu(sys_geox3, conn_geox3, SPHERE, [0.75, 0.0], 1.1, [5, 5], substeps=substeps)
+        # 88 edges (2 + 2 and 10 + 10 in the sweep, 2 x 32 in the cells), each
+        # with the 2 substeps + 1 distinct stage points of RK4, and no stage
+        # evaluates geometry of its own
+        points = 88 * (2 * substeps + 1)
+        assert sum(sizes) == points
+        assert len(sizes) == -(-points // GEOMETRY_BLOCK)
+        assert max(sizes) <= GEOMETRY_BLOCK
+
+    def test_dependent_tangents_raise_before_any_edge(self, sys_geox2, conn_geox2,
+                                                      monkeypatch):
+        # the cusp's tangent vanishes at its node y1 = 0, a stage point of the
+        # edges on either side: the table raises, and no PointCalculus is built
+        built = []
+        init = PointCalculus.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PointCalculus, "__init__", counted)
+        cusp = Hypersurface(2, ["y1^3", "y1^2"], [[-1.0, 1.0]])
+        with pytest.raises(RankDeficientTangents, match=r"dependent at y=\[0\.0\]"):
+            solve_nu(sys_geox2, conn_geox2, cusp, [0.5], 1.0, [5])
+        assert built == []
 
     def test_vanishing_edge_is_named(self):
         sysm = build_modified_hamiltonian("(p1^2 + p2^2)/2 + x1", 2)

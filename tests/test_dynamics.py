@@ -408,6 +408,29 @@ class TestIntegrate:
         assert err.value.component == "p1"
         assert str(err.value).endswith("was in p1")
 
+    def test_nonfinite_attempt_shrinks_the_step_fivefold(self):
+        # the first attempt's second stage reads NaN, so its estimate is NaN
+        # and it is rejected; the retry is 1/5 as long.  Each attempt's step
+        # is read from its second stage, x0 + (h/5) V with V = p
+        sysm = ExplicitSystem(2, ["p1", "p2"], ["0", "0"])
+        xs = []
+        jac = sysm.rhs_jacobian_batch
+
+        def stage(X, P):
+            xs.append(X[0, 0])
+            V, T, J = jac(X, P)
+            return (np.full_like(V, np.nan) if len(xs) == 2 else V), T, J
+
+        sysm.rhs_jacobian_batch = stage
+        tr = integrate(sysm, ZeroConnection(2), ExtendedState(0, q([0.3, 0.1], [0.5, 2.0])),
+                       IntegratorConfig(t_end=0.1, step=0.1))
+        # the start's slope, the rejected attempt's one evaluated stage (its
+        # NaN makes the later stages non-finite, so they are not evaluated),
+        # then the retry
+        steps = [5 * (x - 0.3) / 0.5 for x in xs[1:3]]
+        assert steps == pytest.approx([0.1, 0.02], rel=1e-12)
+        assert tr.x[-1] == pytest.approx([0.35, 0.3], rel=1e-14)
+
     def test_attempt_outside_the_domain_is_rejected(self):
         # x1 = exp(-8 p2 t) stays positive, but the first attempt of the
         # p2 = 1 row, one recording interval of 1/4, puts its fourth stage

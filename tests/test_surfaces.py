@@ -364,6 +364,18 @@ class TestShiftEvaluations:
         # the launch evaluates dnu/dy at all 5 nodes in one batched pfaff_rhs call
         assert len(calcs) == 1
 
+    def test_solved_launch_makes_one_geometry_pass(self, sys_geox2, conn_geox2, circle,
+                                                   monkeypatch):
+        cfg = IntegratorConfig(t_end=0.01, step=1e-2)
+        grid = solve_nu(sys_geox2, conn_geox2, circle, [0.0], 1.5, [5])
+        calls = []
+        geometry = Hypersurface.geometry
+        monkeypatch.setattr(Hypersurface, "geometry",
+                            lambda self, y: calls.append(len(y)) or geometry(self, y))
+        simulate_shift(sys_geox2, conn_geox2, circle, grid, cfg)
+        # the launch data and dnu/dy read the same geometry of the 5 nodes
+        assert calls == [5]
+
     def test_batched_launch_matches_per_node(self, sys_geox3, conn_geox3, sphere):
         # 25 nodes: two pfaff_rhs chunks, against one geometry and pfaff_rhs per node
         grid = solve_nu(sys_geox3, conn_geox3, sphere, [0.75, 0.0], 1.1, [5, 5],
