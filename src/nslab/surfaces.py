@@ -176,7 +176,7 @@ def surface_frame(sys, conn, surf, y, nu):
     return SurfaceFrame(y=np.asarray(y, float), x=x, taus=taus, normal=normal, dn=dn, b=b)
 
 
-def pfaff_rhs(sys, conn, surf, y, nu):
+def pfaff_rhs(sys, conn, surf, y, nu, geometry=None):
     """Right-hand side psi_i of dnu/dy^i for the shift-initialization field.
 
         psi_i = -(nu^2 / Omega) sum_s W^s dn[i, s]
@@ -184,7 +184,9 @@ def pfaff_rhs(sys, conn, surf, y, nu):
 
     evaluated at momentum p = nu * n(y).  y[..., i] and nu broadcast over
     leading batch axes, which lead the result; the points are evaluated in
-    batches of at most 16.
+    batches of at most 16.  A caller that has already evaluated
+    `surf.geometry(y)` passes it as geometry, and y then carries every
+    batch axis; otherwise it is evaluated here.
     """
     _require_same_space(sys, surf)
     y = np.asarray(y, dtype=float)
@@ -192,17 +194,13 @@ def pfaff_rhs(sys, conn, surf, y, nu):
     batch = np.broadcast_shapes(y.shape[:-1], nu.shape)
     ys = np.broadcast_to(y, batch + (surf.m,)).reshape(-1, surf.m)
     nus = np.broadcast_to(nu, batch).reshape(-1)
-    psi = _pfaff_batch(sys, conn, _geometry_table(surf, ys), nus)
-    return psi.reshape(batch + (surf.m,))
-
-
-def _pfaff_batch(sys, conn, geometry, nu):
-    """pfaff_rhs at points whose geometry is given, (b, ...) arrays, and speeds nu[b].
-
-    The points are evaluated in batches of at most 16, one PointCalculus each.
-    """
-    return np.concatenate([_pfaff_points(sys, conn, [g[c] for g in geometry], nu[c])
-                           for c in point_chunks(len(nu))])
+    if geometry is None:
+        geometry = _geometry_table(surf, ys)
+    else:
+        geometry = [g.reshape((len(ys),) + g.shape[len(batch):]) for g in geometry]
+    psi = [_pfaff_points(sys, conn, [g[c] for g in geometry], nus[c])
+           for c in point_chunks(len(nus))]
+    return np.concatenate(psi).reshape(batch + (surf.m,))
 
 
 def _pfaff_points(sys, conn, geometry, nu):
@@ -252,35 +250,41 @@ def _stage_params(substeps):
 
 
 def _stage_geometry(surf, segments, substeps):
-    """Surface geometry at every stage point of every edge batch, in one table.
+    """Surface geometry at every stage point of every edge batch, each point once.
 
-    segments lists the (y_from, y_to) of each edge batch.  Returns, per
-    batch, a dict from each stage parameter s to the geometry at the
-    points y_from + s * (y_to - y_from), the arithmetic of `_edge_rk4`'s
-    stages, as views of the table.  `Hypersurface.geometry` runs on
-    GEOMETRY_BLOCK points at a time.
+    segments lists the (y_from, y_to) of each edge batch; its stage points
+    are y_from + s * (y_to - y_from), the arithmetic of `_edge_rk4`'s
+    stages.  Most of them recur bit for bit (the cells retrace the grid
+    edges, and an edge's end is the next edge's start), so the geometry is
+    evaluated only at the distinct points (`_geometry_table`).  Returns
+    that table and, per batch, a dict from each stage parameter s to the
+    table rows of the batch's points.
     """
     if not segments:
-        return []
+        return None, []
     params = _stage_params(substeps)
-    points = [y_from + s * (y_to - y_from) for y_from, y_to in segments for s in params]
-    table = _geometry_table(surf, np.concatenate(points))
+    points = np.concatenate([y_from + s * (y_to - y_from)
+                             for y_from, y_to in segments for s in params])
+    # compared as bit patterns, so that 0.0 and -0.0 stay apart
+    distinct, rows = np.unique(points.view(np.int64), axis=0, return_inverse=True)
+    table = _geometry_table(surf, distinct.view(float))
+    rows = rows.reshape(-1)
     out, start = [], 0
     for y_from, _ in segments:
         out.append({})
         for s in params:
-            out[-1][s] = tuple(g[start:start + len(y_from)] for g in table)
+            out[-1][s] = rows[start:start + len(y_from)]
             start += len(y_from)
-    return out
+    return table, out
 
 
-def _edge_rk4(sys, conn, y_from, y_to, nu, substeps, geometry):
+def _edge_rk4(sys, conn, surf, y_from, y_to, nu, substeps, table, rows):
     """RK4 for nu along straight parameter segments, all in lockstep.
 
     Edge e runs from y_from[e] to y_to[e] starting at nu[e]; each substep
     is one `rk4_step` in the segment parameter s in [0, 1], each of its
-    stages one batched Pfaff right-hand side over every edge.  The
-    surface geometry at the stage points is read from geometry[s], which
+    stages one batched `pfaff_rhs` call over every edge.  The surface
+    geometry at the stage points is read from table[rows[s]], which
     `solve_nu` tabulates once per solve (`_stage_geometry`), so a stage
     evaluates only the system and the connection.  The right-hand
     side is singular like 1/nu^3 as nu -> 0, so solutions can reach zero at
@@ -293,7 +297,8 @@ def _edge_rk4(sys, conn, y_from, y_to, nu, substeps, geometry):
     h = 1.0 / substeps
 
     def f(s, v):
-        psi = _pfaff_batch(sys, conn, geometry[s], v)
+        geometry = [g[rows[s]] for g in table]
+        psi = pfaff_rhs(sys, conn, surf, y_from + s * delta, v, geometry)
         return np.matmul(psi[:, None, :], delta[:, :, None])[:, 0, 0]
 
     v = nu
@@ -407,10 +412,10 @@ def solve_nu(sys, conn, surf, y0, nu0, grid, substeps=4):
 
     sweeps, cells = _edge_schedule(shape, base)
     segments = [(ys[ix(starts)], ys[ix(ends)]) for starts, ends in sweeps + cells]
-    geometry = _stage_geometry(surf, segments, substeps)
+    table, rows = _stage_geometry(surf, segments, substeps)
 
     def edges(k, nu):
-        return _edge_rk4(sys, conn, *segments[k], nu, substeps, geometry[k])
+        return _edge_rk4(sys, conn, surf, *segments[k], nu, substeps, table, rows[k])
 
     for k, (starts, ends) in enumerate(sweeps):
         values[ix(ends)] = edges(k, values[ix(starts)])
@@ -510,7 +515,7 @@ def simulate_shift(sys, conn, surf, nu_source, cfg, grid=None):
     if np.any(low):
         raise NuVanished(f"nu vanished at grid node y={ys[np.argmax(low)]!r}")
     x, taus, normal, dn_dy = geometry = surf.geometry(ys)
-    dnu = (_pfaff_batch(sys, conn, geometry, nus) if solved
+    dnu = (pfaff_rhs(sys, conn, surf, ys, nus, geometry) if solved
            else np.zeros((len(ys), surf.m)))
     dps = dnu[:, :, None] * normal[:, None, :] + nus[:, None, None] * dn_dy
     p = nus[:, None] * normal

@@ -25,6 +25,7 @@ from nslab import (
     solve_nu,
 )
 from nslab.engine import PointCalculus
+from nslab import surfaces
 from nslab.surfaces import GEOMETRY_BLOCK
 
 FIELDS = ["V", "Theta", "phi", "g_up", "g_down", "W", "Omega", "P", "gamma", "glow",
@@ -227,6 +228,11 @@ class TestBatchedPfaff:
         _assert_stacked(common, [pfaff_rhs(sys_geox3, conn_geox3, SPHERE, y, 1.5)
                                  for y in ys[:3]])
         assert pfaff_rhs(sys_geox3, conn_geox3, SPHERE, ys[0], 1.5).shape == (2,)
+        # geometry evaluated beforehand, on a (4, 5) batch, gives the same bits
+        grid_ys, grid_nus = ys.reshape(4, 5, 2), nus.reshape(4, 5)
+        given = pfaff_rhs(sys_geox3, conn_geox3, SPHERE, grid_ys, grid_nus,
+                          SPHERE.geometry(grid_ys))
+        assert np.array_equal(given, batched.reshape(4, 5, 2))
 
     def test_at_most_16_points_per_calc(self, sys_geox3, conn_geox3, widths):
         ys = np.tile([0.7, 0.1], (40, 1))
@@ -327,22 +333,34 @@ class TestLockstepSolver:
 
     @pytest.mark.parametrize("substeps", [1, 4])
     def test_geometry_is_tabulated_once(self, substeps, sys_geox3, conn_geox3, monkeypatch):
-        sizes = []
+        evaluated, staged = [], []
         geometry = Hypersurface.geometry
+        pfaff = surfaces.pfaff_rhs
 
         def counted(self, y):
-            sizes.append(len(y))
+            evaluated.append(np.array(y))
             return geometry(self, y)
 
+        def stage(sys, conn, surf, y, nu, geometry=None):
+            assert geometry is not None
+            staged.append(np.array(y))
+            return pfaff(sys, conn, surf, y, nu, geometry)
+
         monkeypatch.setattr(Hypersurface, "geometry", counted)
+        monkeypatch.setattr(surfaces, "pfaff_rhs", stage)
         solve_nu(sys_geox3, conn_geox3, SPHERE, [0.75, 0.0], 1.1, [5, 5], substeps=substeps)
-        # 88 edges (2 + 2 and 10 + 10 in the sweep, 2 x 32 in the cells), each
-        # with the 2 substeps + 1 distinct stage points of RK4, and no stage
-        # evaluates geometry of its own
-        points = 88 * (2 * substeps + 1)
-        assert sum(sizes) == points
-        assert len(sizes) == -(-points // GEOMETRY_BLOCK)
-        assert max(sizes) <= GEOMETRY_BLOCK
+        # 88 edges (2 + 2 and 10 + 10 in the sweep, 2 x 32 in the cells), 4
+        # RK4 stages per substep, all through pfaff_rhs with tabulated geometry
+        stage_points = np.concatenate(staged)
+        assert len(stage_points) == 88 * 4 * substeps
+        # the geometry is evaluated once at each distinct stage point, at most
+        # GEOMETRY_BLOCK points a call, and no stage evaluates any of its own
+        points = np.concatenate(evaluated)
+        distinct = {tuple(y) for y in stage_points}
+        assert len(points) == len(distinct) < 88 * (2 * substeps + 1)
+        assert {tuple(y) for y in points} == distinct
+        assert len(evaluated) == -(-len(points) // GEOMETRY_BLOCK)
+        assert max(map(len, evaluated)) <= GEOMETRY_BLOCK
 
     def test_dependent_tangents_raise_before_any_edge(self, sys_geox2, conn_geox2,
                                                       monkeypatch):
