@@ -28,7 +28,7 @@ cfg = IntegratorConfig(t_end=1.0, step=1e-3)
 print("1. unit-speed shift of the circle (free flow, nu = 1)")
 sys_id = ExplicitSystem(2, ["p1", "p2"], ["0", "0"])
 run = simulate_shift(sys_id, ZeroConnection(2), circle, 1.0, cfg, grid=[9])
-radii = np.stack([np.linalg.norm(tr.x, axis=1) for tr in run.trajectories])
+radii = np.linalg.norm(run.trajectories.x, axis=-1)
 err = np.max(np.abs(radii - (1.0 + run.t)[None, :]))
 print(f"   radius error vs 1 + t : {err:.2e}")
 print(f"   verdict               : {verify_orthogonality(run, 1e-8).verdict}")

@@ -22,7 +22,6 @@ from .dynamics import (
     IntegratorConfig,
     Trajectory,
     deviation,
-    integrate,
     integrate_family,
     rk4_step,
     variational_rhs,

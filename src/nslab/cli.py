@@ -259,16 +259,15 @@ def cmd_cross_check(args):
         twin = build_modified_hamiltonian(substitute(sys.W, "v", inv), sys.n)
         zc = ZeroConnection(sys.n)
         cfg = IntegratorConfig(t_end=1.0, step=args.step)
-        states_a, states_b = [], []
-        for _ in range(5):
-            x0 = rng.uniform(-0.3, 0.3, sys.n)
-            p0 = rng.normal(size=sys.n)
-            p0 *= rng.uniform(0.6, 1.2) / np.linalg.norm(p0)
-            states_a.append(ExtendedState(0, PhasePoint(x0, p0)))
-            states_b.append(ExtendedState(0, PhasePoint(x0, p0 / float(p0 @ p0))))
-        for tr, tr2 in zip(integrate_family(flat, zc, states_a, cfg),
-                           integrate_family(twin, zc, states_b, cfg)):
-            r = float(np.max(np.abs(tr.x - tr2.x)))
+        x0, p0, inverted = np.empty((3, 5, sys.n))
+        for k in range(5):
+            x0[k] = rng.uniform(-0.3, 0.3, sys.n)
+            p0[k] = rng.normal(size=sys.n)
+            p0[k] *= rng.uniform(0.6, 1.2) / np.linalg.norm(p0[k])
+            inverted[k] = p0[k] / float(p0[k] @ p0[k])
+        ta = integrate_family(flat, zc, ExtendedState(0, PhasePoint(x0, p0)), cfg)
+        tb = integrate_family(twin, zc, ExtendedState(0, PhasePoint(x0, inverted)), cfg)
+        for r in np.max(np.abs(ta.x - tb.x), axis=(1, 2)).tolist():
             rows.append(("trajectory_equivalence", r))
             scores.append(r)
 

@@ -16,10 +16,10 @@ chooses its own steps with the embedded Dormand-Prince 5(4) pair, and
 the records on the grid of `IntegratorConfig.step` come from the dense
 output of the accepted steps, so `step` is the recording interval, not
 a step the stepper takes.  The records are trajectory-major,
-(trajectories, records, width): a `Trajectory` holds views of its own
-contiguous block, and each accepted step writes the records it covers
-with one product.  `rk4_step`, classical RK4 at a fixed step, serves the
-Pfaff edges of `surfaces.solve_nu`.
+(trajectories, records, width), and each accepted step writes the
+records it covers with one product; one `Trajectory`, batched like the
+state it starts from, holds views of that buffer.  `rk4_step`, classical
+RK4 at a fixed step, serves the Pfaff edges of `surfaces.solve_nu`.
 """
 
 from __future__ import annotations
@@ -70,15 +70,16 @@ class IntegratorConfig:
 class ExtendedState:
     """Phase point plus m variation pairs (tau, dp) in the integrator's chart.
 
-    taus[i] = dx/dy^i and dps[i] = dp/dy^i; the covariant xi follows from
-    them and the connection through `_dp_to_xi`.
+    taus and dps are (..., m, n), q's batch axes first: taus[..., i, :] =
+    dx/dy^i and dps[..., i, :] = dp/dy^i, all at the one start time t.
     """
 
     def __init__(self, t, q, taus=(), dps=()):
         self.t = float(t)
         self.q = q
-        self.taus = np.asarray(taus, dtype=float).reshape(-1, q.n)
-        self.dps = np.asarray(dps, dtype=float).reshape(-1, q.n)
+        shape = (*q.x.shape[:-1], -1, q.n)
+        self.taus = np.asarray(taus, dtype=float).reshape(shape)
+        self.dps = np.asarray(dps, dtype=float).reshape(shape)
         if self.taus.shape != self.dps.shape:
             raise ValueError("taus and dps must pair up")
         if not (np.all(np.isfinite(self.taus)) and np.all(np.isfinite(self.dps))):
@@ -86,12 +87,12 @@ class ExtendedState:
 
     @property
     def m(self):
-        return self.taus.shape[0]
+        return self.taus.shape[-2]
 
 
 def deviation(state):
-    """phi_i = <p | tau_i> for each variation carried by the state."""
-    return state.taus @ state.q.p
+    """phi_i = <p | tau_i> for each variation carried by the state, (..., m)."""
+    return (state.taus @ state.q.p[..., None])[..., 0]
 
 
 def _dp_to_xi(gamma, p, taus, dps):
@@ -143,12 +144,13 @@ def variational_rhs(sys, conn, state):
 # ----------------------------------------------------------------------
 
 class Trajectory:
-    """Recorded history of one extended trajectory on the recording grid.
+    """Recorded history of extended trajectories on the recording grid.
 
     Positions, momenta, tau and the plain momentum variation are stored
     per recorded time, every `IntegratorConfig.step`, interpolated from
     the error-controlled steps; xi is reconstructed through the
-    connection on demand.
+    connection on demand.  It has the batch axes of its start state: `x`
+    is (..., records, n), `t` (records,), and `traj[i]` is batch row i.
     """
 
     def __init__(self, sys, conn, t, x, p, taus, dps):
@@ -160,27 +162,40 @@ class Trajectory:
         self.taus = taus
         self.dps = dps
 
+    def __len__(self):
+        if self.x.ndim < 3:
+            raise TypeError("an unbatched Trajectory has no batch axis")
+        return len(self.x)
+
+    def __getitem__(self, i):
+        len(self)   # only a batch is indexed
+        return Trajectory(self.sys, self.conn, self.t, self.x[i], self.p[i],
+                          self.taus[i], self.dps[i])
+
     @property
     def m(self):
-        return self.taus.shape[1]
+        return self.taus.shape[-2]
 
     def point(self, k):
-        return PhasePoint(self.x[k], self.p[k])
+        return PhasePoint(self.x[..., k, :], self.p[..., k, :])
 
     @property
     def phis(self):
-        """Deviation functions phi_i(t), shape (steps+1, m), one row per record."""
-        return np.einsum("tmi,ti->tm", self.taus, self.p)
+        """Deviation functions phi_i(t), (..., records, m), one row per record."""
+        return np.einsum("...tmi,...ti->...tm", self.taus, self.p)
 
     def xis(self, k):
         """xi at record k; a slice of records evaluates the connection as one batch."""
         gamma = PointCalculus(self.sys, self.conn, self.point(k), depth=0).gamma
-        return _dp_to_xi(gamma, self.p[k], self.taus[k], self.dps[k])
+        return _dp_to_xi(gamma, self.p[..., k, :], self.taus[..., k, :, :],
+                         self.dps[..., k, :, :])
 
     def state(self, k):
-        return ExtendedState(self.t[k], self.point(k), self.taus[k], self.dps[k])
+        return ExtendedState(self.t[k], self.point(k), self.taus[..., k, :, :],
+                             self.dps[..., k, :, :])
 
     def write_csv(self, path):
+        """An unbatched trajectory, one row per recorded time."""
         n, m = self.x.shape[1], self.m
         cols = (["t"]
                 + [f"x{i+1}" for i in range(n)]
@@ -188,14 +203,11 @@ class Trajectory:
                 + [f"tau{j+1}_{i+1}" for j in range(m) for i in range(n)]
                 + [f"xi{j+1}_{i+1}" for j in range(m) for i in range(n)]
                 + [f"phi_{j+1}" for j in range(m)])
-        phis = self.phis
         xis = np.concatenate([self.xis(c) for c in point_chunks(len(self.t))])
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for k in range(len(self.t)):
-                row = [self.t[k], *self.x[k], *self.p[k], *self.taus[k].ravel(),
-                       *xis[k].ravel(), *phis[k]]
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        table = np.column_stack([self.t, self.x, self.p, self.taus.reshape(len(self.t), -1),
+                                 xis.reshape(len(self.t), -1), self.phis])
+        np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(cols),
+                   comments="")
 
 
 def rk4_step(f, t, y, h):
@@ -403,24 +415,15 @@ def _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg):
     return t0 + grid, xs, ps, zs[..., :n], zs[..., n:]
 
 
-def integrate(sys, conn, state0, cfg):
-    """Advance one extended state; records it every `cfg.step`."""
-    return integrate_family(sys, conn, [state0], cfg)[0]
+def integrate_family(sys, conn, state, cfg):
+    """Integrate an extended state, batched or not; records it every `cfg.step`.
 
-
-def integrate_family(sys, conn, states, cfg):
-    """Integrate a family of extended states together (shared recording grid).
-
-    The states must share their start time.  Each state chooses its own
-    steps, so its trajectory equals the one `integrate` gives it alone.
+    Returns one `Trajectory` with the state's batch axes.  Each batch
+    row chooses its own steps, so its trajectory equals the one it gets
+    alone, as an unbatched state.
     """
-    t0 = states[0].t
-    if any(s.t != t0 for s in states):
-        raise ValueError("the states of a family must share their start time")
-    x0 = np.stack([s.q.x for s in states])
-    p0 = np.stack([s.q.p for s in states])
-    taus0 = np.stack([s.taus for s in states])
-    dps0 = np.stack([s.dps for s in states])
-    ts, xs, ps, taus, dps = _integrate_arrays(sys, t0, x0, p0, taus0, dps0, cfg)
-    return [Trajectory(sys, conn, ts, xs[b], ps[b], taus[b], dps[b])
-            for b in range(len(states))]
+    batch = state.q.x.shape[:-1]
+    rows = [a.reshape(int(np.prod(batch)), *a.shape[len(batch):])
+            for a in (state.q.x, state.q.p, state.taus, state.dps)]
+    ts, *records = _integrate_arrays(sys, state.t, *rows, cfg)
+    return Trajectory(sys, conn, ts, *(a.reshape(*batch, *a.shape[1:]) for a in records))

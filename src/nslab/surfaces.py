@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import taylor
-from .dynamics import ExtendedState, integrate_family, rk4_step
+from .dynamics import ExtendedState, Trajectory, integrate_family, rk4_step
 from .engine import PointCalculus, point_chunks
 from .errors import ConfigError, NuVanished, RankDeficientTangents
 from .expressions import Expression, evaluate_series, parse
@@ -461,16 +461,15 @@ class ShiftRun:
     surf: Hypersurface
     ys: np.ndarray          # (N, m): the launch nodes, in `NuGrid.nodes` order
     nus: np.ndarray
-    trajectories: list
+    trajectories: Trajectory    # batched over the N nodes
 
     @property
     def t(self):
-        return self.trajectories[0].t
+        return self.trajectories.t
 
     def phi_matrix(self):
-        """|phi| over (time, node, variation) collapsed to (time,) maxima."""
-        phis = np.stack([tr.phis for tr in self.trajectories], axis=1)
-        return np.max(np.abs(phis), axis=(1, 2))
+        """|phi| over (node, time, variation) collapsed to (time,) maxima."""
+        return np.max(np.abs(self.trajectories.phis), axis=(0, 2))
 
     def write_csv(self, path):
         n = self.surf.n
@@ -478,11 +477,12 @@ class ShiftRun:
         cols = ([f"y{i+1}" for i in range(m)] + ["t"]
                 + [f"x{i+1}" for i in range(n)] + [f"p{i+1}" for i in range(n)]
                 + [f"phi_{j+1}" for j in range(m)])
-        table = np.concatenate([
-            np.column_stack([np.broadcast_to(y, (len(tr.t), m)), tr.t, tr.x, tr.p, tr.phis])
-            for y, tr in zip(self.ys, self.trajectories)])
-        np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(cols),
-                   comments="")
+        tr = self.trajectories      # x: (nodes, records, n)
+        table = np.concatenate([np.broadcast_to(self.ys[:, None], (*tr.x.shape[:-1], m)),
+                                np.broadcast_to(tr.t[:, None], (*tr.x.shape[:-1], 1)),
+                                tr.x, tr.p, tr.phis], axis=-1)
+        np.savetxt(path, table.reshape(-1, len(cols)), fmt="%.17g", delimiter=",",
+                   header=",".join(cols), comments="")
 
 
 def simulate_shift(sys, conn, surf, nu_source, cfg, grid=None):
@@ -518,11 +518,9 @@ def simulate_shift(sys, conn, surf, nu_source, cfg, grid=None):
     dnu = (pfaff_rhs(sys, conn, surf, ys, nus, geometry) if solved
            else np.zeros((len(ys), surf.m)))
     dps = dnu[:, :, None] * normal[:, None, :] + nus[:, None, None] * dn_dy
-    p = nus[:, None] * normal
-    states = [ExtendedState(0.0, PhasePoint(x[b], p[b]), taus[b], dps[b])
-              for b in range(len(ys))]
-    trajectories = integrate_family(sys, conn, states, cfg)
-    return ShiftRun(surf=surf, ys=ys, nus=nus, trajectories=trajectories)
+    state = ExtendedState(0.0, PhasePoint(x, nus[:, None] * normal), taus, dps)
+    return ShiftRun(surf=surf, ys=ys, nus=nus,
+                    trajectories=integrate_family(sys, conn, state, cfg))
 
 
 @dataclass

@@ -257,19 +257,16 @@ def test_11_flat_family_hamiltonian_equivalence():
     zc = ZeroConnection(n)
     cfg = IntegratorConfig(t_end=1.0, step=1e-3)
     rng = np.random.default_rng(42)
-    sa, sb = [], []
-    for _ in range(10):
-        x0 = rng.uniform(-0.3, 0.3, n)
-        p0 = rng.normal(size=n)
-        p0 *= rng.uniform(0.6, 1.2) / np.linalg.norm(p0)
-        sa.append(ExtendedState(0, PhasePoint(x0, p0)))
-        sb.append(ExtendedState(0, PhasePoint(x0, p0 / float(p0 @ p0))))
-    worst = 0.0
-    for ta, tb in zip(integrate_family(flat, zc, sa, cfg),
-                      integrate_family(twin, zc, sb, cfg)):
-        worst = max(worst, float(np.max(np.abs(ta.x - tb.x))))
-        v_twin = tb.p / np.einsum("ti,ti->t", tb.p, tb.p)[:, None]
-        worst = max(worst, float(np.max(np.abs(ta.p - v_twin))))
+    x0, p0, inverted = np.empty((3, 10, n))
+    for b in range(10):
+        x0[b] = rng.uniform(-0.3, 0.3, n)
+        p0[b] = rng.normal(size=n)
+        p0[b] *= rng.uniform(0.6, 1.2) / np.linalg.norm(p0[b])
+        inverted[b] = p0[b] / float(p0[b] @ p0[b])
+    ta = integrate_family(flat, zc, ExtendedState(0, PhasePoint(x0, p0)), cfg)
+    tb = integrate_family(twin, zc, ExtendedState(0, PhasePoint(x0, inverted)), cfg)
+    v_twin = tb.p / np.einsum("...i,...i->...", tb.p, tb.p)[..., None]
+    worst = max(float(np.max(np.abs(ta.x - tb.x))), float(np.max(np.abs(ta.p - v_twin))))
     verdict(11, "flat family (h=0) equals rescaled Hamiltonian flow",
             worst <= 1e-6, f"max trajectory gap {worst:.2e} <= 1e-6 over 10 runs")
 
@@ -279,18 +276,19 @@ def test_12_deviation_ode():
     conn = canonical_connection(sysm)
     cfg = IntegratorConfig(t_end=1.0, step=1e-3)
     rng = np.random.default_rng(42)
-    states = []
-    for _ in range(10):
-        x0 = rng.uniform(-0.5, 0.5, 2)
-        p0 = rng.normal(size=2)
-        p0 *= rng.uniform(0.5, 1.5) / np.linalg.norm(p0)
-        states.append(ExtendedState(0, PhasePoint(x0, p0),
-                                    rng.uniform(-1, 1, (2, 2)),
-                                    rng.uniform(-1, 1, (2, 2))))
+    x0, p0 = np.empty((2, 10, 2))
+    taus, dps = np.empty((2, 10, 2, 2))
+    for b in range(10):
+        x0[b] = rng.uniform(-0.5, 0.5, 2)
+        p0[b] = rng.normal(size=2)
+        p0[b] *= rng.uniform(0.5, 1.5) / np.linalg.norm(p0[b])
+        taus[b] = rng.uniform(-1, 1, (2, 2))
+        dps[b] = rng.uniform(-1, 1, (2, 2))
+    state = ExtendedState(0, PhasePoint(x0, p0), taus, dps)
     h = cfg.step
     worst_gap, max_pdd = 0.0, 0.0
     checks = []
-    for tr in integrate_family(sysm, conn, states, cfg):
+    for tr in integrate_family(sysm, conn, state, cfg):
         phis = tr.phis
         for k in range(100, 901, 40):
             pdd = (-phis[k - 2] + 16 * phis[k - 1] - 30 * phis[k]

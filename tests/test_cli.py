@@ -200,11 +200,10 @@ class TestExitCodes:
         assert code == 2
         assert "grid needs at least one node per surface parameter" in out
 
-    @pytest.mark.parametrize("grid", ["5,1", "1,5", "1,1"])
-    def test_two_parameter_grid_without_a_cell_is_exit_2(self, grid, tmp_path, configs,
-                                                           capsys):
-        # the incompatible control FAILs on a 5 x 5 grid; without a cell it
-        # must not PASS on a two-path residual of 0
+    @pytest.fixture()
+    def bad3_sphere(self, tmp_path):
+        """(system, surface) paths: bad3, which does not admit the shift, and
+        the acceptance sphere patch."""
         bad3 = tmp_path / "bad3.json"
         bad3.write_text(json.dumps({"n": 3, "kind": "explicit", "V": ["p1", "p2", "p3"],
                                     "Theta": ["p2^2", "0", "0"]}))
@@ -212,11 +211,34 @@ class TestExitCodes:
         sphere.write_text(json.dumps({
             "params": 2, "embedding": ["sin(y1)*cos(y2)", "sin(y1)*sin(y2)", "cos(y1)"],
             "domain": [[0.3, 1.2], [-0.6, 0.6]]}))
-        code, out = run(["solve-nu", "--system", str(bad3), "--surface", str(sphere),
+        return str(bad3), str(sphere)
+
+    @pytest.mark.parametrize("grid", ["5,1", "1,5", "1,1"])
+    def test_two_parameter_grid_without_a_cell_is_exit_2(self, grid, bad3_sphere, configs,
+                                                           capsys):
+        # the incompatible control FAILs on a 5 x 5 grid; without a cell it
+        # must not PASS on a two-path residual of 0
+        bad3, sphere = bad3_sphere
+        code, out = run(["solve-nu", "--system", bad3, "--surface", sphere,
                          "--grid", grid, "--out-dir", configs["out"]], capsys)
         assert code == 2
         assert "at least 2 grid nodes per axis" in out
         assert "RESULT" not in out
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: solve-nu decides on the two-path cell "
+                              "residual, which shrinks with the cell area when the "
+                              "system does not admit the shift, so a finer grid PASSes")
+    def test_incompatible_system_fails_on_every_grid(self, bad3_sphere, configs, capsys):
+        # the two-path residual of bad3 reads 6.5e-3 on 9 x 9 and 1.7e-3 on 17 x 17,
+        # while its pointwise compatibility defect stays near 0.44 on both
+        bad3, sphere = bad3_sphere
+        codes = {}
+        for grid in ("9,9", "17,17"):
+            codes[grid], _ = run(["solve-nu", "--system", bad3, "--surface", sphere,
+                                  "--grid", grid, "--y0", "0.75,0", "--tol", "5e-3",
+                                  "--out-dir", configs["out"]], capsys)
+        assert codes == {"9,9": 1, "17,17": 1}
 
     def test_zero_t_end_is_exit_2(self, configs, capsys):
         code, out = run(["simulate-shift", "--system", configs["geo"],

@@ -284,16 +284,16 @@ class TestEuclideanBuilder:
         zc = ZeroConnection(n)
         cfg = IntegratorConfig(t_end=1.0, step=2e-3)
         rng = np.random.default_rng(9)
-        sa, sb = [], []
-        for _ in range(4):
-            x0 = rng.uniform(-0.3, 0.3, n)
-            p0 = rng.normal(size=n)
-            p0 *= rng.uniform(0.6, 1.2) / np.linalg.norm(p0)
-            sa.append(ExtendedState(0, PhasePoint(x0, p0)))
-            sb.append(ExtendedState(0, PhasePoint(x0, p0 / float(p0 @ p0))))
-        for ta, tb in zip(integrate_family(flat, zc, sa, cfg),
-                          integrate_family(twin, zc, sb, cfg)):
-            assert np.max(np.abs(ta.x - tb.x)) < 1e-6
+        x0, p0, inverted = np.empty((3, 4, n))
+        for b in range(4):
+            x0[b] = rng.uniform(-0.3, 0.3, n)
+            p0[b] = rng.normal(size=n)
+            p0[b] *= rng.uniform(0.6, 1.2) / np.linalg.norm(p0[b])
+            inverted[b] = p0[b] / float(p0[b] @ p0[b])
+        ta = integrate_family(flat, zc, ExtendedState(0, PhasePoint(x0, p0)), cfg)
+        tb = integrate_family(twin, zc, ExtendedState(0, PhasePoint(x0, inverted)), cfg)
+        assert ta.x.shape == (4, cfg.steps + 1, n)
+        assert np.max(np.abs(ta.x - tb.x)) < 1e-6
 
 
 class TestPhiPullback:
