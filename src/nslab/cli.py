@@ -125,10 +125,7 @@ def cmd_solve_nu(args):
     result = solve_nu(sys, conn, surf, y0, args.nu0, grid)
     out = _outdir(args)
     path = out / "nu_grid.csv"
-    with open(path, "w") as fh:
-        fh.write(",".join([f"y{i+1}" for i in range(surf.m)] + ["nu"]) + "\n")
-        for _, y, value in result.nodes():
-            fh.write(",".join(_fmt(v) for v in (*y, value)) + "\n")
+    result.write_csv(path)
     print(f"solved nu on grid {grid}, base value {_fmt(args.nu0)}")
     print(f"wrote {path}")
     return _result("solve-nu", result.residual <= args.tol, result.residual)

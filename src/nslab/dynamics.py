@@ -72,14 +72,15 @@ class ExtendedState:
 
     taus and dps are (..., m, n), q's batch axes first: taus[..., i, :] =
     dx/dy^i and dps[..., i, :] = dp/dy^i, all at the one start time t.
+    The default () carries no variations; any other shape raises
+    ValueError.
     """
 
     def __init__(self, t, q, taus=(), dps=()):
         self.t = float(t)
         self.q = q
-        shape = (*q.x.shape[:-1], -1, q.n)
-        self.taus = np.asarray(taus, dtype=float).reshape(shape)
-        self.dps = np.asarray(dps, dtype=float).reshape(shape)
+        self.taus = _variations(taus, q)
+        self.dps = _variations(dps, q)
         if self.taus.shape != self.dps.shape:
             raise ValueError("taus and dps must pair up")
         if not (np.all(np.isfinite(self.taus)) and np.all(np.isfinite(self.dps))):
@@ -88,6 +89,18 @@ class ExtendedState:
     @property
     def m(self):
         return self.taus.shape[-2]
+
+
+def _variations(a, q):
+    """a as (..., m, n) with q's batch axes, m = 0 for an empty sequence."""
+    a = np.asarray(a, dtype=float)
+    batch = q.x.shape[:-1]
+    if a.shape == (0,):
+        return a.reshape(batch + (0, q.n))
+    if a.ndim != len(batch) + 2 or a.shape[:-2] != batch or a.shape[-1] != q.n:
+        raise ValueError(f"variations of shape {a.shape} do not match the phase "
+                         f"point's batch {batch} + (m, {q.n})")
+    return a
 
 
 def deviation(state):

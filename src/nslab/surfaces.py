@@ -144,20 +144,35 @@ def _geometry_table(surf, ys):
     return table
 
 
-def _surface_calc(sys, conn, geometry, nu, depth):
-    """(calc, dn) at surface points with momentum p = nu * n.
+def _surface_points(sys, conn, surf, y, nu, depth, read, geometry=None):
+    """The arrays read(calc, dn, geometry, nu) returns, over all surface points.
 
-    geometry is (x, taus, normal, dn_dy) at the points, as
-    `Hypersurface.geometry` gives it; its batch axes and nu's lead (a
-    scalar nu broadcasts).  calc is the PointCalculus at those points and
-    dn[..., i, s] the covariant derivative of the normal covector along
-    tau_i.
+    y[..., i] and nu broadcast over leading batch axes.  The points are
+    flattened into `point_chunks`, one depth-`depth` PointCalculus each at
+    momentum p = nu * n.  read gets that calc, dn[b, i, s], the covariant
+    derivative of the normal covector along tau_i, the chunk's rows of
+    (x, taus, normal, dn_dy) and its nu; it returns a tuple of arrays with
+    one row per point, and each comes back with the batch axes in front.
+    A given geometry is `surf.geometry(y)`, and y then carries every
+    batch axis; otherwise it is tabulated here.
     """
-    x, taus, normal, dn_dy = geometry
+    _require_same_space(sys, surf)
+    y = np.asarray(y, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    calc = PointCalculus(sys, conn, PhasePoint(x, nu[..., None] * normal), depth=depth)
-    dn = dn_dy - np.einsum("...ksr,...k,...ir->...is", calc.gamma, normal, taus)
-    return calc, dn
+    batch = np.broadcast_shapes(y.shape[:-1], nu.shape)
+    ys = np.broadcast_to(y, batch + (surf.m,)).reshape(-1, surf.m)
+    nus = np.broadcast_to(nu, batch).reshape(-1)
+    if geometry is None:
+        geometry = _geometry_table(surf, ys)
+    else:
+        geometry = [g.reshape((len(ys),) + g.shape[len(batch):]) for g in geometry]
+    parts = []
+    for c in point_chunks(len(nus)):
+        x, taus, normal, dn_dy = rows = [g[c] for g in geometry]
+        calc = PointCalculus(sys, conn, PhasePoint(x, nus[c, None] * normal), depth=depth)
+        dn = dn_dy - np.einsum("...ksr,...k,...ir->...is", calc.gamma, normal, taus)
+        parts.append(read(calc, dn, rows, nus[c]))
+    return [np.concatenate(p).reshape(batch + p[0].shape[1:]) for p in zip(*parts)]
 
 
 def surface_frame(sys, conn, surf, y, nu):
@@ -165,14 +180,18 @@ def surface_frame(sys, conn, surf, y, nu):
 
     The momentum entering the connection and the projector is p = nu * n.
     b is assembled from the projected dn map; its symmetry is a theorem,
-    not an input, and is asserted only by the tests.
+    not an input, and is asserted only by the tests.  y[..., i] and nu
+    broadcast over leading batch axes; the points are evaluated at most
+    16 per PointCalculus.
     """
     if np.any(np.asarray(nu) == 0):
         raise ValueError("nu must be nonzero")
-    _require_same_space(sys, surf)
-    x, taus, normal, dn_dy = geometry = surf.geometry(y)
-    calc, dn = _surface_calc(sys, conn, geometry, nu, 0)
-    b = -np.einsum("...ir,...qr,...jq->...ij", taus, calc.P, dn)
+
+    def read(calc, dn, geometry, nu):
+        x, taus, normal, _ = geometry
+        return x, taus, normal, dn, -np.einsum("...ir,...qr,...jq->...ij", taus, calc.P, dn)
+
+    x, taus, normal, dn, b = _surface_points(sys, conn, surf, y, nu, 0, read)
     return SurfaceFrame(y=np.asarray(y, float), x=x, taus=taus, normal=normal, dn=dn, b=b)
 
 
@@ -188,29 +207,16 @@ def pfaff_rhs(sys, conn, surf, y, nu, geometry=None):
     `surf.geometry(y)` passes it as geometry, and y then carries every
     batch axis; otherwise it is evaluated here.
     """
-    _require_same_space(sys, surf)
-    y = np.asarray(y, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    batch = np.broadcast_shapes(y.shape[:-1], nu.shape)
-    ys = np.broadcast_to(y, batch + (surf.m,)).reshape(-1, surf.m)
-    nus = np.broadcast_to(nu, batch).reshape(-1)
-    if geometry is None:
-        geometry = _geometry_table(surf, ys)
-    else:
-        geometry = [g.reshape((len(ys),) + g.shape[len(batch):]) for g in geometry]
-    psi = [_pfaff_points(sys, conn, [g[c] for g in geometry], nus[c])
-           for c in point_chunks(len(nus))]
-    return np.concatenate(psi).reshape(batch + (surf.m,))
 
+    def read(calc, dn, geometry, nu):
+        taus = geometry[1]
+        omega = calc.Omega[:, None, None]
+        nu = nu[:, None, None]
+        return (np.matmul(-(nu * nu / omega) * dn, calc.W[:, :, None])[:, :, 0]
+                - np.matmul((nu / omega) * taus, calc.U[:, :, None])[:, :, 0],)
 
-def _pfaff_points(sys, conn, geometry, nu):
-    """pfaff_rhs on a batch of points with speeds nu[b] in one PointCalculus."""
-    calc, dn = _surface_calc(sys, conn, geometry, nu, 0)
-    taus = geometry[1]
-    omega = calc.Omega[:, None, None]
-    nu = nu[:, None, None]
-    return (np.matmul(-(nu * nu / omega) * dn, calc.W[:, :, None])[:, :, 0]
-            - np.matmul((nu / omega) * taus, calc.U[:, :, None])[:, :, 0])
+    psi, = _surface_points(sys, conn, surf, y, nu, 0, read, geometry)
+    return psi
 
 
 # ----------------------------------------------------------------------
@@ -225,15 +231,16 @@ class NuGrid:
     nu0: float
     residual: float
 
-    def nodes(self):
-        ys = _grid_nodes(self.axes)
-        for idx in np.ndindex(self.values.shape):
-            yield idx, ys[idx], float(self.values[idx])
+    def write_csv(self, path):
+        """One row per node, y1..ym then nu, in the C order of the grid index."""
+        table = np.column_stack([_grid_nodes(self.axes), self.values.reshape(-1)])
+        np.savetxt(path, table, fmt="%.17g", delimiter=",", comments="",
+                   header=",".join([f"y{i+1}" for i in range(len(self.axes))] + ["nu"]))
 
 
 def _grid_nodes(axes):
-    """The nodes of the grid on `axes`, ys[idx] = (axes[0][idx[0]], ...)."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), -1)
+    """The (N, m) nodes of the grid on `axes`, in the C order of the grid index."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes))
 
 
 def _stage_params(substeps):
@@ -316,56 +323,37 @@ def _edge_rk4(sys, conn, surf, y_from, y_to, nu, substeps, table, rows):
     return v
 
 
-def _ray(idx, d, direction, size):
-    """Grid indices after idx along axis d in one direction, up to the edge."""
-    out = []
-    cur = list(idx)
-    while 0 <= cur[d] + direction < size:
-        cur[d] += direction
-        out.append(tuple(cur))
-    return out
-
-
 def _edge_schedule(shape, base):
-    """The edge batches of a solve, (starts, ends) grid indices each, in order.
+    """The edge batches of a solve, (starts, ends) flat node indices each, in order.
 
-    They depend only on the grid: pass d moves every chain leaving the
-    filled slab one edge at a time, so after pass d the slab spanned by
-    axes 0..d is filled from base.  Then, if the grid has cells, come two
-    batches over (start, corner, far) of both paths of every cell, path a
-    then path b: the first edges, start to corner, and the second, corner
-    to far.  Returns the sweep's batches and the cells' (none without a
-    cell).
+    They depend only on the grid: pass d runs along every axis-d line of
+    the slab that passes 0..d-1 have filled (axes d+1.. at base), one
+    edge outward from base in both directions per batch, so after pass d
+    the slab spanned by axes 0..d is filled.  Then, if the grid has
+    cells, come two batches over (start, corner, far) of both paths of
+    every cell, path a then path b: the first edges, start to corner, and
+    the second, corner to far.  Returns the sweep's batches and the
+    cells' (none without a cell).
     """
-    m = len(shape)
+    index = np.arange(int(np.prod(shape))).reshape(shape)
+    strides = [s // index.itemsize for s in index.strides]
     sweeps = []
-    filled = [base]
-    for d in range(m):
-        chains, new_filled = [], []
-        for idx in filled:
-            rays = [_ray(idx, d, direction, shape[d]) for direction in (1, -1)]
-            chains += [[idx] + ray for ray in rays]
-            new_filled += [idx] + rays[0] + rays[1]
-        for k in range(1, max(len(c) for c in chains)):
-            live = [c for c in chains if len(c) > k]
-            sweeps.append(([c[k - 1] for c in live], [c[k] for c in live]))
-        filled = new_filled
-    paths = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            for idx in np.ndindex(shape):
-                if idx[a] + 1 >= shape[a] or idx[b] + 1 >= shape[b]:
-                    continue
-                far = list(idx)
-                far[a] += 1
-                far[b] += 1
-                for axis in (a, b):
-                    corner = list(idx)
-                    corner[axis] += 1
-                    paths.append((idx, tuple(corner), tuple(far)))
+    for d, size in enumerate(shape):
+        lines = index[(slice(None),) * (d + 1) + base[d + 1:]].reshape(-1, size)
+        b0 = base[d]
+        for k in range(1, max(size - b0, b0 + 1)):
+            ends = [j for j in (b0 + k, b0 - k) if 0 <= j < size]
+            starts = [j - 1 if j > b0 else j + 1 for j in ends]
+            sweeps.append((lines[:, starts].reshape(-1), lines[:, ends].reshape(-1)))
+    paths = []     # (cell, path, (start, corner, far))
+    for a, b in itertools.combinations(range(len(shape)), 2):
+        start = index[tuple(slice(-1) if d in (a, b) else slice(None)
+                            for d in range(len(shape)))]
+        sa, sb = strides[a], strides[b]
+        paths.append(start.reshape(-1, 1, 1) + np.array([[0, sa, sa + sb], [0, sb, sa + sb]]))
     if not paths:
         return sweeps, []
-    starts, corners, fars = zip(*paths)
+    starts, corners, fars = np.concatenate(paths).reshape(-1, 3).T
     return sweeps, [(starts, corners), (corners, fars)]
 
 
@@ -383,10 +371,11 @@ def solve_nu(sys, conn, surf, y0, nu0, grid, substeps=4):
     least 2 nodes on every axis (ConfigError otherwise), so that its
     residual is read from at least one cell.
 
-    Independent edges advance in lockstep: pass d moves every chain
-    leaving the filled slab one edge at a time, and the cells take two
-    edge batches, the first and the second edges of both paths of every
-    cell.  These batches depend only on the grid, so the surface
+    Independent edges advance in lockstep: pass d moves along every
+    axis-d line of the filled slab one edge outward from base in both
+    directions at a time, and the cells take two edge batches, the first
+    and the second edges of both paths of every cell, all as flat node
+    indices.  These batches depend only on the grid, so the surface
     geometry at every RK4 stage point of every edge is tabulated once,
     before any edge is integrated, and the stages evaluate only the
     system and the connection.  A point of the schedule where the
@@ -405,24 +394,22 @@ def solve_nu(sys, conn, surf, y0, nu0, grid, substeps=4):
     shape = tuple(len(ax) for ax in axes)
     values = np.full(shape, np.nan)
     values[base] = nu0
+    flat = values.reshape(-1)
     ys = _grid_nodes(axes)
 
-    def ix(idxs):
-        return tuple(np.array(idxs).T)
-
     sweeps, cells = _edge_schedule(shape, base)
-    segments = [(ys[ix(starts)], ys[ix(ends)]) for starts, ends in sweeps + cells]
+    segments = [(ys[starts], ys[ends]) for starts, ends in sweeps + cells]
     table, rows = _stage_geometry(surf, segments, substeps)
 
     def edges(k, nu):
         return _edge_rk4(sys, conn, surf, *segments[k], nu, substeps, table, rows[k])
 
     for k, (starts, ends) in enumerate(sweeps):
-        values[ix(ends)] = edges(k, values[ix(starts)])
+        flat[ends] = edges(k, flat[starts])
     residual = 0.0
     if cells:
         k = len(sweeps)
-        ends = edges(k + 1, edges(k, values[ix(cells[0][0])]))
+        ends = edges(k + 1, edges(k, flat[cells[0][0]]))
         residual = float(np.max(np.abs(ends[0::2] - ends[1::2])))
     return NuGrid(axes=axes, values=values, base_index=base, nu0=nu0,
                   residual=residual)
@@ -433,23 +420,25 @@ def compatibility_residual(sys, conn, surf, y, nu):
 
     Assembled from the A/B/C tensors and the projected dn map; vanishes
     identically when the additional normality equations hold.  The output
-    is exactly antisymmetric by construction.  y[..., i] and nu share
-    leading batch axes (a scalar nu broadcasts), and all points are
-    evaluated in one PointCalculus.
+    is exactly antisymmetric by construction.  y[..., i] and nu broadcast
+    over leading batch axes, and the points are evaluated at most 16 per
+    PointCalculus.
     """
-    _require_same_space(sys, surf)
-    geometry = surf.geometry(y)
-    calc, dn = _surface_calc(sys, conn, geometry, nu, 1)
-    taus = geometry[1]
-    pdn = np.einsum("...qr,...iq->...ir", calc.P, dn)
-    omega = calc.Omega[..., None, None]
-    nu = np.asarray(nu, dtype=float)[..., None, None]
-    xa = np.einsum("...rs,...ir,...js->...ij", calc.A_tensor, pdn, pdn)
-    xb = np.einsum("...rs,...ir,...js->...ij", calc.B_tensor, pdn, taus)
-    xc = np.einsum("...rs,...ir,...js->...ij", calc.C_tensor, taus, taus)
-    return (nu ** 3 / omega * (xa - np.swapaxes(xa, -2, -1))
-            + nu ** 2 / omega * (xb - np.swapaxes(xb, -2, -1))
-            + nu / omega * (xc - np.swapaxes(xc, -2, -1)))
+
+    def read(calc, dn, geometry, nu):
+        taus = geometry[1]
+        pdn = np.einsum("...qr,...iq->...ir", calc.P, dn)
+        omega = calc.Omega[..., None, None]
+        nu = nu[..., None, None]
+        xa = np.einsum("...rs,...ir,...js->...ij", calc.A_tensor, pdn, pdn)
+        xb = np.einsum("...rs,...ir,...js->...ij", calc.B_tensor, pdn, taus)
+        xc = np.einsum("...rs,...ir,...js->...ij", calc.C_tensor, taus, taus)
+        return (nu ** 3 / omega * (xa - np.swapaxes(xa, -2, -1))
+                + nu ** 2 / omega * (xb - np.swapaxes(xb, -2, -1))
+                + nu / omega * (xc - np.swapaxes(xc, -2, -1)),)
+
+    defect, = _surface_points(sys, conn, surf, y, nu, 1, read)
+    return defect
 
 
 # ----------------------------------------------------------------------
@@ -459,7 +448,7 @@ def compatibility_residual(sys, conn, surf, y, nu):
 @dataclass
 class ShiftRun:
     surf: Hypersurface
-    ys: np.ndarray          # (N, m): the launch nodes, in `NuGrid.nodes` order
+    ys: np.ndarray          # (N, m): the launch nodes, in the grid index's C order
     nus: np.ndarray
     trajectories: Trajectory    # batched over the N nodes
 
@@ -509,7 +498,7 @@ def simulate_shift(sys, conn, surf, nu_source, cfg, grid=None):
             raise ValueError("a grid spec is required with a constant nu")
         axes = surf.grid_axes(grid)
         values = np.full([len(ax) for ax in axes], nu0)
-    ys = _grid_nodes(axes).reshape(-1, surf.m)
+    ys = _grid_nodes(axes)
     nus = values.flatten()
     low = np.abs(nus) < NU_FLOOR
     if np.any(low):

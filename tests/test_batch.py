@@ -23,6 +23,7 @@ from nslab import (
     residual_at,
     residual_from_calc,
     solve_nu,
+    surface_frame,
 )
 from nslab.engine import PointCalculus
 from nslab import surfaces
@@ -249,7 +250,8 @@ class TestBatchedPfaff:
         ys = np.stack([rng.uniform(0.3, 1.2, (2, 3)), rng.uniform(-0.6, 0.6, (2, 3))], -1)
         nus = rng.uniform(0.5, 2.0, (2, 3))
         batched = compatibility_residual(sys_bad3, conn_bad3, SPHERE, ys, nus)
-        assert widths == [(2, 3)]
+        # the (2, 3) batch is flattened into one chunk of 6 points
+        assert widths == [(6,)]
         assert batched.shape == (2, 3, 2, 2)
         assert np.array_equal(batched, -np.swapaxes(batched, -2, -1))
         _assert_stacked(batched, [compatibility_residual(sys_bad3, conn_bad3, SPHERE, y, nu)
@@ -258,6 +260,25 @@ class TestBatchedPfaff:
         common = compatibility_residual(sys_bad3, conn_bad3, SPHERE, ys[0], 1.5)
         _assert_stacked(common, [compatibility_residual(sys_bad3, conn_bad3, SPHERE, y, 1.5)
                                  for y in ys[0]])
+
+    def test_40_points_in_bounded_calcs(self, sys_bad3, conn_bad3, widths):
+        # compatibility_residual and surface_frame take the chunks of pfaff_rhs,
+        # and each row equals its own call bit for bit
+        rng = np.random.default_rng(10)
+        ys = np.stack([rng.uniform(0.3, 1.2, 40), rng.uniform(-0.6, 0.6, 40)], -1)
+        nus = rng.uniform(0.5, 2.0, 40)
+        defect = compatibility_residual(sys_bad3, conn_bad3, SPHERE, ys, nus)
+        assert widths == [(16,), (16,), (8,)]
+        widths.clear()
+        frame = surface_frame(sys_bad3, conn_bad3, SPHERE, ys, nus)
+        assert widths == [(16,), (16,), (8,)]
+        assert defect.shape == (40, 2, 2) and frame.b.shape == (40, 2, 2)
+        for k in range(40):
+            alone = compatibility_residual(sys_bad3, conn_bad3, SPHERE, ys[k], nus[k])
+            assert np.array_equal(defect[k], alone)
+            one = surface_frame(sys_bad3, conn_bad3, SPHERE, ys[k], nus[k])
+            for name in ("x", "taus", "normal", "dn", "b"):
+                assert np.array_equal(getattr(frame, name)[k], getattr(one, name)), name
 
 
 def _scalar_solve(sys, conn, surf, y0, nu0, grid, substeps):
@@ -319,13 +340,25 @@ def _scalar_solve(sys, conn, surf, y0, nu0, grid, substeps):
     return values, residual
 
 
+# a graph over three surface parameters in four coordinates
+PARABOLOID = Hypersurface(4, ["y1", "y2", "y3", "1 + (y1^2 + y2^2 + y3^2)/4"],
+                          [[-0.3, 0.3], [-0.2, 0.4], [0.1, 0.5]])
+GEOX4 = build_modified_hamiltonian("(p1^2 + p2^2 + 2*p3^2 + p4^2)/2 + x1*x2/2", 4)
+BAD4 = ExplicitSystem(4, ["p1", "p2", "p3", "p4"], ["p2^2", "0", "0", "0"])
+
+
 class TestLockstepSolver:
-    @pytest.mark.parametrize("which", ["geox3", "bad3"])
+    @pytest.mark.parametrize("which", ["geox3", "bad3", "geox4", "bad4"])
     def test_matches_sequential_solver(self, which, sys_geox3, conn_geox3,
                                        sys_bad3, conn_bad3):
-        sysm, conn = (sys_geox3, conn_geox3) if which == "geox3" else (sys_bad3, conn_bad3)
-        grid = solve_nu(sysm, conn, SPHERE, [0.75, 0.0], 1.1, [4, 3], substeps=2)
-        values, residual = _scalar_solve(sysm, conn, SPHERE, [0.75, 0.0], 1.1, [4, 3], 2)
+        # two parameters on the sphere, then three on the paraboloid from a corner
+        sysm, conn = {"geox3": (sys_geox3, conn_geox3), "bad3": (sys_bad3, conn_bad3),
+                      "geox4": (GEOX4, canonical_connection(GEOX4)),
+                      "bad4": (BAD4, canonical_connection(BAD4))}[which]
+        surf, y0, shape = ((SPHERE, [0.75, 0.0], [4, 3]) if which.endswith("3")
+                           else (PARABOLOID, [-0.3, 0.4, 0.2], [2, 3, 4]))
+        grid = solve_nu(sysm, conn, surf, y0, 1.1, shape, substeps=2)
+        values, residual = _scalar_solve(sysm, conn, surf, y0, 1.1, shape, 2)
         # the tabulated stage geometry is read at the same floats as the
         # sequential solver's points, so the results are the same bits
         assert np.array_equal(grid.values, values)

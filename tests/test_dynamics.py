@@ -76,6 +76,20 @@ class TestDeviation:
         assert deviation(state)[0] == expected
 
 
+class TestExtendedState:
+    def test_variations_lead_with_the_batch(self):
+        batch = q(np.zeros((3, 2)), np.ones((3, 2)))
+        assert ExtendedState(0, batch).taus.shape == (3, 0, 2)
+        assert ExtendedState(0, batch, np.zeros((3, 2, 2)), np.zeros((3, 2, 2))).m == 2
+        # variation-first, a missing variation axis, and a flat layout
+        for shape in [(2, 3, 2), (4, 3), (6,)]:
+            with pytest.raises(ValueError, match="do not match"):
+                ExtendedState(0, batch, np.zeros(shape), np.zeros(shape))
+        with pytest.raises(ValueError, match="do not match"):
+            ExtendedState(0, q([0, 0], [1, 0]), np.arange(6.0), np.zeros(6))
+        assert ExtendedState(0, q([0, 0], [1, 0]), [[0, 1]], [[1, 0]]).m == 1
+
+
 class TestVariationalRhs:
     def test_identity_decouples(self, sys_id2, zero2):
         state = ExtendedState(0, q([0, 0], [1, 0]), [[0.3, 0.4]], [[0.7, -0.2]])

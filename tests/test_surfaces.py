@@ -262,11 +262,17 @@ class TestSimulateShift:
                                  grid=[3, 3])
             assert verify_orthogonality(run, 1e-6).verdict == verdict
 
-    def test_solved_grid_source(self, sys_geo3, conn_geo3, sphere):
+    def test_solved_grid_source(self, sys_geo3, conn_geo3, sphere, tmp_path):
         cfg = IntegratorConfig(t_end=0.3, step=2e-3)
         grid = solve_nu(sys_geo3, conn_geo3, sphere, [0.75, 0.0], 1.0, [3, 3])
         run = simulate_shift(sys_geo3, conn_geo3, sphere, grid, cfg)
         assert verify_orthogonality(run, 1e-6).verdict == "NORMAL"
+        # the nu grid's CSV rows are the launch nodes and speeds, in launch order
+        grid.write_csv(tmp_path / "nu_grid.csv")
+        lines = (tmp_path / "nu_grid.csv").read_text().splitlines()
+        assert lines[0] == "y1,y2,nu"
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(table, np.column_stack([run.ys, run.nus]))
 
     def test_nu_scaling_invariance(self, sys_geox2, conn_geox2):
         # (nu0, n) -> (nu0/c, c n) must leave p(0), trajectories and phi alone
@@ -314,7 +320,7 @@ class TestSimulateShift:
         assert len(lines) == 1 + 3 * 2
 
     def test_csv_values_parse_back(self, sys_geox3, conn_geox3, sphere, tmp_path):
-        # one row per node and recorded time, nodes in NuGrid.nodes order
+        # one row per node and recorded time, nodes in the grid index's C order
         cfg = IntegratorConfig(t_end=0.05, step=1e-2)
         run = simulate_shift(sys_geox3, conn_geox3, sphere, 1.1, cfg, grid=[3, 2])
         path = tmp_path / "shift.csv"
@@ -382,7 +388,7 @@ class TestShiftEvaluations:
                         substeps=1)
         cfg = IntegratorConfig(t_end=0.01, step=1e-2)
         run = simulate_shift(sys_geox3, conn_geox3, sphere, grid, cfg)
-        for (_, y, nu), tr in zip(grid.nodes(), run.trajectories):
+        for y, nu, tr in zip(run.ys, grid.values.reshape(-1), run.trajectories):
             x, taus, normal, dn_dy = sphere.geometry(y)
             dnu = pfaff_rhs(sys_geox3, conn_geox3, sphere, y, nu)
             want = (x, nu * normal, taus, dnu[:, None] * normal[None, :] + nu * dn_dy)
@@ -394,7 +400,7 @@ class TestShiftEvaluations:
         grid = solve_nu(sys_geox2, conn_geox2, circle, [0.0], 1.5, [5])
         grid.values[3] = 1e-13
         cfg = IntegratorConfig(t_end=0.01, step=1e-2)
-        y = repr(next(y for idx, y, _ in grid.nodes() if idx == (3,)))
+        y = repr(grid.axes[0][3:4])
         with pytest.raises(NuVanished, match=re.escape(f"grid node y={y}")):
             simulate_shift(sys_geox2, conn_geox2, circle, grid, cfg)
 
