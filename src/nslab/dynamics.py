@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PointCalculus, chunked, point_chunks
+from .engine import PointCalculus, chunked, point_chunks, points_per_calc
 from .errors import NonFiniteState, NslabError
 from .systems import PhasePoint
 
@@ -216,7 +216,8 @@ class Trajectory:
                 + [f"tau{j+1}_{i+1}" for j in range(m) for i in range(n)]
                 + [f"xi{j+1}_{i+1}" for j in range(m) for i in range(n)]
                 + [f"phi_{j+1}" for j in range(m)])
-        xis = np.concatenate([self.xis(c) for c in point_chunks(len(self.t))])
+        size = points_per_calc(self.sys, self.conn, 0)
+        xis = np.concatenate([self.xis(c) for c in point_chunks(len(self.t), size)])
         table = np.column_stack([self.t, self.x, self.p, self.taus.reshape(len(self.t), -1),
                                  xis.reshape(len(self.t), -1), self.phis])
         np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(cols),

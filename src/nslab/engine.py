@@ -30,6 +30,7 @@ the batch.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -47,8 +48,16 @@ from .systems import OMEGA_RATIO, SINGULAR_RATIO, PhasePoint
 # calc per point.
 MAX_POINTS = 16
 
+# Matrix-series coefficients per calc: a calc holds the most points, at
+# most MAX_POINTS, whose n x n series at its V trust fit this budget (see
+# `points_per_calc`).  With the canonical connection (V trust 4 at depth
+# 1) that is 16 points at n = 2 and n = 3 and 4 at n = 4.  A 48-point
+# n = 4 residual sweep (2-core x86-64, numpy 2.4) read a max RSS of
+# 44.1 MB at 16 points per calc against 40.0 MB at 4.
+_CALC_COEFFICIENTS = 32768
 
-def point_chunks(count, size=MAX_POINTS):
+
+def point_chunks(count, size):
     """Slices that split `count` points into batches of at most `size`."""
     return [slice(i, i + size) for i in range(0, count, size)]
 
@@ -58,7 +67,7 @@ def stack_points(points):
     return PhasePoint(np.stack([q.x for q in points]), np.stack([q.p for q in points]))
 
 
-def chunked(points, batched, failed, size=MAX_POINTS):
+def chunked(points, batched, failed, size):
     """One result per point of a list, from batched evaluations of `size` points.
 
     `batched(part)` evaluates the points of one chunk together and returns
@@ -68,7 +77,8 @@ def chunked(points, batched, failed, size=MAX_POINTS):
     result of a one-point part that raises `err`, and no point is
     evaluated alone twice.  Overflow and invalid operations evaluate
     without warnings; the non-finite values they leave are for `batched`
-    to report.
+    to report.  A `batched` that builds one PointCalculus per part takes
+    `size` from `points_per_calc`.
     """
     def evaluate(part):
         try:
@@ -89,6 +99,18 @@ def chunked(points, batched, failed, size=MAX_POINTS):
 def v_trust(conn, depth):
     """The order to which a calc of `depth` with connection `conn` needs V exact."""
     return max(depth + 1, conn.v_trust_needed(depth))
+
+
+def points_per_calc(sys, conn, depth):
+    """Points per depth-`depth` PointCalculus of `sys` with `conn`, in a loop over many.
+
+    The most points, at most MAX_POINTS, whose n x n series at the calc's
+    V trust t fit _CALC_COEFFICIENTS; each series holds the comb(2n + t, t)
+    Taylor coefficients of degree <= t in the 2n phase variables.
+    """
+    trust = v_trust(conn, depth)
+    size = math.comb(2 * sys.n + trust, trust)
+    return max(1, min(MAX_POINTS, _CALC_COEFFICIENTS // (sys.n ** 2 * size)))
 
 
 def _dot(a, b):

@@ -298,7 +298,12 @@ class _FloatAlgebra:
             raise EvaluationDomainError("non-integer power of non-positive base")
         return a ** b
 
-    sqrt = staticmethod(lambda u: math.sqrt(u))
+    @staticmethod
+    def sqrt(u):
+        if u < 0.0:
+            raise EvaluationDomainError("sqrt of negative value")
+        return math.sqrt(u)
+
     sin = staticmethod(math.sin)
     cos = staticmethod(math.cos)
     tan = staticmethod(math.tan)
@@ -347,38 +352,36 @@ class _SeriesAlgebra:
     atan2 = staticmethod(taylor.atan2_series)
 
 
+# the float operations of `evaluate`, which also fold a constant subtree
+_FOLD = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
+         "*": operator.mul, "/": _FloatAlgebra.div, "^": _FloatAlgebra.pow}
+_FOLD.update((fn, getattr(_FloatAlgebra, fn)) for fn in FUNCTIONS if fn != "pow")
+
+
+def _operation(node):
+    """(op, operand nodes) of a Neg, Bin or Call node; op keys `_FOLD` and `_SERIES`."""
+    if isinstance(node, Neg):
+        return "neg", (node.arg,)
+    if isinstance(node, Bin):
+        return node.op, (node.left, node.right)
+    return ("^" if node.fn == "pow" else node.fn), node.args
+
+
 def _eval(node, env, expr):
+    if isinstance(node, Num):
+        return float(node.value)
+    if isinstance(node, Var):
+        return env[node.slot]
+    op, args = _operation(node)
+    args = [_eval(a, env, expr) for a in args]
     try:
-        if isinstance(node, Num):
-            return float(node.value)
-        if isinstance(node, Var):
-            return env[node.slot]
-        if isinstance(node, Neg):
-            return -_eval(node.arg, env, expr)
-        if isinstance(node, Bin):
-            a = _eval(node.left, env, expr)
-            b = _eval(node.right, env, expr)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                return _FloatAlgebra.div(a, b)
-            return _FloatAlgebra.pow(a, b)
-        if isinstance(node, Call):
-            args = [_eval(a, env, expr) for a in node.args]
-            if node.fn == "pow":
-                return _FloatAlgebra.pow(*args)
-            return getattr(_FloatAlgebra, node.fn)(*args)
+        return _FOLD[op](*args)
     except EvaluationDomainError as err:
         if err.snippet is None:
             raise EvaluationDomainError(
                 str(err), expr.snippet(node), node.span[0]
             ) from None
         raise
-    raise TypeError(f"unhandled node {node!r}")
 
 
 def evaluate(expr, values):
@@ -392,11 +395,6 @@ def evaluate(expr, values):
 # ----------------------------------------------------------------------
 # series evaluation: a flat register program per expression
 # ----------------------------------------------------------------------
-
-# the float operations that fold a constant subtree, as `evaluate` applies them
-_FOLD = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
-         "*": operator.mul, "/": _FloatAlgebra.div, "^": _FloatAlgebra.pow}
-_FOLD.update((fn, getattr(_FloatAlgebra, fn)) for fn in FUNCTIONS if fn != "pow")
 
 _SERIES = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
            "*": operator.mul, "/": operator.truediv, "^": _SeriesAlgebra.pow}
@@ -466,12 +464,7 @@ def _compile(expr):
             return float(node.value)
         if isinstance(node, Var):
             return node.slot
-        if isinstance(node, Neg):
-            op, args = "neg", (node.arg,)
-        elif isinstance(node, Bin):
-            op, args = node.op, (node.left, node.right)
-        else:
-            op, args = ("^" if node.fn == "pow" else node.fn), node.args
+        op, args = _operation(node)
         args = tuple(walk(a) for a in args)
         if all(isinstance(a, float) for a in args):
             try:

@@ -11,11 +11,11 @@ condition.
 `residual_from_calc` is the one assembly of the residuals, for a calc at a
 point or a batch; `residual_at` builds that calc, and `normality_report`
 sweeps a point cloud with it, as many points per calc as the calc's
-Taylor context allows (`_sweep_points`).  A non-finite row of a batch is
-its point's error row, read from the batch.  `check_regularity` sweeps
-the kinematic frame the same way.  Both go through `engine.chunked`: a
-chunk that raises is evaluated again in halves, so an error row names its
-own point and exception.
+Taylor context allows (`engine.points_per_calc`).  A non-finite row of a
+batch is its point's error row, read from the batch.  `check_regularity`
+sweeps the kinematic frame the same way.  Both go through
+`engine.chunked`: a chunk that raises is evaluated again in halves, so an
+error row names its own point and exception.
 """
 
 from __future__ import annotations
@@ -27,33 +27,16 @@ import numpy as np
 from . import taylor
 from .connections import ZeroConnection
 from .engine import (
-    MAX_POINTS,
     PointCalculus,
     chunked,
     degeneracy,
     degenerate_omega,
+    points_per_calc,
     singular_metric,
     stack_points,
-    v_trust,
 )
 from .errors import DegenerateOmega, NonFiniteResidual, SingularMetric
 from .systems import SINGULAR_RATIO, PhasePoint
-
-# Matrix-series coefficients per sweep calc: a calc holds the most points,
-# at most MAX_POINTS, whose n x n series at the V trust of a depth-1 calc
-# fit this budget (see `_sweep_points`).  With the canonical connection
-# (V trust 4) that is 16 points at n = 2 and n = 3 and 4 at n = 4.  A
-# 48-point n = 4 sweep (2-core x86-64, numpy 2.4) read a max RSS of 44.1 MB
-# at 16 points per calc against 40.0 MB at 4.
-_SWEEP_COEFFICIENTS = 32768
-
-
-def _sweep_points(sys, conn):
-    """Points per calc of a residual sweep of `sys` with `conn`."""
-    trust = v_trust(conn, 1)
-    size = taylor.context(2 * sys.n, sys.ctx_order(trust)).sizes[trust]
-    return max(1, min(MAX_POINTS, _SWEEP_COEFFICIENTS // (sys.n ** 2 * int(size))))
-
 
 @dataclass
 class NormalityResidual:
@@ -177,7 +160,8 @@ class BatchReport:
 def normality_report(sys, conn, sampler, tolerance):
     """Residual sweep over a point cloud with a PASS/FAIL verdict.
 
-    The points are evaluated `_sweep_points` at a time in one calc each.
+    The points are evaluated `engine.points_per_calc` at a time, in one
+    depth-1 calc each.
     Point-level evaluation failures (singular metric, degenerate Omega,
     non-finite residuals: any NslabError) become report rows of the points
     that raise them, and a chunk's non-finite rows are read from its
@@ -204,7 +188,7 @@ def normality_report(sys, conn, sampler, tolerance):
                                  addA=empty, addB=empty, addC=empty,
                                  error=f"{type(err).__name__}: {err}")
 
-    rows = chunked(points, batched, failed, _sweep_points(sys, conn))
+    rows = chunked(points, batched, failed, points_per_calc(sys, conn, 1))
     return BatchReport(rows=rows, tolerance=tolerance, n=sys.n,
                        additional_applicable=sys.n >= 3)
 
@@ -253,8 +237,8 @@ def check_regularity(sys, sampler):
     stack raises on.  A sample reports det, |V| and Omega whichever check
     it fails.  Failures, and any NslabError the evaluation of a sample
     raises, become report entries rather than exceptions; `failure` names
-    the error's class.  The samples are evaluated in chunks of one
-    depth-0 calc each.
+    the error's class.  The samples are evaluated `engine.points_per_calc`
+    at a time, in one depth-0 calc each with the zero connection.
     """
     conn = ZeroConnection(sys.n)
 
@@ -283,5 +267,6 @@ def check_regularity(sys, sampler):
     def failed(q, err):
         return RegularitySample(q, np.nan, np.nan, np.nan, False, _failure_text(err))
 
-    samples = chunked(list(sampler.points()), batched, failed)
+    samples = chunked(list(sampler.points()), batched, failed,
+                      points_per_calc(sys, conn, 0))
     return RegularityReport(samples=samples, verdict=all(s.ok for s in samples))

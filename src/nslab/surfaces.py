@@ -21,7 +21,7 @@ import numpy as np
 
 from . import taylor
 from .dynamics import ExtendedState, Trajectory, integrate_family, rk4_step
-from .engine import PointCalculus, point_chunks
+from .engine import PointCalculus, point_chunks, points_per_calc
 from .errors import ConfigError, NuVanished, RankDeficientTangents
 from .expressions import Expression, evaluate_series, parse
 from .systems import NU_FLOOR, SINGULAR_RATIO, PhasePoint, load_config
@@ -148,11 +148,12 @@ def _surface_points(sys, conn, surf, y, nu, depth, read, geometry=None):
     """The arrays read(calc, dn, geometry, nu) returns, over all surface points.
 
     y[..., i] and nu broadcast over leading batch axes.  The points are
-    flattened into `point_chunks`, one depth-`depth` PointCalculus each at
-    momentum p = nu * n.  read gets that calc, dn[b, i, s], the covariant
-    derivative of the normal covector along tau_i, the chunk's rows of
-    (x, taus, normal, dn_dy) and its nu; it returns a tuple of arrays with
-    one row per point, and each comes back with the batch axes in front.
+    flattened into chunks of `engine.points_per_calc` points, one
+    depth-`depth` PointCalculus each at momentum p = nu * n.  read gets
+    that calc, dn[b, i, s], the covariant derivative of the normal
+    covector along tau_i, the chunk's rows of (x, taus, normal, dn_dy) and
+    its nu; it returns a tuple of arrays with one row per point, and each
+    comes back with the batch axes in front.
     A given geometry is `surf.geometry(y)`, and y then carries every
     batch axis; otherwise it is tabulated here.
     """
@@ -167,7 +168,7 @@ def _surface_points(sys, conn, surf, y, nu, depth, read, geometry=None):
     else:
         geometry = [g.reshape((len(ys),) + g.shape[len(batch):]) for g in geometry]
     parts = []
-    for c in point_chunks(len(nus)):
+    for c in point_chunks(len(nus), points_per_calc(sys, conn, depth)):
         x, taus, normal, dn_dy = rows = [g[c] for g in geometry]
         calc = PointCalculus(sys, conn, PhasePoint(x, nus[c, None] * normal), depth=depth)
         dn = dn_dy - np.einsum("...ksr,...k,...ir->...is", calc.gamma, normal, taus)
@@ -181,8 +182,8 @@ def surface_frame(sys, conn, surf, y, nu):
     The momentum entering the connection and the projector is p = nu * n.
     b is assembled from the projected dn map; its symmetry is a theorem,
     not an input, and is asserted only by the tests.  y[..., i] and nu
-    broadcast over leading batch axes; the points are evaluated at most
-    16 per PointCalculus.
+    broadcast over leading batch axes; the points are evaluated
+    `engine.points_per_calc` at a time, in one depth-0 calc each.
     """
     if np.any(np.asarray(nu) == 0):
         raise ValueError("nu must be nonzero")
@@ -202,10 +203,11 @@ def pfaff_rhs(sys, conn, surf, y, nu, geometry=None):
                 - (nu / Omega) sum_s U_s tau^s_i,
 
     evaluated at momentum p = nu * n(y).  y[..., i] and nu broadcast over
-    leading batch axes, which lead the result; the points are evaluated in
-    batches of at most 16.  A caller that has already evaluated
-    `surf.geometry(y)` passes it as geometry, and y then carries every
-    batch axis; otherwise it is evaluated here.
+    leading batch axes, which lead the result; the points are evaluated
+    `engine.points_per_calc` at a time, in one depth-0 calc each.  A
+    caller that has already evaluated `surf.geometry(y)` passes it as
+    geometry, and y then carries every batch axis; otherwise it is
+    evaluated here.
     """
 
     def read(calc, dn, geometry, nu):
@@ -233,12 +235,12 @@ class NuGrid:
 
     def write_csv(self, path):
         """One row per node, y1..ym then nu, in the C order of the grid index."""
-        table = np.column_stack([_grid_nodes(self.axes), self.values.reshape(-1)])
+        table = np.column_stack([grid_nodes(self.axes), self.values.reshape(-1)])
         np.savetxt(path, table, fmt="%.17g", delimiter=",", comments="",
                    header=",".join([f"y{i+1}" for i in range(len(self.axes))] + ["nu"]))
 
 
-def _grid_nodes(axes):
+def grid_nodes(axes):
     """The (N, m) nodes of the grid on `axes`, in the C order of the grid index."""
     return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes))
 
@@ -395,7 +397,7 @@ def solve_nu(sys, conn, surf, y0, nu0, grid, substeps=4):
     values = np.full(shape, np.nan)
     values[base] = nu0
     flat = values.reshape(-1)
-    ys = _grid_nodes(axes)
+    ys = grid_nodes(axes)
 
     sweeps, cells = _edge_schedule(shape, base)
     segments = [(ys[starts], ys[ends]) for starts, ends in sweeps + cells]
@@ -421,8 +423,8 @@ def compatibility_residual(sys, conn, surf, y, nu):
     Assembled from the A/B/C tensors and the projected dn map; vanishes
     identically when the additional normality equations hold.  The output
     is exactly antisymmetric by construction.  y[..., i] and nu broadcast
-    over leading batch axes, and the points are evaluated at most 16 per
-    PointCalculus.
+    over leading batch axes, and the points are evaluated
+    `engine.points_per_calc` at a time, in one depth-1 calc each.
     """
 
     def read(calc, dn, geometry, nu):
@@ -498,7 +500,7 @@ def simulate_shift(sys, conn, surf, nu_source, cfg, grid=None):
             raise ValueError("a grid spec is required with a constant nu")
         axes = surf.grid_axes(grid)
         values = np.full([len(ax) for ax in axes], nu0)
-    ys = _grid_nodes(axes)
+    ys = grid_nodes(axes)
     nus = values.flatten()
     low = np.abs(nus) < NU_FLOOR
     if np.any(low):

@@ -261,22 +261,31 @@ class TestBatchedPfaff:
         _assert_stacked(common, [compatibility_residual(sys_bad3, conn_bad3, SPHERE, y, 1.5)
                                  for y in ys[0]])
 
-    def test_40_points_in_bounded_calcs(self, sys_bad3, conn_bad3, widths):
-        # compatibility_residual and surface_frame take the chunks of pfaff_rhs,
-        # and each row equals its own call bit for bit
+    @pytest.mark.parametrize("n,defect_widths,frame_widths", [
+        (3, [(16,), (16,), (8,)], [(16,), (16,), (8,)]),
+        (4, [(4,)] * 10, [(12,), (12,), (12,), (4,)])], ids=["n3", "n4"])
+    def test_40_points_in_bounded_calcs(self, n, defect_widths, frame_widths, sys_bad3,
+                                        conn_bad3, widths):
+        # compatibility_residual (depth 1) and surface_frame (depth 0) take
+        # engine.points_per_calc points per calc: at n = 4 the canonical
+        # connection fits 4 and 12 points in the budget; each row equals its
+        # own call bit for bit
+        sysm, conn, surf = ((sys_bad3, conn_bad3, SPHERE) if n == 3
+                            else (BAD4, canonical_connection(BAD4), PARABOLOID))
         rng = np.random.default_rng(10)
-        ys = np.stack([rng.uniform(0.3, 1.2, 40), rng.uniform(-0.6, 0.6, 40)], -1)
+        ys = np.stack([rng.uniform(lo, hi, 40) for lo, hi in surf.domain], -1)
         nus = rng.uniform(0.5, 2.0, 40)
-        defect = compatibility_residual(sys_bad3, conn_bad3, SPHERE, ys, nus)
-        assert widths == [(16,), (16,), (8,)]
+        defect = compatibility_residual(sysm, conn, surf, ys, nus)
+        assert widths == defect_widths
         widths.clear()
-        frame = surface_frame(sys_bad3, conn_bad3, SPHERE, ys, nus)
-        assert widths == [(16,), (16,), (8,)]
-        assert defect.shape == (40, 2, 2) and frame.b.shape == (40, 2, 2)
+        frame = surface_frame(sysm, conn, surf, ys, nus)
+        assert widths == frame_widths
+        m = surf.m
+        assert defect.shape == (40, m, m) and frame.b.shape == (40, m, m)
         for k in range(40):
-            alone = compatibility_residual(sys_bad3, conn_bad3, SPHERE, ys[k], nus[k])
+            alone = compatibility_residual(sysm, conn, surf, ys[k], nus[k])
             assert np.array_equal(defect[k], alone)
-            one = surface_frame(sys_bad3, conn_bad3, SPHERE, ys[k], nus[k])
+            one = surface_frame(sysm, conn, surf, ys[k], nus[k])
             for name in ("x", "taus", "normal", "dn", "b"):
                 assert np.array_equal(getattr(frame, name)[k], getattr(one, name)), name
 

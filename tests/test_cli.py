@@ -225,10 +225,6 @@ class TestExitCodes:
         assert "at least 2 grid nodes per axis" in out
         assert "RESULT" not in out
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 1: solve-nu decides on the two-path cell "
-                              "residual, which shrinks with the cell area when the "
-                              "system does not admit the shift, so a finer grid PASSes")
     def test_incompatible_system_fails_on_every_grid(self, bad3_sphere, configs, capsys):
         # the two-path residual of bad3 reads 6.5e-3 on 9 x 9 and 1.7e-3 on 17 x 17,
         # while its pointwise compatibility defect stays near 0.44 on both
@@ -239,6 +235,21 @@ class TestExitCodes:
                                   "--grid", grid, "--y0", "0.75,0", "--tol", "5e-3",
                                   "--out-dir", configs["out"]], capsys)
         assert codes == {"9,9": 1, "17,17": 1}
+
+    def test_compatible_system_passes_on_a_coarse_grid(self, bad3_sphere, tmp_path,
+                                                       configs, capsys):
+        # H_X's two-path residual on 3 x 3 is RK4 error, 5.4e-7, while its
+        # pointwise compatibility defect is rounding
+        hx = tmp_path / "hx.json"
+        hx.write_text(json.dumps({"n": 3, "kind": "modified_hamiltonian",
+                                  "H": "(p1^2 + p2^2 + p3^2)/2 + x1*p2^2/5"}))
+        _, sphere = bad3_sphere
+        code, out = run(["solve-nu", "--system", str(hx), "--surface", sphere,
+                         "--grid", "3,3", "--y0", "0.75,0", "--tol", "1e-7",
+                         "--out-dir", configs["out"]], capsys)
+        assert code == 0
+        assert out.strip().splitlines()[-1].startswith("RESULT solve-nu PASS")
+        assert "two-path cell residual" in out
 
     def test_zero_t_end_is_exit_2(self, configs, capsys):
         code, out = run(["simulate-shift", "--system", configs["geo"],

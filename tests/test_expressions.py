@@ -118,6 +118,17 @@ class TestJets:
             evaluate_jet(e, q([-1, 0], [1, 0]), 1)
         assert "sqrt(x1)" in str(err.value)
 
+    def test_float_domain_error_reports_subexpression(self):
+        # the float path names the subexpression as the series path does
+        e = parse_expression("p1 + sqrt(x1)", 2)
+        with pytest.raises(EvaluationDomainError, match="sqrt of negative value") as err:
+            evaluate(e, [-1, 0, 1, 0])
+        assert err.value.snippet == "sqrt(x1)"
+        # a central difference whose stencil crosses x1 < 0
+        with pytest.raises(EvaluationDomainError) as err:
+            finite_difference_probe(e, q([0.0, 0], [1, 0]), (1, 0, 0, 0), 1e-3)
+        assert err.value.snippet == "sqrt(x1)"
+
     def test_division_by_zero(self):
         e = parse_expression("1/p1", 2)
         with pytest.raises(EvaluationDomainError):

@@ -18,7 +18,7 @@ from nslab import (
     random_gauge_tensor,
     residual_at,
 )
-from nslab.engine import PointCalculus
+from nslab.engine import PointCalculus, points_per_calc
 
 # frozen regression baselines, computed once with this implementation and
 # stored to six significant digits (the source theory provides no
@@ -226,6 +226,19 @@ class TestChunkedSweep:
         sysm = build_modified_hamiltonian(H, n)
         normality_report(sysm, canonical_connection(sysm), PointSampler(n, count, seed=4), 1e-7)
         assert calcs == shapes
+
+    @pytest.mark.parametrize("n,label,depth,size", [
+        (2, "canonical", 0, 16), (2, "canonical", 1, 16),
+        (3, "canonical", 0, 16), (3, "canonical", 1, 16),
+        (4, "canonical", 1, 4), (4, "canonical", 0, 12), (4, "zero", 0, 16)])
+    def test_points_per_calc_table(self, n, label, depth, size):
+        # n^2 series of comb(2n + t, t) coefficients at V trust t in a budget
+        # of 32768: at n = 4 the canonical connection's t = 4 and 3 give 4
+        # and 12 points, the zero connection's t = 1 gives the cap
+        H = " + ".join(f"p{i}^2" for i in range(1, n + 1)) + " + x1*p2^2/5"
+        sysm = build_modified_hamiltonian(H, n)
+        conn = canonical_connection(sysm) if label == "canonical" else ZeroConnection(n)
+        assert points_per_calc(sysm, conn, depth) == size
 
     def test_failing_point_is_one_error_row(self, calcs):
         # Omega = x1 p1^2 + p2^2 vanishes at point 3 only
