@@ -6,12 +6,13 @@ reports and finish with one machine-readable summary line::
     RESULT <command> <PASS|FAIL> max_residual=<r>
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 bad
-configuration or arguments, 3 numerical failure (a stalled integration
-step, non-finite residual, singular metric, degenerate Omega, vanishing
-nu, vanishing dW/dv, an expression evaluated outside its domain,
-dependent surface tangents).  Each subcommand accepts only the flags it
-reads.  All floats are printed with 17 significant digits so reruns with
-the same seed are byte-identical.
+configuration or arguments (a `ConfigError`, an `ExpressionSyntaxError` or
+a `ValueError`), 3 numerical failure: any other `NslabError` (see
+`errors`), for example a stalled integration step, a non-finite
+residual, a singular metric, a degenerate Omega, a vanishing nu or dW/dv,
+an expression evaluated outside its domain or dependent surface tangents.
+Each subcommand accepts only the flags it reads.  All floats are printed
+with 17 significant digits so reruns with the same seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -29,18 +30,7 @@ from .connections import (
     random_gauge_tensor,
 )
 from .dynamics import ExtendedState, IntegratorConfig, integrate_family
-from .errors import (
-    ConfigError,
-    DegenerateOmega,
-    EvaluationDomainError,
-    ExpressionSyntaxError,
-    NonFiniteResidual,
-    NonFiniteState,
-    NuVanished,
-    RankDeficientTangents,
-    SingularMetric,
-    ZeroWv,
-)
+from .errors import ConfigError, ExpressionSyntaxError, NslabError
 from .expressions import (
     evaluate_jet,
     finite_difference_probe,
@@ -363,8 +353,7 @@ def main(argv=None):
     except (ConfigError, ExpressionSyntaxError, ValueError) as err:
         print(f"configuration error: {err}")
         return EXIT_CONFIG
-    except (NonFiniteState, NonFiniteResidual, SingularMetric, DegenerateOmega,
-            NuVanished, ZeroWv, EvaluationDomainError, RankDeficientTangents) as err:
+    except NslabError as err:
         print(f"numerical failure: {type(err).__name__}: {err}")
         return EXIT_NUMERICAL
 

@@ -58,9 +58,10 @@ class _ExpressionTable:
 
     `exprs` holds the distinct entries and `slots[k, i, j]` the position of
     entry (k, i, j) among them, offset by one: slot 0 is an omitted entry.
+    Mirrored entries (k, i, j) and (k, j, i) that differ raise `mismatch`.
     """
 
-    def __init__(self, n, entries, label):
+    def __init__(self, n, entries, label, mismatch=ConfigError):
         pv = phase_variables(n)
         table = {}
         for key, text in entries.items():
@@ -74,7 +75,7 @@ class _ExpressionTable:
             expr = text if isinstance(text, Expression) else parse(str(text), pv)
             mirror = table.get((k, j, i))
             if mirror is not None and mirror.text != expr.text:
-                raise ConfigError(
+                raise mismatch(
                     f"{label} entries ({k+1},{i+1},{j+1}) and ({k+1},{j+1},{i+1}) "
                     "are both given and differ"
                 )
@@ -152,10 +153,7 @@ class GaugeTensor:
 
     def __init__(self, n, entries):
         self.n = n
-        try:
-            self._table = _ExpressionTable(n, entries, "gauge tensor")
-        except ConfigError as err:
-            raise AsymmetricGauge(str(err)) from None
+        self._table = _ExpressionTable(n, entries, "gauge tensor", AsymmetricGauge)
 
     def series(self, calc):
         return self._table.series(calc)

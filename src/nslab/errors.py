@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Every `NslabError` falls in one of two families, which the command line
+maps to its exit codes: configuration (2) is `ConfigError`, with
+`AsymmetricGauge`, and `ExpressionSyntaxError` with its subclasses;
+numerical (3) is every other `NslabError`.
+"""
 
 
 class NslabError(Exception):
@@ -53,8 +59,8 @@ class ZeroWv(NslabError):
     """dW/dv vanished; the flat-space force formula is undefined there."""
 
 
-class AsymmetricGauge(NslabError):
-    """A gauge tensor failed its lower-index symmetry invariant."""
+class AsymmetricGauge(ConfigError):
+    """A gauge tensor's mirrored entries (k, i, j) and (k, j, i) differ."""
 
 
 class NonFiniteState(NslabError):

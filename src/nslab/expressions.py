@@ -367,6 +367,16 @@ def _operation(node):
     return ("^" if node.fn == "pow" else node.fn), node.args
 
 
+def _located(err, expr, node):
+    """`err` as an EvaluationDomainError naming the subexpression at `node`.
+
+    An error that already names a subexpression comes back unchanged.
+    """
+    if isinstance(err, EvaluationDomainError) and err.snippet is not None:
+        return err
+    return EvaluationDomainError(str(err), expr.snippet(node), node.span[0])
+
+
 def _eval(node, env, expr):
     if isinstance(node, Num):
         return float(node.value)
@@ -376,12 +386,9 @@ def _eval(node, env, expr):
     args = [_eval(a, env, expr) for a in args]
     try:
         return _FOLD[op](*args)
-    except EvaluationDomainError as err:
-        if err.snippet is None:
-            raise EvaluationDomainError(
-                str(err), expr.snippet(node), node.span[0]
-            ) from None
-        raise
+    except (EvaluationDomainError, ArithmeticError, ValueError) as err:
+        # math's own range and domain errors as well as the algebra's checks
+        raise _located(err, expr, node) from None
 
 
 def evaluate(expr, values):
@@ -493,17 +500,23 @@ def evaluate_series(expr, env):
         for fn, args, node in code:
             regs.append(fn(*[regs[i] for i in args]))
     except EvaluationDomainError as err:
-        if err.snippet is None:
-            raise EvaluationDomainError(
-                str(err), expr.snippet(node), node.span[0]
-            ) from None
-        raise
+        raise _located(err, expr, node) from None
     return regs[result]
 
 
 # ----------------------------------------------------------------------
 # jets
 # ----------------------------------------------------------------------
+
+def _multi_index(variables, index):
+    """A multi-index over `variables` as a tuple, from a sequence or a {name: order} mapping."""
+    if not isinstance(index, dict):
+        return tuple(index)
+    mi = [0] * len(variables)
+    for name, k in index.items():
+        mi[variables.index(name)] = k
+    return tuple(mi)
+
 
 class Jet:
     """Value plus exact mixed partials up to a total order.
@@ -521,12 +534,7 @@ class Jet:
 
     def partial(self, index):
         """Look up a partial by multi-index tuple or {name: order} mapping."""
-        if isinstance(index, dict):
-            mi = [0] * len(self.variables)
-            for name, k in index.items():
-                mi[self.variables.index(name)] = k
-            index = tuple(mi)
-        return self.partials[tuple(index)]
+        return self.partials[_multi_index(self.variables, index)]
 
     def d(self, **orders):
         return self.partial(orders)
@@ -577,12 +585,7 @@ def finite_difference_probe(expr, q, multi_index, step):
     if step <= 0:
         raise ValueError("step must be positive")
     values = _point_values(expr, q)
-    if isinstance(multi_index, dict):
-        mi = [0] * len(expr.variables)
-        for name, k in multi_index.items():
-            mi[expr.variables.index(name)] = k
-        multi_index = mi
-    multi_index = list(multi_index)
+    multi_index = _multi_index(expr.variables, multi_index)
     if sum(multi_index) > 3:
         raise ValueError("finite-difference probe supports total order <= 3")
 

@@ -141,9 +141,8 @@ class SystemDefinition:
     # ------------------------------------------------------------------
 
     def rhs(self, x, p):
-        """Plain (V, Theta) values at one point."""
-        ctx = taylor.context(2 * self.n, self.ctx_order(0))
-        V, T = self.v_theta_series(ctx, *seed_phase(ctx, x, p))
+        """Plain (V, Theta) values at one point: those of `series_at` at trust 0."""
+        V, T = self.series_at(PhasePoint(x, p), 0)[3:]
         return taylor.read_values(V), taylor.read_values(T)
 
     def rhs_jacobian_batch(self, X, P):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from nslab import NslabError, cli
 from nslab.cli import build_parser, main
 from nslab.engine import PointCalculus
 
@@ -172,6 +173,37 @@ class TestExitCodes:
                          "--out-dir", configs["out"]], capsys)
         assert code == 3
         assert "numerical failure: RankDeficientTangents" in out
+
+    def test_every_error_class_has_its_exit_code(self, configs, capsys, monkeypatch):
+        # the configuration family exits 2, every other NslabError 3
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        classes = list(subclasses(NslabError))
+        assert len(classes) == 13
+        config = {"ConfigError", "AsymmetricGauge", "ExpressionSyntaxError",
+                  "UnknownIdentifierError", "VariableIndexError"}
+        for cls in classes:
+            try:
+                err = cls("boom")
+            except TypeError:       # a message and one more field
+                err = cls("boom", 0)
+
+            def fail(*args, err=err):
+                raise err
+
+            monkeypatch.setattr(cli, "normality_report", fail)
+            code, out = run(["check-normality", "--system", configs["geo"],
+                             "--out-dir", configs["out"]], capsys)
+            assert "RESULT" not in out
+            if cls.__name__ in config:
+                assert code == 2, cls
+                assert out.startswith("configuration error: "), cls
+            else:
+                assert code == 3, cls
+                assert out.startswith(f"numerical failure: {cls.__name__}: "), cls
 
     def test_zero_points_is_exit_2(self, configs, capsys):
         code, out = run(["check-normality", "--system", configs["geo"],

@@ -194,6 +194,11 @@ class TestGauge:
         with pytest.raises(AsymmetricGauge):
             GaugeTensor(2, {"1,1,2": "p1", "1,2,1": "p2"})
 
+    def test_bad_index_is_a_plain_config_error(self):
+        with pytest.raises(ConfigError, match="bad gauge tensor index") as err:
+            GaugeTensor(2, {"1,1,9": "p1"})
+        assert not isinstance(err.value, AsymmetricGauge)
+
     def test_theta_invariance_random(self, sys_geox2, conn_geox2, sys_bad2, conn_bad2):
         rng = np.random.default_rng(21)
         cases = [(sys_geox2, conn_geox2), (sys_bad2, conn_bad2)]

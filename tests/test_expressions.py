@@ -129,6 +129,20 @@ class TestJets:
             finite_difference_probe(e, q([0.0, 0], [1, 0]), (1, 0, 0, 0), 1e-3)
         assert err.value.snippet == "sqrt(x1)"
 
+    @pytest.mark.parametrize("text, x1, snippet", [
+        ("exp(x1)", 1000.0, "exp(x1)"),                 # math.exp overflows
+        ("sin(x1*1e308*10)", 1.0, "sin(x1*1e308*10)"),  # math.sin meets inf
+        ("x1^400*10", 10.0, "x1^400"),                  # float ** overflows
+    ])
+    def test_math_range_and_domain_errors_are_located(self, text, x1, snippet):
+        e = parse_expression(text, 2)
+        with pytest.raises(EvaluationDomainError) as err:
+            evaluate(e, [x1, 0, 0, 0])
+        assert (err.value.snippet, err.value.offset) == (snippet, 0)
+        with pytest.raises(EvaluationDomainError) as err:
+            finite_difference_probe(e, q([x1, 0], [1, 0]), {"x1": 1}, 1e-3)
+        assert err.value.snippet == snippet
+
     def test_division_by_zero(self):
         e = parse_expression("1/p1", 2)
         with pytest.raises(EvaluationDomainError):
