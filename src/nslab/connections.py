@@ -194,9 +194,12 @@ def connection_from_config(cfg, sys):
     connection; otherwise the system's canonical connection is used.
     """
     block = cfg.get("Gamma") if isinstance(cfg, dict) else None
-    if block is not None:
-        return ExplicitConnection(sys.n, block)
-    return CanonicalConnection(sys)
+    if block is None:
+        return CanonicalConnection(sys)
+    if not isinstance(block, dict):
+        raise ConfigError("system config field 'Gamma' must be a mapping of 'k,i,j' "
+                          f"to expressions, got {block!r}")
+    return ExplicitConnection(sys.n, block)
 
 
 def random_gauge_tensor(n, rng):

@@ -16,6 +16,10 @@ names such as ``v``, ``w`` or ``nu``) and the function names below.
 
 Functions: sqrt, sin, cos, tan, exp, log, abs, atan2(a,b), pow(a,b).
 
+`OPERATIONS` is the one place where an operation is defined: one row per
+operation, ``^`` and ``pow`` sharing one, with its arity, its float form
+(`evaluate`) and its series form (`evaluate_series`).
+
 Parsed expressions are immutable; evaluation is side-effect-free and
 deterministic.
 
@@ -24,7 +28,7 @@ each Expression compiles once, on first use (a tape; Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., ch. 6):
 
 - literals stay scalars: a constant subtree folds to one float through the
-  same float algebra as `evaluate`, so ``x1 + sqrt(0)`` evaluates where a
+  same float forms as `evaluate`, so ``x1 + sqrt(0)`` evaluates where a
   series of 0 could not be differentiated, and a series operand times a
   scalar costs no jet product;
 - ``a / c`` for a nonzero constant c is ``a * (1/c)``, rounded exactly as
@@ -35,7 +39,7 @@ each Expression compiles once, on first use (a tape; Griewank & Walther,
 - a constant-only expression comes back as a series with the first
   variable's batch shape and trust.
 
-A constant subtree the float algebra cannot fold (``log(0)``, ``1/0``) is
+A constant subtree the float forms cannot fold (``log(0)``, ``1/0``) is
 left to the series operation, which raises at its place in the program;
 an `EvaluationDomainError` names the subexpression text and its offset.
 """
@@ -47,6 +51,7 @@ import operator
 import re
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,18 +62,6 @@ from .errors import (
     UnknownIdentifierError,
     VariableIndexError,
 )
-
-FUNCTIONS = {
-    "sqrt": 1,
-    "sin": 1,
-    "cos": 1,
-    "tan": 1,
-    "exp": 1,
-    "log": 1,
-    "abs": 1,
-    "atan2": 2,
-    "pow": 2,
-}
 
 _INDEXED = re.compile(r"^([xpy])([0-9]+)$")
 
@@ -137,6 +130,9 @@ class Expression:
 # tokenizer / parser
 # ----------------------------------------------------------------------
 
+# the binary operators' precedence levels, loosest first; all associate left
+_LEVELS = ("+-", "*/")
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
@@ -155,10 +151,8 @@ def _tokenize(text):
             raise ExpressionSyntaxError(
                 f"unexpected character {text[pos]!r}", pos
             )
-        start = m.start("num") if m.group("num") else (
-            m.start("ident") if m.group("ident") else m.start("op"))
-        kind = "num" if m.group("num") else ("ident" if m.group("ident") else "op")
-        tokens.append((kind, m.group(kind), start))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -166,9 +160,7 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text, variables):
-        self.text = text
-        self.variables = tuple(variables)
-        self.slots = {name: i for i, name in enumerate(self.variables)}
+        self.slots = {name: i for i, name in enumerate(variables)}
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -181,38 +173,31 @@ class _Parser:
         return tok
 
     def expect_op(self, op):
+        """Consume the operator `op`; returns the offset just past it."""
         kind, val, off = self.next()
         if kind != "op" or val != op:
             raise ExpressionSyntaxError(f"expected {op!r}, found {val!r}", off)
+        return off + 1
 
     def parse(self):
-        node = self.expr()
+        node = self.binary()
         kind, val, off = self.peek()
         if kind != "end":
             raise ExpressionSyntaxError(f"unexpected trailing input {val!r}", off)
         return node
 
-    def expr(self):
-        node = self.term()
+    def binary(self, level=0):
+        """A left-associative chain of the operators of `_LEVELS[level]`."""
+        if level == len(_LEVELS):
+            return self.unary()
+        node = self.binary(level + 1)
         while True:
             kind, val, off = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                node = Bin((node.span[0], rhs.span[1]), val, node, rhs)
-            else:
+            if kind != "op" or val not in _LEVELS[level]:
                 return node
-
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, val, off = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.unary()
-                node = Bin((node.span[0], rhs.span[1]), val, node, rhs)
-            else:
-                return node
+            self.next()
+            rhs = self.binary(level + 1)
+            node = Bin((node.span[0], rhs.span[1]), val, node, rhs)
 
     def unary(self):
         kind, val, off = self.peek()
@@ -220,12 +205,8 @@ class _Parser:
             self.next()
             arg = self.unary()
             return Neg((off, arg.span[1]), arg)
-        return self.power()
-
-    def power(self):
         base = self.atom()
-        kind, val, off = self.peek()
-        if kind == "op" and val == "^":
+        if self.peek()[:2] == ("op", "^"):      # power: right-associative
             self.next()
             exponent = self.unary()
             return Bin((base.span[0], exponent.span[1]), "^", base, exponent)
@@ -236,22 +217,21 @@ class _Parser:
         if kind == "num":
             return Num((off, off + len(val)), float(val))
         if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
+            node = self.binary()
             # the parentheses belong to the node, so a parent's span stays balanced
-            return replace(node, span=(off, self.tokens[self.pos - 1][2] + 1))
+            return replace(node, span=(off, self.expect_op(")")))
         if kind == "ident":
-            if val in FUNCTIONS:
+            if val in OPERATIONS:
                 self.expect_op("(")
-                args = [self.expr()]
+                args = [self.binary()]
                 while self.peek()[:2] == ("op", ","):
                     self.next()
-                    args.append(self.expr())
-                self.expect_op(")")
-                end = self.tokens[self.pos - 1][2] + 1
-                if len(args) != FUNCTIONS[val]:
+                    args.append(self.binary())
+                end = self.expect_op(")")
+                arity = OPERATIONS[val].arity
+                if len(args) != arity:
                     raise ExpressionSyntaxError(
-                        f"{val} takes {FUNCTIONS[val]} argument(s), got {len(args)}", off
+                        f"{val} takes {arity} argument(s), got {len(args)}", off
                     )
                 return Call((off, end), val, tuple(args))
             if val in self.slots:
@@ -287,84 +267,79 @@ def parse_expression(text, n):
 # evaluation
 # ----------------------------------------------------------------------
 
-class _FloatAlgebra:
-    @staticmethod
-    def pow(a, b):
-        if float(b).is_integer():
-            if a == 0.0 and b < 0:
-                raise EvaluationDomainError("zero raised to a negative power")
-            return a ** int(b)
-        if a <= 0.0:
-            raise EvaluationDomainError("non-integer power of non-positive base")
-        return a ** b
+def _checked(fn, outside, message):
+    """`fn` as a float form that raises EvaluationDomainError(message) where `outside` holds."""
+    def form(*args):
+        if outside(*args):
+            raise EvaluationDomainError(message)
+        return fn(*args)
+    return form
 
-    @staticmethod
-    def sqrt(u):
-        if u < 0.0:
-            raise EvaluationDomainError("sqrt of negative value")
-        return math.sqrt(u)
 
-    sin = staticmethod(math.sin)
-    cos = staticmethod(math.cos)
-    tan = staticmethod(math.tan)
-    exp = staticmethod(math.exp)
-    abs = staticmethod(abs)
+_fdiv = _checked(operator.truediv, lambda a, b: b == 0.0, "division by zero")
+_fsqrt = _checked(math.sqrt, lambda u: u < 0.0, "sqrt of negative value")
+_flog = _checked(math.log, lambda u: u <= 0.0, "log of non-positive value")
+_fatan2 = _checked(math.atan2, lambda a, b: a == 0.0 and b == 0.0, "atan2 at the origin")
 
-    @staticmethod
-    def log(u):
-        if u <= 0.0:
-            raise EvaluationDomainError("log of non-positive value")
-        return math.log(u)
 
-    @staticmethod
-    def atan2(a, b):
-        if a == 0.0 and b == 0.0:
-            raise EvaluationDomainError("atan2 at the origin")
-        return math.atan2(a, b)
-
-    @staticmethod
-    def div(a, b):
-        if b == 0.0:
+def _fpow(a, b):
+    if float(b).is_integer():
+        if a == 0.0 and b < 0:
             raise EvaluationDomainError("division by zero")
-        return a / b
+        return a ** int(b)
+    if a <= 0.0:
+        raise EvaluationDomainError("non-integer power of non-positive base")
+    return a ** b
 
 
-class _SeriesAlgebra:
-    """Series operations of the compiled program; none returns or mutates an input."""
-
-    @staticmethod
-    def pow(a, b):
-        if isinstance(b, taylor.TaylorSeries):
-            if not np.any(b.coef[..., 1:] != 0.0):
-                b0 = b.value()
-                if np.ndim(b0) == 0 or np.all(b0 == b0.flat[0]):
-                    return a.powc(float(b0.flat[0])).truncate(b.trust)
-            return (b * a.log()).exp()
-        return a.powc(float(b))
-
-    sqrt = staticmethod(lambda u: u.sqrt())
-    sin = staticmethod(lambda u: u.sin())
-    cos = staticmethod(lambda u: u.cos())
-    tan = staticmethod(lambda u: u.tan())
-    exp = staticmethod(lambda u: u.exp())
-    log = staticmethod(lambda u: u.log())
-    abs = staticmethod(lambda u: u.absolute())
-    atan2 = staticmethod(taylor.atan2_series)
+def _pow_series(a, b):
+    """a^b for a series base; an exponent constant through its trust is a `powc`."""
+    if isinstance(b, taylor.TaylorSeries):
+        if not np.any(b.coef[..., 1:] != 0.0):
+            b0 = b.value()
+            if np.ndim(b0) == 0 or np.all(b0 == b0.flat[0]):
+                return a.powc(float(b0.flat[0])).truncate(b.trust)
+        return (b * a.log()).exp()
+    return a.powc(float(b))
 
 
-# the float operations of `evaluate`, which also fold a constant subtree
-_FOLD = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
-         "*": operator.mul, "/": _FloatAlgebra.div, "^": _FloatAlgebra.pow}
-_FOLD.update((fn, getattr(_FloatAlgebra, fn)) for fn in FUNCTIONS if fn != "pow")
+class Operation(NamedTuple):
+    """Arity, float form (`evaluate`, constant folding) and series form (the program)."""
+
+    arity: int
+    float: Callable
+    series: Callable
+
+
+# keys: the grammar's operators and function names, and "u-" for unary
+# minus, which is no identifier, so the parser reads function names here
+OPERATIONS = {
+    "+": Operation(2, operator.add, operator.add),
+    "-": Operation(2, operator.sub, operator.sub),
+    "*": Operation(2, operator.mul, operator.mul),
+    "/": Operation(2, _fdiv, operator.truediv),
+    "^": Operation(2, _fpow, _pow_series),
+    "u-": Operation(1, operator.neg, operator.neg),
+    "sqrt": Operation(1, _fsqrt, taylor.TaylorSeries.sqrt),
+    "sin": Operation(1, math.sin, taylor.TaylorSeries.sin),
+    "cos": Operation(1, math.cos, taylor.TaylorSeries.cos),
+    "tan": Operation(1, math.tan, taylor.TaylorSeries.tan),
+    "exp": Operation(1, math.exp, taylor.TaylorSeries.exp),
+    "log": Operation(1, _flog, taylor.TaylorSeries.log),
+    "abs": Operation(1, abs, taylor.TaylorSeries.absolute),
+    "atan2": Operation(2, _fatan2, taylor.atan2_series),
+}
+OPERATIONS["pow"] = OPERATIONS["^"]
+_ADD, _SUB, _MUL, _DIV, _POW = (OPERATIONS[k] for k in "+-*/^")
 
 
 def _operation(node):
-    """(op, operand nodes) of a Neg, Bin or Call node; op keys `_FOLD` and `_SERIES`."""
+    """(row of OPERATIONS, operand nodes) of a Neg, Bin or Call node."""
     if isinstance(node, Neg):
-        return "neg", (node.arg,)
+        return OPERATIONS["u-"], (node.arg,)
     if isinstance(node, Bin):
-        return node.op, (node.left, node.right)
-    return ("^" if node.fn == "pow" else node.fn), node.args
+        return OPERATIONS[node.op], (node.left, node.right)
+    return OPERATIONS[node.fn], node.args
 
 
 def _located(err, expr, node):
@@ -385,9 +360,9 @@ def _eval(node, env, expr):
     op, args = _operation(node)
     args = [_eval(a, env, expr) for a in args]
     try:
-        return _FOLD[op](*args)
+        return op.float(*args)
     except (EvaluationDomainError, ArithmeticError, ValueError) as err:
-        # math's own range and domain errors as well as the algebra's checks
+        # math's own range and domain errors as well as the float forms' checks
         raise _located(err, expr, node) from None
 
 
@@ -402,11 +377,6 @@ def evaluate(expr, values):
 # ----------------------------------------------------------------------
 # series evaluation: a flat register program per expression
 # ----------------------------------------------------------------------
-
-_SERIES = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
-           "*": operator.mul, "/": operator.truediv, "^": _SeriesAlgebra.pow}
-_SERIES.update((fn, getattr(_SeriesAlgebra, fn)) for fn in FUNCTIONS if fn != "pow")
-
 
 def _lift(c, template):
     """A folded constant as a series with the template's batch shape and trust."""
@@ -446,21 +416,21 @@ def _compile(expr):
 
     def series(op, args, node):
         # args: registers (int) and folded constants (float), at least one register
-        if op == "/" and isinstance(args[1], float) and args[1] != 0.0:
+        if op is _DIV and isinstance(args[1], float) and args[1] != 0.0:
             # a / c is a * (1/c): bit-identical to the reciprocal series' product
-            op, args = "*", (args[0], 1.0 / args[1])
-        if op == "*" and isinstance(args[0], float):
+            op, args = _MUL, (args[0], 1.0 / args[1])
+        if op is _MUL and isinstance(args[0], float):
             args = args[::-1]
         key = (op,) + tuple(a if isinstance(a, int) else a.hex() for a in args)
-        fn = _SERIES[op]
+        fn = op.series
         a, b = args[0], args[-1]
-        if op == "*" and isinstance(b, float):
+        if op is _MUL and isinstance(b, float):
             return emit(key, lambda s: _scale(s, b), (a,), node)
-        if op == "/" and isinstance(a, float):
+        if op is _DIV and isinstance(a, float):
             return emit(key, lambda s: _scale(s._reciprocal(), a), (b,), node)
-        if op in ("+", "-", "^") and isinstance(b, float):
+        if op in (_ADD, _SUB, _POW) and isinstance(b, float):
             return emit(key, lambda s: fn(s, b), (a,), node)
-        if op in ("+", "-") and isinstance(a, float):
+        if op in (_ADD, _SUB) and isinstance(a, float):
             return emit(key, lambda s: fn(a, s), (b,), node)
         # the other constants enter as series: a constant base, atan2, x / 0
         regs = tuple(r if isinstance(r, int) else lift(r) for r in args)
@@ -475,7 +445,7 @@ def _compile(expr):
         args = tuple(walk(a) for a in args)
         if all(isinstance(a, float) for a in args):
             try:
-                return _FOLD[op](*args)
+                return op.float(*args)
             except (EvaluationDomainError, ArithmeticError, ValueError):
                 # the series operation raises it when the program reaches it
                 args = tuple(lift(a) for a in args)

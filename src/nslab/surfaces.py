@@ -24,7 +24,14 @@ from .dynamics import ExtendedState, Trajectory, integrate_family, rk4_step
 from .engine import PointCalculus, point_chunks, points_per_calc
 from .errors import ConfigError, NuVanished, RankDeficientTangents
 from .expressions import Expression, evaluate_series, parse
-from .systems import NU_FLOOR, SINGULAR_RATIO, PhasePoint, load_config
+from .systems import (
+    NU_FLOOR,
+    SINGULAR_RATIO,
+    PhasePoint,
+    config_int,
+    config_list,
+    load_config,
+)
 
 
 def _levi_civita(n):
@@ -362,12 +369,17 @@ def _edge_schedule(shape, base):
 def solve_nu(sys, conn, surf, y0, nu0, grid, substeps=4):
     """Integrate the Pfaff system over an axis-parallel grid.
 
-    nu is propagated from the node nearest to y0 along axis-parallel
-    paths in a fixed sweep order (axis by axis), so results are
-    deterministic.  The returned residual is the largest two-path
-    disagreement over all grid cells: each cell's far corner is reached
-    along its two edge orderings from the same base value, and the
-    difference measures how far the system is from an integrable one.
+    nu is propagated from the node nearest to y0, m finite parameter
+    values (ValueError otherwise), along axis-parallel paths in a fixed
+    sweep order (axis by axis), so results are deterministic.  The
+    returned residual is the largest two-path disagreement over all grid
+    cells: each cell's far corner is reached along its two edge orderings
+    from the same base value.  The difference is the RK4 error plus, for a
+    system that does not admit the shift, the cell's holonomy, which
+    shrinks with the cell area (`bad3` on the sphere patch: 6.5e-3 on
+    9 x 9 and 4.5e-4 on 33 x 33, against a compatibility defect of 0.44).
+    The pointwise test, which `solve-nu` decides on, is
+    `compatibility_residual` at the solved nodes.
     A one-parameter surface has no cells and no compatibility condition,
     and its residual is 0; a surface of two or more parameters needs at
     least 2 nodes on every axis (ConfigError otherwise), so that its
@@ -387,11 +399,13 @@ def solve_nu(sys, conn, surf, y0, nu0, grid, substeps=4):
     _require_same_space(sys, surf)
     if nu0 == 0:
         raise ValueError("nu0 must be nonzero")
+    y0 = np.asarray(y0, dtype=float)
+    if y0.shape != (surf.m,) or not np.all(np.isfinite(y0)):
+        raise ValueError(f"y0 must be {surf.m} finite parameter values, got {y0.tolist()}")
     axes = surf.grid_axes(grid)
     if surf.m >= 2 and min(len(ax) for ax in axes) < 2:
         raise ConfigError("solving nu on a surface of two or more parameters "
                           "needs at least 2 grid nodes per axis")
-    y0 = np.asarray(y0, dtype=float)
     base = tuple(int(np.argmin(np.abs(ax - y0[d]))) for d, ax in enumerate(axes))
     shape = tuple(len(ax) for ax in axes)
     values = np.full(shape, np.nan)
@@ -550,16 +564,20 @@ def verify_orthogonality(run, tol):
 
 def surface_from_config(cfg):
     try:
-        m = int(cfg["params"])
-        embedding = cfg["embedding"]
-        domain = cfg["domain"]
+        m = config_int(cfg, "params", "surface")
+        embedding = config_list(cfg, "embedding", "surface")
+        domain = config_list(cfg, "domain", "surface")
     except KeyError as err:
         raise ConfigError(f"missing surface config field: {err}") from None
+    if not all(isinstance(iv, (list, tuple)) and len(iv) == 2 for iv in domain):
+        raise ConfigError("surface config field 'domain' must be a list of "
+                          f"[lo, hi] intervals, got {domain!r}")
     surf = Hypersurface(len(embedding), embedding, domain,
                         normal_scale=float(cfg.get("normal_scale", 1.0)))
     if surf.m != m:
         raise ConfigError("params must equal len(embedding) - 1")
-    surf.default_grid = [int(c) for c in cfg.get("grid", [9] * m)]
+    grid = config_list(cfg, "grid", "surface") if "grid" in cfg else [9] * m
+    surf.default_grid = [int(c) for c in grid]
     return surf
 
 

@@ -286,10 +286,11 @@ def build_riemannian_euclidean(W, h, n):
 def system_from_config(cfg):
     """Build a system from a config mapping (see README for the schema)."""
     try:
-        n = int(cfg["n"])
+        n = config_int(cfg, "n", "system")
         kind = cfg["kind"]
         if kind == "explicit":
-            return ExplicitSystem(n, cfg["V"], cfg["Theta"])
+            return ExplicitSystem(n, config_list(cfg, "V", "system"),
+                                  config_list(cfg, "Theta", "system"))
         if kind == "modified_hamiltonian":
             return ModifiedHamiltonianSystem(cfg["H"], n)
         if kind == "riemannian_euclidean":
@@ -299,11 +300,32 @@ def system_from_config(cfg):
     raise ConfigError(f"unknown system kind {cfg.get('kind')!r}")
 
 
+def config_int(cfg, key, label):
+    """cfg[key] as an int; a ConfigError names the field when it is no number."""
+    try:
+        return int(cfg[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{label} config field {key!r} must be an integer, "
+                          f"got {cfg[key]!r}") from None
+
+
+def config_list(cfg, key, label):
+    """cfg[key], which must be a list; a ConfigError names the field otherwise."""
+    value = cfg[key]
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{label} config field {key!r} must be a list, got {value!r}")
+    return value
+
+
 def load_config(path, label="system"):
+    """The JSON object of a config file; ConfigError when it cannot be read or is no object."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read {label} config: {err}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"invalid JSON in {label} config: {err}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{label} config must be a JSON object, got {cfg!r}")
+    return cfg

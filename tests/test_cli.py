@@ -291,6 +291,45 @@ class TestExitCodes:
         assert "t_end must be nonzero and finite" in out
         assert "RESULT" not in out
 
+    @pytest.mark.parametrize("y0", ["0.75", "0.75,0,9", "nan,0"])
+    @pytest.mark.parametrize("command", [["solve-nu"], ["simulate-shift", "--solve-nu"]])
+    def test_y0_needs_one_finite_value_per_parameter(self, command, y0, bad3_sphere,
+                                                     configs, capsys):
+        bad3, sphere = bad3_sphere
+        code, out = run([*command, "--system", bad3, "--surface", sphere, f"--y0={y0}",
+                         "--out-dir", configs["out"]], capsys)
+        assert code == 2
+        assert out.startswith("configuration error: y0 must be 2 finite parameter values")
+        assert "RESULT" not in out
+
+    @pytest.mark.parametrize("kind, cfg, field", [
+        ("system", [1, 2], "system config must be a JSON object"),
+        ("system", {"n": [3], "kind": "modified_hamiltonian", "H": "p1"}, "'n'"),
+        ("system", {"n": 2, "kind": "explicit", "V": 5, "Theta": ["0", "0"]}, "'V'"),
+        ("system", {"n": 2, "kind": "modified_hamiltonian", "H": "(p1^2 + p2^2)/2",
+                    "Gamma": ["x"]}, "'Gamma'"),
+        ("surface", [], "surface config must be a JSON object"),
+        ("surface", {"params": 1, "embedding": 5, "domain": [[-1.2, 1.2]]}, "'embedding'"),
+        ("surface", {"params": 1, "embedding": ["cos(y1)", "sin(y1)"], "domain": 5},
+         "'domain'"),
+        ("surface", {"params": 1, "embedding": ["cos(y1)", "sin(y1)"],
+                     "domain": [[-1.2, 1.2]], "grid": 9}, "'grid'"),
+        ("surface", {"params": 2, "embedding": ["sin(y1)*cos(y2)", "sin(y1)*sin(y2)",
+                                                "cos(y1)"], "domain": [0.3, 1.2]},
+         "[lo, hi] intervals"),
+    ])
+    def test_malformed_config_shape_is_exit_2(self, kind, cfg, field, tmp_path, configs,
+                                              capsys):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(cfg))
+        files = {"system": configs["geo"], "surface": configs["circle"], kind: str(path)}
+        code, out = run(["solve-nu", "--system", files["system"],
+                         "--surface", files["surface"], "--out-dir", configs["out"]], capsys)
+        assert code == 2
+        assert out.startswith("configuration error: ")
+        assert field in out
+        assert "RESULT" not in out
+
     def test_gauge_test(self, configs, capsys, monkeypatch):
         built = []
         init = PointCalculus.__init__

@@ -20,7 +20,16 @@ from nslab import (
     substitute,
 )
 from nslab import taylor
-from nslab.expressions import Bin, Call, Neg, Num, Var, evaluate_series
+from nslab.expressions import (
+    OPERATIONS,
+    Bin,
+    Call,
+    Neg,
+    Num,
+    Var,
+    _operation,
+    evaluate_series,
+)
 
 
 def q(x, p):
@@ -265,12 +274,55 @@ class TestAstUtilities:
             substitute(w, "v", parse("p1", ("x1", "p1")))
 
 
+# one case per key of OPERATIONS: (text over x1, x2, a point inside the
+# domain, a point outside it or None).  Left out are the errors only a
+# series meets: sqrt and abs differentiated at 0, and overflow.
+_ROW_CASES = {
+    "+": ("x1 + x2", (0.3, -1.7), None),
+    "-": ("x1 - x2", (0.3, -1.7), None),
+    "*": ("x1 * x2", (0.3, -1.7), None),
+    "/": ("x1 / x2", (0.3, -1.7), (0.3, 0.0)),
+    "^": ("x1^-1", (1.7, 0.0), (0.0, 0.0)),
+    "pow": ("pow(x1, 0.5)", (1.7, 0.0), (-1.0, 0.0)),
+    "u-": ("-x1", (0.3, 0.0), None),
+    "sqrt": ("sqrt(x1)", (1.7, 0.0), (-1.0, 0.0)),
+    "sin": ("sin(x1)", (0.3, 0.0), None),
+    "cos": ("cos(x1)", (0.3, 0.0), None),
+    "tan": ("tan(x1)", (0.3, 0.0), None),
+    "exp": ("exp(x1)", (0.3, 0.0), None),
+    "log": ("log(x1)", (1.7, 0.0), (0.0, 0.0)),
+    "abs": ("abs(x1)", (-0.3, 0.0), None),
+    "atan2": ("atan2(x1, x2)", (0.3, -1.7), (0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(OPERATIONS))
+def test_float_and_series_forms_agree(key):
+    """Each row's series form has the float form's value, and the same domain error."""
+    text, inside, outside = _ROW_CASES[key]
+    expr = parse(text, ("x1", "x2"))
+    assert _operation(expr.root)[0] is OPERATIONS[key]
+    ctx = taylor.context(2, 1)
+
+    def series(point):
+        return evaluate_series(expr, [ctx.variable(i, v) for i, v in enumerate(point)])
+
+    assert float(series(inside).coef[0]) == pytest.approx(evaluate(expr, inside),
+                                                          rel=1e-15, abs=0.0)
+    if outside is not None:
+        with pytest.raises(EvaluationDomainError) as by_float:
+            evaluate(expr, outside)
+        with pytest.raises(EvaluationDomainError) as by_series:
+            series(outside)
+        assert str(by_series.value) == str(by_float.value)
+
+
 def test_series_pow_ignores_untrusted_exponent_coefficients():
     # the exponent is constant through its trust; a coefficient above it is
     # cut off with the prefix and must not send a negative base down the
     # exp(b log a) path
     from nslab import taylor
-    from nslab.expressions import _SeriesAlgebra
+    from nslab.expressions import _pow_series
 
     c = taylor.context(2, 2)
     a = c.variable(0, -1.5)
@@ -278,7 +330,7 @@ def test_series_pow_ignores_untrusted_exponent_coefficients():
     b.coef[c.index[(1, 0)]] = 0.25
     b = b.truncate(0)
     assert b.coef.shape == (c.sizes[0],)
-    got = _SeriesAlgebra.pow(a, b)
+    got = _pow_series(a, b)
     assert got.trust == 0
     assert got.coef.shape == (c.sizes[0],)
     assert np.array_equal(got.coef, (a * a).coef[:c.sizes[0]])
