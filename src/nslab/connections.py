@@ -130,15 +130,17 @@ class CanonicalConnection(ConnectionField):
         n = self.n
         calc.g_up  # raises SingularMetric early if dV/dp degenerates
         dphi = calc.phi_s.partials(n, 2 * n)                     # [k, r] = dphi^k/dp_r
-        # g_down meets only dphi and terms trusted lower still: invert to that trust
-        g_down = taylor.series_matrix_inverse(calc.Vp_s.truncate(dphi.trust))  # [m, a]
+        # gamma is exact as far as d2phi, one level below dphi; every other
+        # operand is formed only that far, or one level more before a partial
+        t = dphi.trust - 1
+        g_down = taylor.series_matrix_inverse(calc.Vp_s.truncate(t))     # [m, a]
         # psi[k, a]: first velocity-derivative of the acceleration field
         psi = (g_down[..., None, :, :] * dphi[..., :, :, None]).sum(-2)
         # second p-derivatives and gamma are symmetric in their last two
         # indices; [r, s] reads [min(r, s), max(r, s)], so they are exactly so
         r = np.arange(n)
         lo, hi = np.minimum.outer(r, r), np.maximum.outer(r, r)
-        vpp = calc.Vp_s.partials(n, 2 * n)[..., lo, hi]          # [a, r, s]
+        vpp = calc.Vp_s.truncate(t + 1).partials(n, 2 * n)[..., lo, hi]  # [a, r, s]
         d2phi = dphi.partials(n, 2 * n)[..., lo, hi]             # [k, r, s]
         # inner[k, r, s]: second velocity-derivative of the acceleration field
         inner = d2phi - (vpp[..., None, :, :, :] * psi[..., :, :, None, None]).sum(-3)

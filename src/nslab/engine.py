@@ -167,12 +167,32 @@ class PointCalculus:
         self.depth = depth
         self.n = sys.n
         self.batch_ndim = q.x.ndim - 1
-        self.ctx, self.xs, self.ps, self.V_s, self.T_s = sys.series_at(
-            q, v_trust(conn, depth))
+        self.v_trust = v_trust(conn, depth)
+        self._phase = sys.phase_at(q, self.v_trust)
+        self.ctx, xs, ps = self._phase
+        self.xs, self.ps = xs.truncate(self.v_trust), ps.truncate(self.v_trust)
         # first-order jets by series object (see `_jet1`)
         self._jets = {}
 
     # -- base fields ----------------------------------------------------
+
+    @cached_property
+    def _v_theta(self):
+        """(V_s, T_s), formed on first read.
+
+        A calc that reads neither, such as a depth-0 calc with the zero
+        connection that only reads gamma, never pays for them.
+        """
+        return self.sys.series_at(self.q, self.v_trust, self._phase)[3:]
+
+    @cached_property
+    def V_s(self):
+        return self._v_theta[0]
+
+    @cached_property
+    def T_s(self):
+        """Theta_s, exact to `sys.theta_trust(v_trust)`."""
+        return self._v_theta[1]
 
     @cached_property
     def V(self):
@@ -241,8 +261,11 @@ class PointCalculus:
 
     @cached_property
     def W_s(self):
-        """W^s = sum_r dV^r/dp_s p_r."""
-        return (self.Vp_s * self.ps[..., :, None]).sum(-2)
+        """W^s = sum_r dV^r/dp_s p_r, exact to `depth`.
+
+        Its readers take W's values and, at depth 1, its first partials.
+        """
+        return (self.Vp_s.truncate(self.depth) * self.ps[..., :, None]).sum(-2)
 
     @cached_property
     def W(self):

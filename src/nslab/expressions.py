@@ -293,12 +293,19 @@ def _fpow(a, b):
 
 
 def _pow_series(a, b):
-    """a^b for a series base; an exponent constant through its trust is a `powc`."""
+    """a^b for a series base; an exponent constant through its trust is a `powc`.
+
+    A varying exponent is exp(b log a), which needs a positive base: its
+    derivative along the exponent, a^b log a, is not real at a <= 0 even
+    where the exponent's value is an integer.
+    """
     if isinstance(b, taylor.TaylorSeries):
         if not np.any(b.coef[..., 1:] != 0.0):
             b0 = b.value()
             if np.ndim(b0) == 0 or np.all(b0 == b0.flat[0]):
                 return a.powc(float(b0.flat[0])).truncate(b.trust)
+        if np.any(a.value() <= 0.0):
+            raise EvaluationDomainError("non-integer power of non-positive base")
         return (b * a.log()).exp()
     return a.powc(float(b))
 

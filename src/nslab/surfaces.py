@@ -30,6 +30,7 @@ from .systems import (
     PhasePoint,
     config_int,
     config_list,
+    config_number,
     load_config,
 )
 
@@ -572,12 +573,14 @@ def surface_from_config(cfg):
     if not all(isinstance(iv, (list, tuple)) and len(iv) == 2 for iv in domain):
         raise ConfigError("surface config field 'domain' must be a list of "
                           f"[lo, hi] intervals, got {domain!r}")
-    surf = Hypersurface(len(embedding), embedding, domain,
-                        normal_scale=float(cfg.get("normal_scale", 1.0)))
+    scale = config_number(cfg.get("normal_scale", 1.0), float,
+                          "surface config field 'normal_scale'")
+    surf = Hypersurface(len(embedding), embedding, domain, normal_scale=scale)
     if surf.m != m:
         raise ConfigError("params must equal len(embedding) - 1")
     grid = config_list(cfg, "grid", "surface") if "grid" in cfg else [9] * m
-    surf.default_grid = [int(c) for c in grid]
+    surf.default_grid = [config_number(c, int, "each entry of surface config field 'grid'")
+                         for c in grid]
     return surf
 
 

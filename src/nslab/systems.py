@@ -127,14 +127,35 @@ class SystemDefinition:
         self.n = n
 
     # order the Taylor context must have so V comes out exact to `v_trust`
-    # and Theta to `v_trust - 1`, or to `v_trust` itself at 0 and 1: a calc
-    # reads Theta one level below V (phi pairs it with dV), `rhs` reads its
-    # values and `rhs_jacobian_batch` its first partials
+    # and Theta to `theta_trust(v_trust)`
     def ctx_order(self, v_trust):
         return v_trust
 
-    def v_theta_series(self, ctx, xs, ps):
+    @staticmethod
+    def theta_trust(v_trust):
+        """The order to which Theta is formed next to V exact to `v_trust`.
+
+        One below V from v_trust 2 up, since a calc reads Theta only in
+        phi, which pairs it with dV; V's own order at 0 and 1, where `rhs`
+        reads Theta's values and `rhs_jacobian_batch` its first partials.
+        """
+        return v_trust - 1 if v_trust >= 2 else v_trust
+
+    def v_theta_series(self, xs, ps, v_trust):
+        """(V, Theta) from phase variables trusted to `ctx_order(v_trust)`.
+
+        V is trusted to at least `v_trust` and Theta to `theta_trust(v_trust)`.
+        """
         raise NotImplementedError
+
+    def phase_at(self, q, v_trust):
+        """(ctx, xs, ps): the context for V exact to `v_trust` and the phase variables at q.
+
+        xs and ps are trusted to the context's order, as `v_theta_series`
+        reads them.
+        """
+        ctx = taylor.context(2 * self.n, self.ctx_order(v_trust))
+        return (ctx,) + seed_phase(ctx, q.x, q.p)
 
     # ------------------------------------------------------------------
     # convenience evaluation paths
@@ -157,17 +178,21 @@ class SystemDefinition:
         """
         n = self.n
         ctx = taylor.context(2 * n, self.ctx_order(1))
-        V, T = self.v_theta_series(ctx, *seed_phase(ctx, X, P))
+        V, T = self.v_theta_series(*seed_phase(ctx, X, P), 1)
         J = np.empty(V.shape[:-1] + (2 * n, 2 * n))
         J[..., :n, :] = V.coef[..., ctx.units]
         J[..., n:, :] = T.coef[..., ctx.units]
         return taylor.read_values(V), taylor.read_values(T), J
 
-    def series_at(self, q, v_trust):
-        """V and Theta series (each (..., n)) at a point with V exact to order `v_trust`."""
-        ctx = taylor.context(2 * self.n, self.ctx_order(v_trust))
-        xs, ps = seed_phase(ctx, q.x, q.p)
-        V, T = self.v_theta_series(ctx, xs, ps)
+    def series_at(self, q, v_trust, phase=None):
+        """(ctx, xs, ps, V, Theta) at a point, with V exact to order `v_trust`.
+
+        V, Theta, xs and ps are each (..., n); Theta is exact to
+        `theta_trust(v_trust)`.  `phase` is the `phase_at(q, v_trust)` of a
+        caller that has seeded it already.
+        """
+        ctx, xs, ps = phase or self.phase_at(q, v_trust)
+        V, T = self.v_theta_series(xs, ps, v_trust)
         # a calc reads the phase variables and V no further, whatever the context's order
         return ctx, xs.truncate(v_trust), ps.truncate(v_trust), V.truncate(v_trust), T
 
@@ -183,10 +208,12 @@ class ExplicitSystem(SystemDefinition):
         self.v_exprs = [_as_expression(e, pv) for e in v_exprs]
         self.theta_exprs = [_as_expression(e, pv) for e in theta_exprs]
 
-    def v_theta_series(self, ctx, xs, ps):
+    def v_theta_series(self, xs, ps, v_trust):
+        t = self.theta_trust(v_trust)
         env = phase_env(xs, ps)
+        theta_env = phase_env(xs.truncate(t), ps.truncate(t))
         return (taylor.stack([evaluate_series(e, env) for e in self.v_exprs]),
-                taylor.stack([evaluate_series(e, env) for e in self.theta_exprs]))
+                taylor.stack([evaluate_series(e, theta_env) for e in self.theta_exprs]))
 
 
 class ModifiedHamiltonianSystem(SystemDefinition):
@@ -205,7 +232,7 @@ class ModifiedHamiltonianSystem(SystemDefinition):
     def ctx_order(self, v_trust):
         return v_trust + 1
 
-    def v_theta_series(self, ctx, xs, ps):
+    def v_theta_series(self, xs, ps, v_trust):
         n = self.n
         grad = evaluate_series(self.H, phase_env(xs, ps)).partials(0, 2 * n)
         hp = grad[..., n:]
@@ -217,9 +244,14 @@ class ModifiedHamiltonianSystem(SystemDefinition):
             raise DegenerateOmega(
                 "sum_s p_s dH/dp_s vanished; the rescaled Hamiltonian flow is undefined"
             )
-        # one product divides the whole gradient: (dH/dx, dH/dp) / denom
-        quotient = grad * denom._reciprocal()[..., None]
-        return quotient[..., n:], -quotient[..., :n]
+        recip = denom._reciprocal()[..., None]
+        t = self.theta_trust(v_trust)
+        if t == v_trust:
+            # one product divides the whole gradient: (dH/dx, dH/dp) / denom
+            quotient = grad * recip
+            return quotient[..., n:], -quotient[..., :n]
+        # Theta one order below V: its half of the quotient is formed only that far
+        return hp * recip, -(grad[..., :n] * recip.truncate(t))
 
 
 class EuclideanNewtonianSystem(SystemDefinition):
@@ -247,9 +279,9 @@ class EuclideanNewtonianSystem(SystemDefinition):
     # Theta comes from W's first partials, one order below the context, so
     # below v_trust 2 the context carries one order more than V needs
     def ctx_order(self, v_trust):
-        return v_trust if v_trust >= 2 else v_trust + 1
+        return self.theta_trust(v_trust) + 1
 
-    def v_theta_series(self, ctx, xs, ps):
+    def v_theta_series(self, xs, ps, v_trust):
         n = self.n
         vsq = (ps * ps).sum(-1)
         v = vsq.sqrt()
@@ -302,11 +334,16 @@ def system_from_config(cfg):
 
 def config_int(cfg, key, label):
     """cfg[key] as an int; a ConfigError names the field when it is no number."""
+    return config_number(cfg[key], int, f"{label} config field {key!r}")
+
+
+def config_number(value, kind, field):
+    """value as `kind`, int or float; a ConfigError names `field` when it is no number."""
     try:
-        return int(cfg[key])
+        return kind(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{label} config field {key!r} must be an integer, "
-                          f"got {cfg[key]!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{field} must be {noun}, got {value!r}") from None
 
 
 def config_list(cfg, key, label):

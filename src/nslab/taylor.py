@@ -38,6 +38,14 @@ an affine factor (a seeded variable or a scaling of one).  The inverse of
 a matrix series is likewise formed only through its trust, as a Neumann
 series around the inverse of its constant matrix.
 
+Callers keep one rule on top of that: truncate the operands before a
+product, not after.  A product's coefficients of degree <= t read only
+the pairs of degree <= t, summed in the same order at any trust, so an
+intermediate formed only to the trust its readers use is bit-identical
+to the prefix of one formed higher, and a product whose result is cut
+afterwards has formed pair terms for nothing.  The same holds for the
+inverse: at trust t it is the trust-t prefix of the inverse at t + 1.
+
 A product forms its pair terms in blocks of rows, at most
 OFFSET_CACHE_LIMIT terms per block (one row if a row has more), so its
 temporaries are bounded whatever the batch size.

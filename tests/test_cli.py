@@ -317,6 +317,10 @@ class TestExitCodes:
         ("surface", {"params": 2, "embedding": ["sin(y1)*cos(y2)", "sin(y1)*sin(y2)",
                                                 "cos(y1)"], "domain": [0.3, 1.2]},
          "[lo, hi] intervals"),
+        ("surface", {"params": 1, "embedding": ["cos(y1)", "sin(y1)"],
+                     "domain": [[-1.2, 1.2]], "grid": [[9]]}, "'grid'"),
+        ("surface", {"params": 1, "embedding": ["cos(y1)", "sin(y1)"],
+                     "domain": [[-1.2, 1.2]], "normal_scale": [1]}, "'normal_scale'"),
     ])
     def test_malformed_config_shape_is_exit_2(self, kind, cfg, field, tmp_path, configs,
                                               capsys):

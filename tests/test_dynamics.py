@@ -258,6 +258,26 @@ class TestIntegrate:
         tr = integrate_family(sys_id2, zero2, ExtendedState(0, q([0, 0], [1, 0])), cfg)
         assert np.max(np.abs(tr.x[-1] - [1, 0])) < 1e-10
 
+    def test_zero_connection_xis_form_no_fields(self, sys_id2, zero2, monkeypatch, tmp_path):
+        # xi reads only gamma, which the zero connection gives without V or
+        # Theta, so writing a trajectory forms neither
+        tr = integrate_family(sys_id2, zero2, ExtendedState(0, q([0, 0], [1, 0.5])),
+                              IntegratorConfig(t_end=0.05, step=1e-2))
+        calls = []
+        fields = ExplicitSystem.v_theta_series
+
+        def count(self, *args):
+            calls.append(args)
+            return fields(self, *args)
+
+        monkeypatch.setattr(ExplicitSystem, "v_theta_series", count)
+        tr.write_csv(tmp_path / "trajectory.csv")
+        assert not tr.xis(slice(None)).any()
+        assert calls == []
+        # a calc that reads W forms V and Theta once
+        PointCalculus(sys_id2, zero2, tr.point(0), depth=0).W
+        assert len(calls) == 1
+
     def test_geodesic_closed_form(self, sys_geo2, conn_geo2):
         cfg = IntegratorConfig(t_end=1.0, step=1e-3)
         tr = integrate_family(sys_geo2, conn_geo2, ExtendedState(0, q([1, 0], [1, 0])), cfg)

@@ -317,6 +317,23 @@ def test_float_and_series_forms_agree(key):
         assert str(by_series.value) == str(by_float.value)
 
 
+@pytest.mark.parametrize("point, value", [((-1.0, 0.5), None), ((-1.0, 2.0), 1.0),
+                                          ((0.0, 2.0), 0.0)])
+def test_varying_exponent_needs_a_positive_base(point, value):
+    # pow(x1, x2) at x1 <= 0: the float form raises only at a non-integer
+    # exponent, the series form at any, since d/dx2 = x1^x2 log x1 is not real
+    expr = parse("pow(x1, x2)", ("x1", "x2"))
+    ctx = taylor.context(2, 1)
+    message = "non-integer power of non-positive base"
+    if value is None:
+        with pytest.raises(EvaluationDomainError, match=message):
+            evaluate(expr, point)
+    else:
+        assert evaluate(expr, point) == value
+    with pytest.raises(EvaluationDomainError, match=message):
+        evaluate_series(expr, [ctx.variable(i, v) for i, v in enumerate(point)])
+
+
 def test_series_pow_ignores_untrusted_exponent_coefficients():
     # the exponent is constant through its trust; a coefficient above it is
     # cut off with the prefix and must not send a negative base down the

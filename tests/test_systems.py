@@ -201,9 +201,27 @@ class TestSeriesContract:
     def test_series_at_trusts(self, kind, v_trust):
         sysm = self.SYSTEMS[kind]()
         _, xs, ps, V, T = sysm.series_at(q([0.2, -0.1, 0.3], [0.9, 0.4, -0.7]), v_trust)
-        # a calc reads the phase variables and V no further than v_trust
+        # a calc reads the phase variables and V no further than v_trust,
+        # and Theta is formed exactly as far as promised, no further
         assert xs.trust == ps.trust == V.trust == v_trust
-        assert T.trust >= max(v_trust - 1, min(v_trust, 1))
+        assert T.trust == sysm.theta_trust(v_trust) == max(v_trust - 1, min(v_trust, 1))
+
+    @pytest.mark.parametrize("depth", [0, 1])
+    @pytest.mark.parametrize("conn", ["canonical", "zero"])
+    @pytest.mark.parametrize("kind", sorted(SYSTEMS))
+    def test_calc_fields_stop_at_their_readers_trust(self, kind, conn, depth):
+        sysm = self.SYSTEMS[kind]()
+        connection = canonical_connection(sysm) if conn == "canonical" else ZeroConnection(3)
+        calc = PointCalculus(sysm, connection, q([0.2, -0.1, 0.3], [0.9, 0.4, -0.7]), depth)
+        assert calc.v_trust == (depth + 3 if conn == "canonical" else depth + 1)
+        assert calc.V_s.trust == calc.v_trust
+        assert calc.T_s.trust == sysm.theta_trust(calc.v_trust)
+        # W's readers take its values and, at depth 1, its first partials
+        assert calc.W_s.trust == depth
+        # gamma is exact to depth; the canonical one no further
+        assert calc.gamma_s.trust >= depth
+        if conn == "canonical":
+            assert calc.gamma_s.trust == depth
 
     @pytest.mark.parametrize("kind", sorted(SYSTEMS))
     def test_jacobian_theta_rows_match_central_differences(self, kind):

@@ -193,6 +193,21 @@ class TestMatrixInverse:
         for b in range(2):
             assert np.array_equal(taylor.series_matrix_inverse(m[b]).coef, inv[b].coef)
 
+    def test_inverse_at_a_lower_trust_is_the_prefix(self):
+        # degree-k coefficients of the inverse read only the matrix's
+        # coefficients of degree <= k, in the same order at any trust, so
+        # inverting only as far as a reader needs changes no bit
+        c = ctx(nvars=3, order=5)
+        rng = np.random.default_rng(11)
+        coef = rng.uniform(-1, 1, (2, 3, 3, c.size))
+        coef[..., 0] += 3 * np.eye(3)
+        full = taylor.TaylorSeries(c, coef, c.order)
+        for t in range(c.order):
+            low = taylor.series_matrix_inverse(full.truncate(t))
+            high = taylor.series_matrix_inverse(full.truncate(t + 1))
+            assert low.trust == t
+            assert low.coef.tobytes() == high.coef[..., :c.sizes[t]].tobytes()
+
 
 def dense_product(c, a, b, t):
     """Brute-force truncated product over all monomial pairs, through degree t."""
@@ -527,6 +542,34 @@ class TestTensorSeries:
         s = taylor.stack([e[0], low, e[1]])
         assert (e[0].trust, low.trust, s.trust) == (3, 1, 1)
         assert np.array_equal(s[1].coef, low.coef)
+
+
+class TestPairWork:
+    """The pair terms a calc forms: rows times pairs of every product block."""
+
+    @pytest.fixture
+    def terms(self, monkeypatch):
+        formed = []
+        pair_sums = taylor.TaylorContext._pair_sums
+
+        def count(self, key, a, b):
+            rows = math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+            formed.append(rows * len(self._table(key)[0]))
+            return pair_sums(self, key, a, b)
+
+        monkeypatch.setattr(taylor.TaylorContext, "_pair_sums", count)
+        return formed
+
+    def test_depth1_canonical_calc_at_n3(self, terms):
+        # every product is formed only to the trust its readers use: the
+        # residual of a 16-point depth-1 canonical calc forms exactly these
+        # pair terms, and a site that forms coefficients no reader keeps
+        # raises the count
+        sysm = build_modified_hamiltonian("(p1^2 + p2^2 + p3^2)/2 + x1*p2^2/5", 3)
+        points = PointSampler(3, 16, seed=3).points()
+        batch = PhasePoint([q.x for q in points], [q.p for q in points])
+        residual_from_calc(PointCalculus(sysm, canonical_connection(sysm), batch, depth=1))
+        assert (sum(terms), len(terms)) == (470400, 76)
 
 
 class TestTrustSizedStorage:
